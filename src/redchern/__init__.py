@@ -1,6 +1,7 @@
 """Exact reduced Chern class calculus over the rationals.
 
 Subpackage map:
+    kernels    the hot loops: truncated products and linear-form chains
     poly       sparse exact polynomials, truncation, substitution, JSON
     symfun     partitions, monomial/elementary bases, basis conversion
     chern      root calculus: reduced classes, twists, symmetric powers
@@ -8,13 +9,11 @@ Subpackage map:
     oracle     toy graded rings and identity specialization
     verify     named verification suites
     cli        command-line entry points
-    kernels    hot-loop backend selection (compiled or pure Python)
 """
 
-from redchern.kernels import BACKEND
 from redchern.poly import MPoly, VarTable
 from redchern.symfun import Partition
 
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "MPoly", "Partition", "VarTable", "__version__"]
+__all__ = ["MPoly", "Partition", "VarTable", "__version__"]

@@ -23,17 +23,9 @@ from redchern import symfun
 from redchern.kernels import expand_linear_chain
 from redchern.poly import MPoly, VarTable, c_vars, x_vars
 
-# Feasibility knob for the rank of root expansions, not a hard limit: the
-# symmetric-power root count C(2n-1, n) reaches 462 at rank 6 and grows fast.
-MAX_EXPANSION_RANK = 6
-
-
 def ensure_rank(n: int, floor: int = 2) -> None:
-    if not floor <= n <= MAX_EXPANSION_RANK:
-        raise ValueError(
-            f"rank {n} outside {floor}..{MAX_EXPANSION_RANK}; raise"
-            " redchern.chern.MAX_EXPANSION_RANK to override"
-        )
+    if n < floor:
+        raise ValueError(f"rank {n} is below {floor}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +151,8 @@ def det_class(cv: ChernVector) -> MPoly:
     return cv.classes[0]
 
 
-def sym_power_det_inverse_chern(n: int, k_max: int) -> list[MPoly]:
+@lru_cache(maxsize=None)
+def sym_power_det_inverse_chern(n: int, k_max: int) -> tuple[MPoly, ...]:
     """Classes 1..k_max of the rank-n symmetric power twisted by det inverse.
 
     The roots of that bundle are the integer forms sum_i (m_i - 1) x_i over
@@ -173,10 +166,10 @@ def sym_power_det_inverse_chern(n: int, k_max: int) -> list[MPoly]:
         tuple(v - 1 for v in m) for m in symfun.root_compositions(n)
     ]
     product = MPoly(x_vars(n), expand_linear_chain(forms, n, k_max))
-    return [
+    return tuple(
         _express_as_chern(product.graded_component(k), n)
         for k in range(1, k_max + 1)
-    ]
+    )
 
 
 def reduce_hom(q: MPoly) -> MPoly:

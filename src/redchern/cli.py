@@ -38,8 +38,6 @@ def _check_rank(n: int, allow_large: bool, floor: int = 2) -> None:
             f"rank {n} exceeds {RANK_CAP}; pass --allow-large-rank to acknowledge"
             " the cost"
         )
-    if n > chern.MAX_EXPANSION_RANK:
-        chern.MAX_EXPANSION_RANK = n
 
 
 def _emit(text: str, out: Path | None) -> None:

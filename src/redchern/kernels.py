@@ -1,36 +1,66 @@
-"""Kernel backend selection.
+"""Kernels for truncated sparse polynomial products.
 
-Imports the compiled kernels when the extension module is available,
-otherwise the pure-Python fallbacks.  Set REDCHERN_KERNEL=python to force
-the fallback, REDCHERN_KERNEL=compiled to require the extension (raising
-ImportError when it was not built).  BACKEND reports what was selected.
+These two functions are the hot loops of the whole package: every class
+computation ultimately expands a product of linear forms under a weighted
+degree cap.
 
-Both backends are contractually identical; tests assert equality on random
-inputs, and benchmarks/bench_kernels.py compares their speed.
+Term dicts map exponent tuples to nonzero coefficients (Fraction or int).
+A cap of -1 means no truncation.
 """
 
-import os
 
-_requested = os.environ.get("REDCHERN_KERNEL", "").strip().lower()
+def mul_trunc(pa, pb, wdegs, cap):
+    """Multiply two term dicts, dropping products of weighted degree > cap.
 
-if _requested in ("python", "py", "pure"):
-    from redchern._mulcore_py import expand_linear_chain, mul_trunc
+    wdegs gives the weighted degree of each variable, so the degree of an
+    exponent tuple is the dot product with wdegs.
+    """
+    if not pa or not pb:
+        return {}
+    if len(pb) > len(pa):
+        pa, pb = pb, pa
+    bitems = []
+    for eb, cb in pb.items():
+        wb = 0
+        for k, d in zip(eb, wdegs):
+            wb += k * d
+        bitems.append((wb, eb, cb))
+    if cap >= 0:
+        bitems.sort(key=lambda item: item[0])
+    out = {}
+    for ea, ca in pa.items():
+        wa = 0
+        for k, d in zip(ea, wdegs):
+            wa += k * d
+        for wb, eb, cb in bitems:
+            if cap >= 0 and wa + wb > cap:
+                break
+            e = tuple(x + y for x, y in zip(ea, eb))
+            prev = out.get(e)
+            out[e] = ca * cb if prev is None else prev + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
 
-    BACKEND = "python"
-elif _requested in ("compiled", "c", "cython"):
-    from redchern._mulcore import expand_linear_chain, mul_trunc  # type: ignore[no-redef]
 
-    BACKEND = "compiled"
-elif _requested == "":
-    try:
-        from redchern._mulcore import expand_linear_chain, mul_trunc  # type: ignore[no-redef]
+def expand_linear_chain(forms, nvars, cap):
+    """Expand prod_j (1 + L_j) for linear forms L_j with integer coefficients.
 
-        BACKEND = "compiled"
-    except ImportError:
-        from redchern._mulcore_py import expand_linear_chain, mul_trunc
-
-        BACKEND = "python"
-else:
-    raise ValueError(f"unknown REDCHERN_KERNEL value: {_requested!r}")
-
-__all__ = ["BACKEND", "expand_linear_chain", "mul_trunc"]
+    forms is an iterable of length-nvars coefficient tuples; every variable
+    has weighted degree 1, so the degree of a term is the sum of exponents.
+    Returns an exponent-tuple -> integer coefficient dict.
+    """
+    acc = {(0,) * nvars: 1}
+    for form in forms:
+        nonzero = [(i, m) for i, m in enumerate(form) if m]
+        if not nonzero:
+            continue
+        nxt = dict(acc)
+        for e, c in acc.items():
+            if cap >= 0 and sum(e) >= cap:
+                continue
+            for i, m in nonzero:
+                e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+                cm = c * m
+                prev = nxt.get(e2)
+                nxt[e2] = cm if prev is None else prev + cm
+        acc = nxt
+    return {e: c for e, c in acc.items() if c != 0}

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from redchern import chern, universal
-from redchern.poly import MPoly, VarTable
+from redchern.poly import MPoly, VarTable, as_rational
 
 
 class ToyRing:
@@ -73,7 +73,7 @@ class ToyRing:
             exps = tuple(exps)
             if self._dead(exps):
                 continue
-            q = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            q = coeff if isinstance(coeff, Fraction) else as_rational(coeff)
             if not q:
                 continue
             prev = out.get(exps)
@@ -294,7 +294,7 @@ def rank_theory(n: int) -> RankTheory:
         rank=n,
         reduced=tuple(chern.reduced_chern_roots(n, r) for r in range(1, n + 1)),
         twisted=chern.twist(chern.ChernVector.free(n), "t").classes,
-        f_classes=tuple(chern.sym_power_det_inverse_chern(n, n)),
+        f_classes=chern.sym_power_det_inverse_chern(n, n),
         phi=universal.compute_phi(n).phi,
     )
 

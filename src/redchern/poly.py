@@ -39,6 +39,17 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def as_rational(value) -> Fraction:
+    """Convert an exact coefficient (int, Fraction or "p/q") to a Fraction.
+
+    Floats are rejected: their binary expansion would enter silently, so
+    0.1 would become 3602879701896397/36028797018963968.
+    """
+    if isinstance(value, float):
+        raise TypeError(f"float coefficient {value!r}; pass an int or Fraction")
+    return Fraction(value)
+
+
 def parse_rational(s: str) -> Fraction:
     """Parse a "p" or "p/q" string; Fraction normalizes to lowest terms."""
     return Fraction(s)
@@ -141,7 +152,7 @@ class MPoly:
                 raise ValueError(f"exponent tuple {exps} does not match {table!r}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            q = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            q = coeff if isinstance(coeff, Fraction) else as_rational(coeff)
             if q:
                 prev = clean.get(exps)
                 total = q if prev is None else prev + q
@@ -163,7 +174,7 @@ class MPoly:
 
     @classmethod
     def constant(cls, table: VarTable, value) -> "MPoly":
-        return cls(table, {(0,) * len(table): Fraction(value)})
+        return cls(table, {(0,) * len(table): value})
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "MPoly":
@@ -171,7 +182,7 @@ class MPoly:
 
     @classmethod
     def monomial(cls, table: VarTable, exps: Exponents, coeff=1) -> "MPoly":
-        return cls(table, {tuple(exps): Fraction(coeff)})
+        return cls(table, {tuple(exps): coeff})
 
     # ---- basic queries ----
 

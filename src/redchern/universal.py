@@ -57,24 +57,22 @@ def y_roots(n: int) -> YRootSet:
     return YRootSet(n, symfun.root_compositions(n))
 
 
-def s_in_elementary(n: int, r_max: int | None = None) -> list[MPoly]:
-    """s_1..s_r_max in the elementary basis, expanded under a degree cap.
+@lru_cache(maxsize=None)
+def y_root_product(n: int) -> MPoly:
+    """prod_i (1 + y_i) over the rank-n root set, truncated at degree n.
 
-    Truncating the product of the 1 + y_i at degree r_max is exact for the
-    graded pieces up to r_max, which are all that s_1..s_r_max need.
+    Truncation is exact for the graded pieces 1..n, which are s_1..s_n in
+    the root variables.
     """
-    ensure_rank(n)
-    if r_max is None:
-        r_max = n
-    if not 1 <= r_max <= n:
-        raise ValueError(f"r_max {r_max} outside 1..{n}")
-    roots = y_roots(n)
-    product = MPoly(
-        x_vars(n), expand_linear_chain(roots.compositions, n, r_max)
-    )
+    return MPoly(x_vars(n), expand_linear_chain(y_roots(n).compositions, n, n))
+
+
+def s_in_elementary(n: int) -> list[MPoly]:
+    """s_1..s_n in the elementary basis."""
+    product = y_root_product(n)
     return [
         symfun.express_in_elementary(product.graded_component(r))
-        for r in range(1, r_max + 1)
+        for r in range(1, n + 1)
     ]
 
 

@@ -11,9 +11,8 @@ interleaving.
 from __future__ import annotations
 
 from redchern import chern, oracle, symfun, universal
-from redchern.kernels import expand_linear_chain
 from redchern.oracle import CheckResult
-from redchern.poly import MPoly, c_vars, x_vars
+from redchern.poly import MPoly, c_vars
 
 SUITE_NAMES = (
     "formula-agreement",
@@ -126,8 +125,7 @@ def suite_positivity(max_rank: int, seed: int = 0) -> list[CheckResult]:
     """Every s_i must expand with nonnegative monomial-basis coefficients."""
     results = []
     for n in range(2, max_rank + 1):
-        roots = universal.y_roots(n)
-        product = MPoly(x_vars(n), expand_linear_chain(roots.compositions, n, n))
+        product = universal.y_root_product(n)
         for i in range(1, n + 1):
             coords = symfun.monomial_coefficients(product.graded_component(i))
             bad = {
@@ -144,7 +142,7 @@ def suite_triangularity(max_rank: int, seed: int = 0) -> list[CheckResult]:
     """Leading structure of the s-system, and of the e-to-m change of basis."""
     results = []
     for n in range(2, max_rank + 1):
-        ups = universal.solve_psi(n)
+        ups = universal.compute_phi(n)
         ok = all(c > 0 for c in ups.lead) and ups.lead[0] == ups.count
         ok = ok and all(
             len(lam) >= 2 and lam.weight == r for (r, lam) in ups.d

@@ -2,8 +2,7 @@
 
 Every check is an exact equality of polynomials or rationals; there are no
 numeric tolerances anywhere.  Each criterion prints a single PASS/FAIL line
-with its elapsed time (run with -s to see them inline).  The rank-5 leg of
-criterion 4 is gated behind --large-rank.
+with its elapsed time (run with -s to see them inline).
 """
 
 import random
@@ -12,7 +11,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
 from click.testing import CliRunner
 
 from redchern import oracle, verify
@@ -134,9 +132,8 @@ def test_criterion_4_generator_pipeline():
             _pipeline_checks(n, count)
 
 
-@pytest.mark.large
 def test_criterion_4_rank_five():
-    with criterion(4, "the same pipeline at rank 5 (gated)", "< 10 min"):
+    with criterion(4, "the same pipeline at rank 5", "< 5 s"):
         _pipeline_checks(5, 126)
 
 

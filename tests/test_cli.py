@@ -42,10 +42,7 @@ class TestFormula:
         assert runner.invoke(main, ["formula", "-n", "1", "-r", "1"]).exit_code == 2
         assert runner.invoke(main, ["formula", "-n", "7", "-r", "1"]).exit_code == 2
 
-    def test_allow_large_rank_acknowledgment(self, runner, monkeypatch):
-        from redchern import chern
-
-        monkeypatch.setattr(chern, "MAX_EXPANSION_RANK", chern.MAX_EXPANSION_RANK)
+    def test_allow_large_rank_acknowledgment(self, runner):
         result = runner.invoke(
             main, ["formula", "-n", "7", "-r", "2", "--allow-large-rank"]
         )

@@ -105,6 +105,13 @@ class TestToyElements:
         ]
         assert obj["terms"] == [{"coeff": "2", "exps": [1, 0]}]
 
+    def test_float_coefficients_rejected(self):
+        ring = make_toy_ring(CURVES_SPEC)
+        with pytest.raises(TypeError):
+            ring.element({(1, 0): 0.1})
+        with pytest.raises(TypeError):
+            ring.normalize({(0, 0): 2.0})
+
 
 class TestRandomBundle:
     def test_deterministic(self):

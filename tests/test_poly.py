@@ -1,10 +1,12 @@
 """Polynomial substrate: arithmetic, truncation, substitution, JSON."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+from redchern.kernels import expand_linear_chain, mul_trunc
 from redchern.poly import (
     MPoly,
     VarTable,
@@ -145,6 +147,44 @@ def test_substitution_is_a_homomorphism(p, q):
     }
     assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
     assert (p + q).substitute(images) == p.substitute(images) + q.substitute(images)
+
+
+def test_float_coefficients_rejected():
+    with pytest.raises(TypeError):
+        MPoly(X2, {(1, 0): 0.1})
+    with pytest.raises(TypeError):
+        MPoly.constant(X2, 0.5)
+    with pytest.raises(TypeError):
+        MPoly.monomial(X2, (0, 1), 2.0)
+    assert MPoly.constant(X2, "1/10") == MPoly.constant(X2, Fraction(1, 10))
+
+
+def test_chain_against_repeated_mul():
+    # the chain kernel must agree with folding mul_trunc over the factors
+    rng = random.Random(2024)
+    for _ in range(20):
+        nvars = rng.randint(1, 4)
+        cap = rng.choice([-1, 1, 2, 4])
+        forms = [
+            tuple(rng.randint(-3, 3) for _ in range(nvars))
+            for _ in range(rng.randint(1, 6))
+        ]
+        wdegs = (1,) * nvars
+        acc = {(0,) * nvars: 1}
+        for form in forms:
+            factor = {(0,) * nvars: 1}
+            for i, m in enumerate(form):
+                if m:
+                    e = tuple(1 if j == i else 0 for j in range(nvars))
+                    factor[e] = m
+            acc = mul_trunc(acc, factor, wdegs, cap)
+        assert expand_linear_chain(forms, nvars, cap) == acc
+
+
+def test_mul_trunc_cap_zero_keeps_constants():
+    pa = {(0, 0): Fraction(2), (1, 0): Fraction(1)}
+    pb = {(0, 0): Fraction(3), (0, 1): Fraction(5)}
+    assert mul_trunc(pa, pb, (1, 1), 0) == {(0, 0): Fraction(6)}
 
 
 @settings(max_examples=60)

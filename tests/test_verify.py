@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from redchern import oracle, verify
+from redchern import chern, kernels, oracle, universal, verify
 
 
 def test_unknown_suite_rejected():
@@ -49,3 +49,28 @@ def test_triangularity_suite_shape():
     tags = sorted({r.identity for r in results})
     assert tags == ["triangularity", "triangularity-e-to-m"]
     assert all(r.passed for r in results)
+
+
+def test_run_all_expands_each_chain_once(monkeypatch):
+    # four chains per rank: shifted roots, twist, symmetric power, y-roots
+    for cached in (
+        chern.shifted_root_sigma,
+        chern._twist_universal,
+        chern.sym_power_det_inverse_chern,
+        universal.y_root_product,
+        universal.compute_phi,
+        oracle.rank_theory,
+    ):
+        cached.cache_clear()
+    inputs = []
+
+    def counting(forms, nvars, cap):
+        forms = tuple(tuple(f) for f in forms)
+        inputs.append((forms, nvars, cap))
+        return kernels.expand_linear_chain(forms, nvars, cap)
+
+    monkeypatch.setattr(chern, "expand_linear_chain", counting)
+    monkeypatch.setattr(universal, "expand_linear_chain", counting)
+    assert all(r.passed for r in verify.run_all(max_rank=4))
+    assert len(inputs) == 12
+    assert len(set(inputs)) == 12
