@@ -1,9 +1,9 @@
 """Exact reduced Chern class calculus over the rationals.
 
 Subpackage map:
-    kernels    the hot loops: truncated products and linear-form chains
+    kernels    truncated products and linear-form chains
     poly       sparse exact polynomials, truncation, substitution, JSON
-    symfun     partitions, monomial/elementary bases, basis conversion
+    symfun     partitions, e/m basis conversion, power sums of forms
     chern      root calculus: reduced classes, twists, symmetric powers
     universal  the triangular system, psi/phi, the pushforward recipe
     oracle     toy graded rings and identity specialization

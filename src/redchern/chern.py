@@ -8,8 +8,10 @@ rewrite as polynomials in c1..cn.
 
 To keep the hot expansions integral, every product of shifted linear forms
 is computed over the integer forms n*x_i - (x1+...+xn) and rescaled by 1/n^r
-per graded piece; the forms for the rank-n symmetric power twisted by the
-inverse determinant are integral outright (sum of (m_i - 1) x_i).
+per graded piece.  The roots of the rank-n symmetric power twisted by the
+inverse determinant are the forms sum_i (m_i - 1) x_i, a family closed under
+permuting the x_i, so their classes come from power sums in partition
+coordinates (symfun.elementary_of_forms) with no product expanded.
 """
 
 from __future__ import annotations
@@ -162,13 +164,9 @@ def sym_power_det_inverse_chern(n: int, k_max: int) -> tuple[MPoly, ...]:
     count = comb(2 * n - 1, n)
     if not 1 <= k_max <= count:
         raise ValueError(f"k_max {k_max} outside 1..{count}")
-    forms = [
-        tuple(v - 1 for v in m) for m in symfun.root_compositions(n)
-    ]
-    product = MPoly(x_vars(n), expand_linear_chain(forms, n, k_max))
+    forms = [tuple(v - 1 for v in m) for m in symfun.root_compositions(n)]
     return tuple(
-        _express_as_chern(product.graded_component(k), n)
-        for k in range(1, k_max + 1)
+        p.with_table(c_vars(n)) for p in symfun.elementary_of_forms(forms, n, k_max)
     )
 
 

@@ -1,8 +1,8 @@
 """Kernels for truncated sparse polynomial products.
 
-These two functions are the hot loops of the whole package: every class
-computation ultimately expands a product of linear forms under a weighted
-degree cap.
+mul_trunc multiplies every MPoly; expand_linear_chain expands a product of
+linear forms under a degree cap, for the shifted roots, the twist and the
+positivity suite's own route to s_1..s_n.
 
 Term dicts map exponent tuples to nonzero coefficients (Fraction or int).
 A cap of -1 means no truncation.

@@ -1,10 +1,15 @@
 """Partitions and the monomial / elementary bases of symmetric polynomials.
 
-Rewriting a symmetric polynomial in the elementary basis is done by the
-classical leading-term reduction, with symmetry certified first by comparing
-coefficients across whole permutation orbits of exponent vectors (checking
-every orbit is equivalent to checking invariance under all n! permutations,
-and gives a concrete witness permutation on failure).
+Symmetric polynomials are rewritten in the elementary basis in partition
+coordinates: symmetry is certified first by comparing coefficients across
+whole permutation orbits of exponent vectors (checking every orbit is
+equivalent to checking invariance under all n! permutations, and gives a
+concrete witness permutation on failure), the m-basis coordinates are read
+off, and the unitriangular e-to-m table (counts of 0-1 matrices) is inverted
+one leading partition at a time.  The elementary symmetric functions of a
+permutation-invariant family of integer linear forms go the same way,
+through the power sums of the forms and Newton's identities, without
+expanding the product of the forms.
 
 Partitions are ordered only within a fixed weight, by lexicographic
 comparison of part sequences, largest part first.  That is the order under
@@ -14,10 +19,11 @@ which the e-to-m change of basis is unitriangular.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from redchern.poly import MPoly, e_vars, format_rational, parse_rational, x_vars
 
@@ -270,13 +276,74 @@ def monomial_coefficients(p: MPoly) -> SymPolyInBasis:
     return SymPolyInBasis("m", coeffs)
 
 
+@lru_cache(maxsize=None)
+def _e_to_m_table(mu: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
+    """m-coordinates of e_mu in n variables, keyed by part tuples.
+
+    The entry for lambda counts the 0-1 matrices with row sums mu and column
+    sums lambda; only lambda with at most n parts survive in n variables.
+    Built row by row: the coefficient of x^lambda in e_r * F sums the
+    coefficients of F at lambda minus the indicator of each r-subset of the
+    nonzero positions of lambda, grouped by blocks of equal parts.
+    """
+    if not mu:
+        return {(): 1}
+    r, rest = mu[0], _e_to_m_table(mu[1:], n)
+    table = {}
+    for lam in partitions_of(sum(mu), n):
+        blocks = sorted(Counter(lam.parts).items(), reverse=True)
+        total = 0
+        for picks in itertools.product(*(range(c + 1) for _, c in blocks)):
+            if sum(picks) != r:
+                continue
+            lower = []
+            ways = 1
+            for (v, c), k in zip(blocks, picks):
+                lower += [v] * (c - k) + [v - 1] * k
+                ways *= comb(c, k)
+            key = tuple(sorted((v for v in lower if v), reverse=True))
+            total += ways * rest.get(key, 0)
+        if total:
+            table[lam.parts] = total
+    return table
+
+
 def elementary_to_monomial(lam: Partition, n: int) -> SymPolyInBasis:
-    """m-basis coordinates of e_lambda, by expansion and orbit collection."""
+    """m-basis coordinates of e_lambda in n variables, from the 0-1 matrix counts."""
     if len(lam) > n:
         raise ValueError(f"partition {lam!r} has more than {n} parts")
     if lam.parts and lam.parts[0] > n:
         raise ValueError(f"part {lam.parts[0]} exceeds the variable count {n}")
-    return monomial_coefficients(elementary_product(lam, n))
+    return SymPolyInBasis(
+        "m",
+        {Partition(mu): Fraction(c) for mu, c in _e_to_m_table(lam.parts, n).items()},
+    )
+
+
+def _monomial_to_elementary(coords: SymPolyInBasis, n: int) -> MPoly:
+    """Rewrite m-basis coordinates in n variables as a polynomial in e1..en.
+
+    The lexicographically largest remaining lambda is the leading term of
+    e_{lambda'}, so subtracting c * e_{lambda'} clears it and touches only
+    smaller partitions of the same weight.
+    """
+    work = {lam.parts: c for lam, c in coords.coeffs.items() if c}
+    out: dict[tuple[int, ...], Fraction] = {}
+    while work:
+        lam = max(work, key=lambda parts: (sum(parts), parts))
+        coeff = work[lam]
+        conj = Partition(lam).conjugate().parts
+        exps = [0] * n
+        for p in conj:
+            exps[p - 1] += 1
+        out[tuple(exps)] = coeff
+        for mu, count in _e_to_m_table(conj, n).items():
+            rest = work.get(mu, 0) - coeff * count
+            if rest:
+                work[mu] = rest
+            else:
+                work.pop(mu, None)
+    return MPoly(e_vars(n), out)
 
 
 def express_in_elementary(p: MPoly) -> MPoly:
@@ -285,30 +352,62 @@ def express_in_elementary(p: MPoly) -> MPoly:
     Exact inverse of expansion: substituting e_i = sigma_i(x) into the result
     recovers p.  Non-symmetric input raises NotSymmetricError with a witness.
     """
-    n = len(p.table)
     if any(d != 1 for d in p.table.degrees):
         raise ValueError("input must live in degree-1 root variables")
-    witness = symmetry_witness(p)
-    if witness is not None:
-        raise NotSymmetricError(witness)
+    return _monomial_to_elementary(monomial_coefficients(p), len(p.table))
+
+
+def _multinomial(k: int, parts) -> int:
+    out, rest = 1, k
+    for p in parts:
+        out *= comb(rest, p)
+        rest -= p
+    return out
+
+
+def elementary_of_forms(forms, n: int, r_max: int) -> list[MPoly]:
+    """e_1..e_{r_max} of the values of integer linear forms, in e1..en.
+
+    forms are length-n coefficient tuples whose multiset is closed under
+    permuting the variables, so every power sum of the values is symmetric:
+    P_k = sum over lambda of multinom(k; lambda) * S(lambda) * m_lambda with
+    S(lambda) = sum_f prod_j f_j^lambda_j.  Each P_k is rewritten in the
+    e-basis and Newton's identities r e_r = sum_i (-1)^(i-1) e_{r-i} P_i
+    give the elementary symmetric functions of the forms.
+    """
+    forms = [tuple(f) for f in forms]
+    if any(len(f) != n for f in forms):
+        raise ValueError(f"every form needs {n} coefficients")
+    family = Counter(forms)
+    for i in range(n - 1):
+        swapped = Counter(f[:i] + (f[i + 1], f[i]) + f[i + 2:] for f in forms)
+        if swapped != family:
+            raise ValueError(
+                f"forms are not invariant under the transposition (x{i + 1} x{i + 2})"
+            )
     evt = e_vars(n)
-    out: dict[tuple[int, ...], Fraction] = {}
-    work = p
-    while not work.is_zero():
-        alpha = max(work.terms)
-        coeff = work.terms[alpha]
-        if tuple(sorted(alpha, reverse=True)) != alpha:
-            raise AssertionError(f"leading monomial {alpha} of a symmetric poly")
-        beta = tuple(
-            alpha[i] - (alpha[i + 1] if i + 1 < n else 0) for i in range(n)
-        )
-        out[beta] = out.get(beta, Fraction(0)) + coeff
-        subtrahend = MPoly.one(p.table)
-        for i, b in enumerate(beta):
-            if b:
-                subtrahend = subtrahend * elementary_symmetric(i + 1, n) ** b
-        work = work - subtrahend * coeff
-    return MPoly(evt, out)
+    prefixes = {
+        length: Counter(f[:length] for f in forms) for length in range(1, n + 1)
+    }
+    power_sums = []
+    for k in range(1, r_max + 1):
+        coeffs = {}
+        for lam in partitions_of(k, n):
+            total = sum(
+                count * prod(v**p for v, p in zip(head, lam.parts))
+                for head, count in prefixes[len(lam)].items()
+            )
+            if total:
+                coeffs[lam] = _multinomial(k, lam.parts) * total
+        power_sums.append(_monomial_to_elementary(SymPolyInBasis("m", coeffs), n))
+    sigmas = [MPoly.one(evt)]
+    for r in range(1, r_max + 1):
+        acc = MPoly.zero(evt)
+        for i in range(1, r + 1):
+            term = sigmas[r - i] * power_sums[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        sigmas.append(acc * Fraction(1, r))
+    return sigmas[1:]
 
 
 def root_compositions(n: int) -> tuple[tuple[int, ...], ...]:

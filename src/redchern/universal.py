@@ -5,7 +5,8 @@ compositions m of n) have elementary symmetric polynomials s_1, s_2, ...
 whose first n members generate the ring of symmetric polynomials: each s_r
 is lead_r * e_r plus a combination of products of lower e's with lead_r > 0,
 and back-substituting through that triangular system solves e_i as a
-rational polynomial psi_i in s_1..s_n.
+rational polynomial psi_i in s_1..s_n.  The s_r come from the power sums of
+the forms (symfun.elementary_of_forms), never from the product of the forms.
 
 Setting s_1 to zero in psi_i gives phi_i(u_2..u_n); evaluated at the classes
 of the twisted symmetric power of a bundle, phi_i returns the bundle's
@@ -23,7 +24,6 @@ from typing import Mapping, Sequence
 
 from redchern import symfun
 from redchern.chern import ensure_rank
-from redchern.kernels import expand_linear_chain
 from redchern.poly import MPoly, e_vars, format_rational, s_vars, u_vars, x_vars
 from redchern.symfun import Partition
 
@@ -57,23 +57,9 @@ def y_roots(n: int) -> YRootSet:
     return YRootSet(n, symfun.root_compositions(n))
 
 
-@lru_cache(maxsize=None)
-def y_root_product(n: int) -> MPoly:
-    """prod_i (1 + y_i) over the rank-n root set, truncated at degree n.
-
-    Truncation is exact for the graded pieces 1..n, which are s_1..s_n in
-    the root variables.
-    """
-    return MPoly(x_vars(n), expand_linear_chain(y_roots(n).compositions, n, n))
-
-
 def s_in_elementary(n: int) -> list[MPoly]:
-    """s_1..s_n in the elementary basis."""
-    product = y_root_product(n)
-    return [
-        symfun.express_in_elementary(product.graded_component(r))
-        for r in range(1, n + 1)
-    ]
+    """s_1..s_n in the elementary basis, from the power sums of the forms."""
+    return symfun.elementary_of_forms(y_roots(n).compositions, n, n)
 
 
 @dataclass(frozen=True)

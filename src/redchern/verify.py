@@ -11,8 +11,9 @@ interleaving.
 from __future__ import annotations
 
 from redchern import chern, oracle, symfun, universal
+from redchern.kernels import expand_linear_chain
 from redchern.oracle import CheckResult
-from redchern.poly import MPoly, c_vars
+from redchern.poly import MPoly, c_vars, x_vars
 
 SUITE_NAMES = (
     "formula-agreement",
@@ -125,7 +126,9 @@ def suite_positivity(max_rank: int, seed: int = 0) -> list[CheckResult]:
     """Every s_i must expand with nonnegative monomial-basis coefficients."""
     results = []
     for n in range(2, max_rank + 1):
-        product = universal.y_root_product(n)
+        # an independent route to s_1..s_n: the expanded product of the forms
+        chain = expand_linear_chain(universal.y_roots(n).compositions, n, n)
+        product = MPoly(x_vars(n), chain)
         for i in range(1, n + 1):
             coords = symfun.monomial_coefficients(product.graded_component(i))
             bad = {

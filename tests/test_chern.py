@@ -14,7 +14,9 @@ from redchern.chern import (
     sym_power_det_inverse_chern,
     twist,
 )
-from redchern.poly import MPoly, c_vars
+from redchern.kernels import expand_linear_chain
+from redchern.poly import MPoly, c_vars, x_vars
+from redchern.symfun import elementary_symmetric, root_compositions
 
 from . import naive
 
@@ -144,8 +146,6 @@ class TestSymPower:
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_against_independent_expansion(self, n):
-        from redchern.symfun import root_compositions
-
         forms = [
             naive.nlinear(n, tuple(v - 1 for v in m)) for m in root_compositions(n)
         ]
@@ -154,6 +154,18 @@ class TestSymPower:
             assert naive.expand_cpoly(classes[k - 1], n) == naive.nsigma_of_forms(
                 forms, k, n
             )
+
+    @pytest.mark.parametrize(
+        "n, k_max", ((2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (2, 3), (3, 10), (4, 12))
+    )
+    def test_against_the_chain_in_root_variables(self, n, k_max):
+        # expanding c_i = sigma_i(x) is independent of the m-to-e reduction
+        forms = [tuple(v - 1 for v in m) for m in root_compositions(n)]
+        chain = MPoly(x_vars(n), expand_linear_chain(forms, n, k_max))
+        sigmas = {f"c{i}": elementary_symmetric(i, n) for i in range(1, n + 1)}
+        classes = sym_power_det_inverse_chern(n, k_max)
+        for k in range(1, k_max + 1):
+            assert classes[k - 1].substitute(sigmas) == chain.graded_component(k)
 
     def test_bounds(self):
         with pytest.raises(ValueError):

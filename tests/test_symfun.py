@@ -13,6 +13,7 @@ from redchern.symfun import (
     Partition,
     SymPolyInBasis,
     compare_order,
+    elementary_of_forms,
     elementary_product,
     elementary_symmetric,
     elementary_to_monomial,
@@ -252,6 +253,36 @@ class TestExpressInElementary:
             {f"e{i}": elementary_symmetric(i, n) for i in range(1, n + 1)}
         )
         assert express_in_elementary(expanded) == q
+
+
+class TestElementaryOfForms:
+    def test_rank_two_roots(self):
+        s1, s2 = elementary_of_forms([(2, 0), (0, 2), (1, 1)], 2, 2)
+        evt = e_vars(2)
+        assert s1 == 3 * MPoly.variable(evt, "e1")
+        assert s2 == 4 * MPoly.variable(evt, "e2") + 2 * MPoly.variable(evt, "e1") ** 2
+
+    def test_beyond_the_form_count_vanishes(self):
+        # two nonzero forms x1 - x2 and x2 - x1 (plus a zero form)
+        s1, s2, s3 = elementary_of_forms([(1, -1), (-1, 1), (0, 0)], 2, 3)
+        evt = e_vars(2)
+        assert s1.is_zero()
+        assert s2 == 4 * MPoly.variable(evt, "e2") - MPoly.variable(evt, "e1") ** 2
+        assert s3.is_zero()
+
+    def test_rejects_a_family_that_is_not_permutation_invariant(self):
+        with pytest.raises(ValueError, match=r"\(x1 x2\)"):
+            elementary_of_forms([(1, 0)], 2, 1)
+        with pytest.raises(ValueError, match=r"\(x2 x3\)"):
+            elementary_of_forms([(1, 1, 0)], 3, 1)
+
+    def test_rejects_forms_of_the_wrong_length(self):
+        with pytest.raises(ValueError):
+            elementary_of_forms([(1, 1, 1)], 2, 1)
+
+    def test_rejects_float_coefficients(self):
+        with pytest.raises(TypeError):
+            elementary_of_forms([(1.5, 0), (0, 1.5)], 2, 2)
 
 
 class TestMonomialCoefficients:

@@ -83,6 +83,14 @@ class TestSInElementary:
             for r, s_e in enumerate(s_in_elementary(n), start=1):
                 assert s_e.graded_component(r) == s_e
 
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+    def test_against_the_chain_in_root_variables(self, n):
+        # expanding e_i = sigma_i(x) is independent of the m-to-e reduction
+        chain = MPoly(x_vars(n), expand_linear_chain(y_roots(n).compositions, n, n))
+        sigmas = {f"e{i}": elementary_symmetric(i, n) for i in range(1, n + 1)}
+        for r, s_e in enumerate(s_in_elementary(n), start=1):
+            assert s_e.substitute(sigmas) == chain.graded_component(r)
+
 
 class TestSolvePsi:
     def test_rank_two_pinned(self):
@@ -180,6 +188,35 @@ class TestSolvePsi:
         for i in range(1, 6):
             coords = monomial_coefficients(product.graded_component(i))
             assert all(c >= 0 for c in coords.coeffs.values())
+
+
+class TestLargeRank:
+    def test_no_chain_is_expanded(self, monkeypatch):
+        from redchern import chern, kernels, verify
+
+        calls = []
+
+        def counting(forms, nvars, cap):
+            calls.append(nvars)
+            return expand_linear_chain(forms, nvars, cap)
+
+        for module in (kernels, chern, verify):
+            monkeypatch.setattr(module, "expand_linear_chain", counting)
+        compute_phi.cache_clear()
+        sym_power_det_inverse_chern.cache_clear()
+        compute_phi(7)
+        sym_power_det_inverse_chern(6, 6)
+        assert calls == []
+
+    def test_rank_seven_leads_pinned(self):
+        assert compute_phi(7).lead == (1716, 3003, 7007, 21021, 75803, 311493, 1409387)
+
+    def test_rank_eight_solves(self):
+        # solve_psi checks its own round trip psi(s(e)) = e before returning
+        ups = compute_phi(8)
+        assert ups.lead[0] == 6435 == comb(15, 8)
+        assert all(c > 0 for c in ups.lead)
+        assert len(ups.phi) == 7
 
 
 class TestComputePhi:

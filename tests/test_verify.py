@@ -5,6 +5,7 @@ import json
 import pytest
 
 from redchern import chern, kernels, oracle, universal, verify
+from redchern.poly import MPoly, e_vars
 
 
 def test_unknown_suite_rejected():
@@ -52,12 +53,12 @@ def test_triangularity_suite_shape():
 
 
 def test_run_all_expands_each_chain_once(monkeypatch):
-    # four chains per rank: shifted roots, twist, symmetric power, y-roots
+    # three chains per rank: shifted roots, twist, and the positivity
+    # suite's own y-root product; s and F come from power sums instead
     for cached in (
         chern.shifted_root_sigma,
         chern._twist_universal,
         chern.sym_power_det_inverse_chern,
-        universal.y_root_product,
         universal.compute_phi,
         oracle.rank_theory,
     ):
@@ -70,7 +71,43 @@ def test_run_all_expands_each_chain_once(monkeypatch):
         return kernels.expand_linear_chain(forms, nvars, cap)
 
     monkeypatch.setattr(chern, "expand_linear_chain", counting)
-    monkeypatch.setattr(universal, "expand_linear_chain", counting)
+    monkeypatch.setattr(verify, "expand_linear_chain", counting)
     assert all(r.passed for r in verify.run_all(max_rank=4))
-    assert len(inputs) == 12
-    assert len(set(inputs)) == 12
+    assert len(inputs) == 9
+    assert len(set(inputs)) == 9
+
+
+@pytest.fixture
+def fresh_phi():
+    universal.compute_phi.cache_clear()
+    yield
+    universal.compute_phi.cache_clear()
+
+
+def corrupt_s2(monkeypatch, extra):
+    honest = universal.s_in_elementary
+
+    def corrupted(n):
+        s_list = honest(n)
+        return [s_list[0], s_list[1] + extra(e_vars(n))] + s_list[2:]
+
+    monkeypatch.setattr(universal, "s_in_elementary", corrupted)
+
+
+def test_phi_roundtrip_catches_a_corrupted_s(monkeypatch, fresh_phi):
+    # s and the symmetric-power classes share elementary_of_forms, so the
+    # cross-check must still fail when s alone is wrong
+    corrupt_s2(monkeypatch, lambda evt: MPoly.variable(evt, "e2"))
+    results = verify.suite_phi_roundtrip(max_rank=3)
+    assert any(not r.passed and r.identity == "phi-roundtrip" for r in results)
+
+
+def test_phi_cannot_see_corruption_in_the_e1_ideal(monkeypatch, fresh_phi):
+    # phi_i = psi_i(0, u_2, ..., u_n) and e_1 = s_1 / N, so adding a multiple
+    # of e_1 to s_2 leaves every phi unchanged; only a check of s itself,
+    # such as the differential test against the chain, can tell
+    honest_psi = universal.solve_psi(3).psi
+    corrupt_s2(monkeypatch, lambda evt: MPoly.variable(evt, "e1") ** 2)
+    results = verify.suite_phi_roundtrip(max_rank=3)
+    assert all(r.passed for r in results)
+    assert universal.compute_phi(3).psi != honest_psi
