@@ -1,12 +1,28 @@
-"""Kernels for truncated sparse polynomial products.
+"""Kernels for sparse polynomial sums and truncated products.
 
-mul_trunc multiplies every MPoly; expand_linear_chain expands a product of
-linear forms under a degree cap, for the shifted roots, the twist and the
-positivity suite's own route to s_1..s_n.
+add_terms and mul_trunc add and multiply every MPoly and every toy-ring
+element; expand_linear_chain expands a product of linear forms under a
+degree cap, for the shifted roots, the twist and the positivity suite's own
+route to s_1..s_n.
 
 Term dicts map exponent tuples to nonzero coefficients (Fraction or int).
 A cap of -1 means no truncation.
 """
+
+from operator import add, mul
+
+
+def add_terms(pa, pb):
+    """Sum of two term dicts; coefficients that cancel are dropped."""
+    out = dict(pa)
+    for e, c in pb.items():
+        prev = out.get(e)
+        total = c if prev is None else prev + c
+        if total:
+            out[e] = total
+        elif prev is not None:
+            del out[e]
+    return out
 
 
 def mul_trunc(pa, pb, wdegs, cap):
@@ -19,23 +35,16 @@ def mul_trunc(pa, pb, wdegs, cap):
         return {}
     if len(pb) > len(pa):
         pa, pb = pb, pa
-    bitems = []
-    for eb, cb in pb.items():
-        wb = 0
-        for k, d in zip(eb, wdegs):
-            wb += k * d
-        bitems.append((wb, eb, cb))
+    bitems = [(sum(map(mul, eb, wdegs)), eb, cb) for eb, cb in pb.items()]
     if cap >= 0:
         bitems.sort(key=lambda item: item[0])
     out = {}
     for ea, ca in pa.items():
-        wa = 0
-        for k, d in zip(ea, wdegs):
-            wa += k * d
+        wa = sum(map(mul, ea, wdegs))
         for wb, eb, cb in bitems:
             if cap >= 0 and wa + wb > cap:
                 break
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             prev = out.get(e)
             out[e] = ca * cb if prev is None else prev + ca * cb
     return {e: c for e, c in out.items() if c != 0}

@@ -3,10 +3,14 @@
 A toy ring is a quotient of a polynomial ring by monomial relations plus a
 global degree cap, so normal forms are confluent without any Groebner
 machinery, and every graded piece is a finite-dimensional vector space with
-a monomial basis.  The symbolic identities proved in the c-variables are
-universal, so specializing them to random bundles over random toy rings can
-only fail if the symbolic side is wrong; that is what check_identity tests,
-evaluating both sides of each identity independently in the ring.
+a monomial basis.  Elements are term dicts over the surviving monomials,
+which each ring enumerates once; a product is the shared kernel's
+degree-capped mul_trunc followed by a filter against that set, so no term
+above the cap is ever formed.  The symbolic identities proved in the
+c-variables are universal, so specializing them to random bundles over
+random toy rings can only fail if the symbolic side is wrong; that is what
+check_identity tests, evaluating both sides of each identity independently
+in the ring with MPoly.evaluate.
 
 Gradings are algebraic throughout: deg c_i = i and the projective-bundle
 class xi has degree 1 (no topological doubling).
@@ -15,13 +19,24 @@ class xi has degree 1 (no topological doubling).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from redchern import chern, universal
+from redchern.kernels import add_terms, mul_trunc
 from redchern.poly import MPoly, VarTable, as_rational
+
+
+def _power(x, k: int):
+    """x ** k by repeated multiplication, for toy and projective elements."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = x.ring_one()
+    for _ in range(k):
+        result = result * x
+    return result
 
 
 class ToyRing:
@@ -35,19 +50,20 @@ class ToyRing:
             raise ValueError("top_degree must be >= 0")
         pats = []
         for rel in relations:
-            exps = [0] * len(self.table)
             if not rel:
                 raise ValueError("empty relation")
+            pat = {}
             for name, power in dict(rel).items():
                 power = int(power)
                 if power < 1:
                     raise ValueError(f"relation power for {name!r} must be >= 1")
-                exps[self.table.index(name)] = power
-            pats.append(tuple(exps))
+                pat[self.table.index(name)] = power
+            pats.append(tuple(sorted(pat.items())))
+        # each relation as its (variable index, power) pairs
         self.relations = tuple(pats)
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, ToyRing)
             and self.table == other.table
             and self.relations == other.relations
@@ -59,30 +75,51 @@ class ToyRing:
 
     # ---- normal form ----
 
-    def _dead(self, exps) -> bool:
-        if self.table.wdeg(exps) > self.top_degree:
-            return True
-        for pat in self.relations:
-            if all(e >= p for e, p in zip(exps, pat)):
-                return True
-        return False
+    @cached_property
+    def _bases(self) -> tuple:
+        """The surviving monomials grouped by weighted degree, enumerated once."""
+        partial = [((), 0)]
+        for step in self.table.degrees:
+            partial = [
+                (acc + (e,), w + e * step)
+                for acc, w in partial
+                for e in range((self.top_degree - w) // step + 1)
+            ]
+        bases = [[] for _ in range(self.top_degree + 1)]
+        for e, w in sorted(partial):
+            if not any(all(e[i] >= p for i, p in pat) for pat in self.relations):
+                bases[w].append(e)
+        return tuple(map(tuple, bases))
+
+    @cached_property
+    def _live(self) -> frozenset:
+        return frozenset(e for basis in self._bases for e in basis)
 
     def normalize(self, terms: Mapping) -> dict:
+        """Validate exponent keys and coefficients, then reduce to normal form."""
+        nv = len(self.table)
         out = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
-            if self._dead(exps):
-                continue
-            q = coeff if isinstance(coeff, Fraction) else as_rational(coeff)
-            if not q:
+            if len(exps) != nv or not all(type(e) is int and e >= 0 for e in exps):
+                raise ValueError(f"exponent tuple {exps} is not {nv} nonnegative ints")
+            if not (type(coeff) is int or isinstance(coeff, Fraction)):
+                coeff = as_rational(coeff)
+            if not coeff or exps not in self._live:
                 continue
             prev = out.get(exps)
-            total = q if prev is None else prev + q
+            total = coeff if prev is None else prev + coeff
             if total:
                 out[exps] = total
             elif prev is not None:
                 del out[exps]
         return out
+
+    def product(self, a: dict, b: dict) -> dict:
+        """Normal form of the product of two normal-form term dicts."""
+        raw = mul_trunc(a, b, self.table.degrees, self.top_degree)
+        live = self._live
+        return {e: c for e, c in raw.items() if e in live}
 
     # ---- elements ----
 
@@ -93,40 +130,25 @@ class ToyRing:
         return ToyElement(self, {})
 
     def one(self) -> "ToyElement":
-        return self.element({(0,) * len(self.table): Fraction(1)})
+        # relations have positive powers, so the constant term never dies
+        return ToyElement(self, {(0,) * len(self.table): 1})
 
     def gen(self, name: str) -> "ToyElement":
-        return self.element({self.table.unit(self.table.index(name)): Fraction(1)})
+        return self.element({self.table.unit(self.table.index(name)): 1})
 
     # ---- graded structure ----
 
-    def graded_basis(self, d: int) -> list[tuple[int, ...]]:
+    def graded_basis(self, d: int) -> tuple[tuple[int, ...], ...]:
         """Monomial basis of the degree-d piece, lexicographically sorted."""
-        if d < 0 or d > self.top_degree:
-            return []
-        degrees = self.table.degrees
-        found: list[tuple[int, ...]] = []
-
-        def rec(i, rest, acc):
-            if i == len(degrees):
-                if rest == 0:
-                    found.append(tuple(acc))
-                return
-            step = degrees[i]
-            for e in range(rest // step + 1):
-                rec(i + 1, rest - e * step, acc + [e])
-
-        rec(0, d, [])
-        return sorted(e for e in found if not self._dead(e))
+        return self._bases[d] if 0 <= d <= self.top_degree else ()
 
     def graded_dimension(self, d: int) -> int:
         return len(self.graded_basis(d))
 
     def random_element(self, d: int, rng: random.Random, span: int = 3) -> "ToyElement":
         """A random homogeneous degree-d element with small integer coefficients."""
-        return self.element(
-            {exps: Fraction(rng.randint(-span, span)) for exps in self.graded_basis(d)}
-        )
+        draws = {e: rng.randint(-span, span) for e in self.graded_basis(d)}
+        return ToyElement(self, {e: c for e, c in draws.items() if c})
 
 
 class ToyElement:
@@ -146,20 +168,12 @@ class ToyElement:
             raise ValueError("elements of different toy rings")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.element({(0,) * len(self.ring.table): Fraction(other)})
         if not isinstance(other, ToyElement):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.ring.one() * other
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = out.get(e)
-            total = c if prev is None else prev + c
-            if total:
-                out[e] = total
-            elif prev is not None:
-                del out[e]
-        return ToyElement(self.ring, out)
+        return ToyElement(self.ring, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -167,42 +181,26 @@ class ToyElement:
         return ToyElement(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.element({(0,) * len(self.ring.table): Fraction(other)})
-        if not isinstance(other, ToyElement):
-            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return self.ring.zero()
-            return ToyElement(self.ring, {e: c * q for e, c in self.terms.items()})
-        if not isinstance(other, ToyElement):
+        if isinstance(other, ToyElement):
+            self._check(other)
+            return ToyElement(self.ring, self.ring.product(self.terms, other.terms))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        self._check(other)
-        raw: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                prev = raw.get(e)
-                raw[e] = ca * cb if prev is None else prev + ca * cb
-        return self.ring.element(raw)
+        if not other:
+            return self.ring.zero()
+        return ToyElement(self.ring, {e: c * other for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one()
-        for _ in range(k):
-            result = result * self
-        return result
+        return _power(self, k)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = self.ring.element({(0,) * len(self.ring.table): Fraction(other)})
+            other = self.ring.one() * other
         if not isinstance(other, ToyElement):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
@@ -214,9 +212,7 @@ class ToyElement:
 
     def graded_component(self, d: int) -> "ToyElement":
         wdeg = self.ring.table.wdeg
-        return ToyElement(
-            self.ring, {e: c for e, c in self.terms.items() if wdeg(e) == d}
-        )
+        return ToyElement(self.ring, {e: c for e, c in self.terms.items() if wdeg(e) == d})
 
     def min_degree_component(self) -> "ToyElement":
         """The lowest-degree nonzero graded piece (zero for the zero element)."""
@@ -307,18 +303,30 @@ def _bump_coefficient(p: MPoly, delta=1) -> MPoly:
     return p + MPoly.monomial(p.table, exps, Fraction(delta))
 
 
+def _mutate(theory: RankTheory, field: str, k: int, delta) -> RankTheory:
+    polys = list(getattr(theory, field))
+    polys[k] = _bump_coefficient(polys[k], delta)
+    return replace(theory, **{field: tuple(polys)})
+
+
 def mutate_phi(theory: RankTheory, i: int, delta=1) -> RankTheory:
     """A corrupted theory with one coefficient of phi_i perturbed."""
-    phi = list(theory.phi)
-    phi[i - 2] = _bump_coefficient(phi[i - 2], delta)
-    return RankTheory(theory.rank, theory.reduced, theory.twisted, theory.f_classes, tuple(phi))
+    return _mutate(theory, "phi", i - 2, delta)
 
 
 def mutate_reduced(theory: RankTheory, r: int, delta=1) -> RankTheory:
     """A corrupted theory with one coefficient of the degree-r class perturbed."""
-    reduced = list(theory.reduced)
-    reduced[r - 1] = _bump_coefficient(reduced[r - 1], delta)
-    return RankTheory(theory.rank, tuple(reduced), theory.twisted, theory.f_classes, theory.phi)
+    return _mutate(theory, "reduced", r - 1, delta)
+
+
+def mutate_twisted(theory: RankTheory, k: int, delta=1) -> RankTheory:
+    """A corrupted theory with one coefficient of the twisted class c_k perturbed."""
+    return _mutate(theory, "twisted", k - 1, delta)
+
+
+def mutate_f_classes(theory: RankTheory, k: int, delta=1) -> RankTheory:
+    """A corrupted theory with one coefficient of the class c_k(F) perturbed."""
+    return _mutate(theory, "f_classes", k - 1, delta)
 
 
 # ---- identity checks ----
@@ -494,7 +502,8 @@ class ProjectiveBundleRing:
         classes = self.bundle.classes
         for k in range(len(coeffs) - 1, n - 1, -1):
             head = coeffs[k]
-            coeffs[k] = self.base.zero()
+            if head.is_zero():
+                continue
             for i in range(1, n + 1):
                 coeffs[k - i] = coeffs[k - i] - classes[i - 1] * head
         return coeffs[:n]
@@ -525,7 +534,7 @@ class ProjectiveElement:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.ext.inject(self.ext.base.one() * Fraction(other))
+            other = self.ext.inject(self.ext.base.one() * other)
         if not isinstance(other, ProjectiveElement):
             return NotImplemented
         return self.ext.element(
@@ -538,15 +547,11 @@ class ProjectiveElement:
         return self.ext.element([-a for a in self.coefficients])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ext.inject(self.ext.base.one() * Fraction(other))
-        if not isinstance(other, ProjectiveElement):
-            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.ext.element([a * Fraction(other) for a in self.coefficients])
+            return self.ext.element([a * other for a in self.coefficients])
         if not isinstance(other, ProjectiveElement):
             return NotImplemented
         n = self.ext.rank
@@ -555,25 +560,19 @@ class ProjectiveElement:
             if a.is_zero():
                 continue
             for j, b in enumerate(other.coefficients):
-                raw[i + j] = raw[i + j] + a * b
+                if not b.is_zero():
+                    raw[i + j] = raw[i + j] + a * b
         return self.ext.element(raw)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.ext.one()
-        for _ in range(k):
-            result = result * self
-        return result
+        return _power(self, k)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjectiveElement):
             return NotImplemented
-        return self.ext is other.ext and all(
-            a == b for a, b in zip(self.coefficients, other.coefficients)
-        )
+        return self.ext is other.ext and self.coefficients == other.coefficients
 
     __hash__ = None  # type: ignore[assignment]
 

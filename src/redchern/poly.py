@@ -27,7 +27,7 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from redchern.kernels import mul_trunc
+from redchern.kernels import add_terms, mul_trunc
 
 Exponents = tuple[int, ...]
 
@@ -225,17 +225,9 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check_table(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = out.get(e)
-            total = c if prev is None else prev + c
-            if total:
-                out[e] = total
-            elif prev is not None:
-                del out[e]
         p = MPoly.__new__(MPoly)
         p.table = self.table
-        p.terms = out
+        p.terms = add_terms(self.terms, other.terms)
         return p
 
     __radd__ = __add__
@@ -376,29 +368,30 @@ class MPoly:
 
         values maps occurring variable names to ring elements; `one` is the
         ring identity.  Ring elements must support +, * between themselves
-        and * by Fraction.
+        and * by Fraction.  Each distinct monomial is built once per call,
+        as a smaller monomial times one variable, and the result is the sum
+        of coefficient * monomial.
         """
         indexed: dict[int, object] = {}
         for name in self.variables_used():
             if name not in values:
                 raise ValueError(f"variable {name!r} has no value")
             indexed[self.table.index(name)] = values[name]
+        monomials: dict[Exponents, object] = {(0,) * len(self.table): one}
         total = one * Fraction(0)
-        pow_cache: dict[tuple[int, int], object] = {}
         for exps, coeff in self.terms.items():
-            term = one * coeff
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                key = (i, e)
-                power = pow_cache.get(key)
-                if power is None:
-                    power = indexed[i]
-                    for _ in range(e - 1):
-                        power = power * indexed[i]
-                    pow_cache[key] = power
-                term = term * power
-            total = total + term
+            # walk down to a known monomial, then multiply back up
+            chain = []
+            cur = exps
+            while cur not in monomials:
+                i = next(j for j, e in enumerate(cur) if e)
+                chain.append((cur, i))
+                cur = cur[:i] + (cur[i] - 1,) + cur[i + 1:]
+            value = monomials[cur]
+            for mono, i in reversed(chain):
+                value = value * indexed[i]
+                monomials[mono] = value
+            total = total + value * coeff
         return total
 
     def ring_one(self) -> "MPoly":

@@ -1,8 +1,8 @@
 """Tiny standalone polynomial engine used as an independent oracle.
 
 Deliberately shares no code with redchern: plain dicts from exponent tuples
-to Fractions, quadratic-time multiplication, and elementary symmetric
-polynomials summed over explicit subsets.  Slow but obviously correct, so
+to Fractions, quadratic-time multiplication, elementary symmetric
+polynomials summed over explicit subsets, and term-by-term evaluation.  Slow but obviously correct, so
 test expectations derived here are independent of the package's kernels.
 """
 
@@ -90,3 +90,32 @@ def expand_cpoly(mp, nvars):
                 prod = nmul(prod, nsigma_vars(i + 1, nvars))
         total = nadd(total, nscale(prod, coeff))
     return total
+
+
+def ntruncate(a, degrees, relations, top):
+    """Drop the terms above weighted degree top or divisible by a relation.
+
+    relations are exponent tuples, each read as the monomial it names = 0.
+    """
+    return {
+        e: c
+        for e, c in a.items()
+        if sum(x * d for x, d in zip(e, degrees)) <= top
+        and not any(all(x >= p for x, p in zip(e, rel)) for rel in relations)
+    }
+
+
+def nevaluate(mp, images, nvars, reduce=lambda a: a):
+    """Evaluate an MPoly term by term, with plain dicts as the images.
+
+    images[i] is the term dict standing for the i-th variable of mp; every
+    power is a fresh chain of products, each passed through reduce.
+    """
+    total = {}
+    for exps, coeff in mp.terms.items():
+        prod = nconst(nvars, 1)
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                prod = reduce(nmul(prod, images[i]))
+        total = nadd(total, nscale(prod, coeff))
+    return reduce(total)

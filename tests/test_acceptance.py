@@ -2,7 +2,9 @@
 
 Every check is an exact equality of polynomials or rationals; there are no
 numeric tolerances anywhere.  Each criterion prints a single PASS/FAIL line
-with its elapsed time (run with -s to see them inline).
+with its elapsed time (run with -s to see them inline).  The budgets are
+printed, not enforced: each is at least ten times the time of the criterion
+run on its own on a shared 2-vCPU machine with Python 3.11.
 """
 
 import random
@@ -47,7 +49,7 @@ def criterion(num, description, budget):
 
 
 def test_criterion_1_formula_agreement():
-    with criterion(1, "closed formula equals root definition, ranks 2..6", "< 30 s"):
+    with criterion(1, "closed formula equals root definition, ranks 2..6", "< 1 s"):
         for n in range(2, 7):
             for r in range(1, n + 1):
                 assert reduced_chern_formula(n, r) == reduced_chern_roots(n, r)
@@ -67,7 +69,7 @@ def test_criterion_2_first_two_values():
 
 
 def test_criterion_3_characterization():
-    with criterion(3, "characterization: c1-zero, twist invariance, uniqueness", "< 60 s"):
+    with criterion(3, "characterization: c1-zero, twist invariance, uniqueness", "< 3 s"):
         # (a) setting c1 = 0 recovers the plain classes, ranks 2..6
         for n in range(2, 7):
             table = c_vars(n)
@@ -126,20 +128,20 @@ def _pipeline_checks(n, expected_count):
 
 def test_criterion_4_generator_pipeline():
     with criterion(
-        4, "root counts, positivity, triangular solve, psi round trip, ranks 2..4", "< 60 s"
+        4, "root counts, positivity, triangular solve, psi round trip, ranks 2..4", "< 1 s"
     ):
         for n, count in ((2, 3), (3, 10), (4, 35)):
             _pipeline_checks(n, count)
 
 
 def test_criterion_4_rank_five():
-    with criterion(4, "the same pipeline at rank 5", "< 5 s"):
+    with criterion(4, "the same pipeline at rank 5", "< 3 s"):
         _pipeline_checks(5, 126)
 
 
 def test_criterion_5_symmetric_power_round_trip():
     with criterion(
-        5, "phi recovers reduced classes from symmetric-power classes", "< 2 min"
+        5, "phi recovers reduced classes from symmetric-power classes", "< 1 s"
     ):
         for n in range(2, 5):
             f_classes = sym_power_det_inverse_chern(n, n)
@@ -163,7 +165,7 @@ def test_criterion_5_symmetric_power_round_trip():
 
 def test_criterion_6_toy_ring_transfer():
     with criterion(
-        6, "toy-ring transfer with 20 seeds per identity and mutation sensitivity", "< 2 min"
+        6, "toy-ring transfer with 20 seeds per identity and mutation sensitivity", "< 5 s"
     ):
         results = verify.suite_toy_rings(max_rank=4, seed=0)
         per_key = {}
@@ -190,7 +192,7 @@ def test_criterion_6_toy_ring_transfer():
 
 
 def test_criterion_7_table_determinism(tmp_path):
-    with criterion(7, "regression table is byte-identical and matches the golden", "-"):
+    with criterion(7, "regression table is byte-identical and matches the golden", "< 1 s"):
         runner = CliRunner()
         paths = [tmp_path / "t1.json", tmp_path / "t2.json"]
         for p in paths:

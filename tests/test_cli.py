@@ -1,5 +1,6 @@
 """Command-line surface: emission formats, exit codes, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -123,6 +124,16 @@ class TestVerify:
         rows = [json.loads(line) for line in out1.splitlines() if line]
         keys = [(r["identity"], r["ring"], r["rank"], r["seed"]) for r in rows]
         assert keys == sorted(keys)
+
+    def test_toy_rings_report_bytes_pinned(self, runner):
+        # stdout of `redchern verify --suite toy-rings --max-rank 5 --seed 0`
+        result = runner.invoke(
+            main, ["verify", "--suite", "toy-rings", "--max-rank", "5", "--seed", "0"]
+        )
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "72637fa3aa079ab1128d8dede2c12a6d8358fd3ae32e8c63a3d7c745ea0db5a6"
+        )
 
     def test_corrupted_build_exits_1(self, runner, monkeypatch):
         bad = oracle.mutate_phi(oracle.rank_theory(2), i=2)

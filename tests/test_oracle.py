@@ -1,20 +1,30 @@
 """Toy rings, random bundles, identity specialization, projective bundles."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from redchern import verify
 from redchern.oracle import (
     IDENTITY_TAGS,
     ToyBundle,
+    ToyRing,
     check_identity,
     make_toy_ring,
-    mutate_reduced,
+    mutate_f_classes,
     mutate_phi,
+    mutate_reduced,
+    mutate_twisted,
     projective_bundle_ring,
     random_bundle,
     rank_theory,
 )
+
+from . import naive
+from .strategies import coefficients
 
 P2_SPEC = {
     "id": "p2-even",
@@ -113,6 +123,78 @@ class TestToyElements:
             ring.normalize({(0, 0): 2.0})
 
 
+@st.composite
+def random_rings(draw):
+    """A toy ring on 1..3 generators of degree 1..3, with its raw data."""
+    ngens = draw(st.integers(min_value=1, max_value=3))
+    names = [f"g{i}" for i in range(ngens)]
+    degrees = draw(st.lists(st.integers(1, 3), min_size=ngens, max_size=ngens))
+    relations = draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(names), st.integers(1, 4), min_size=1),
+            max_size=3,
+        )
+    )
+    top = draw(st.integers(min_value=0, max_value=9))
+    ring = ToyRing("random", list(zip(names, degrees)), relations, top)
+    patterns = [tuple(rel.get(name, 0) for name in names) for rel in relations]
+    return ring, degrees, patterns, top
+
+
+def raw_terms(nvars, max_exp=4, max_size=6):
+    exps = st.tuples(*(st.integers(0, max_exp) for _ in range(nvars)))
+    return st.dictionaries(exps, coefficients(), max_size=max_size)
+
+
+class TestCappedProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_full_product_then_filter(self, data):
+        ring, degrees, patterns, top = data.draw(random_rings())
+        nvars = len(degrees)
+        a, b = data.draw(raw_terms(nvars)), data.draw(raw_terms(nvars))
+
+        def reduce(t):
+            return naive.ntruncate(t, degrees, patterns, top)
+
+        expected = reduce(naive.nmul(reduce(a), reduce(b)))
+        assert (ring.element(a) * ring.element(b)).terms == expected
+
+    def test_top_degree_zero_keeps_only_constants(self):
+        ring = ToyRing("point", [("a", 1), ("b", 2)], [{"a": 1, "b": 1}], 0)
+        x = ring.element({(0, 0): 3, (1, 0): 2, (0, 1): 5})
+        assert x.terms == {(0, 0): 3}
+        assert (x * x).terms == {(0, 0): 9}
+
+    def test_multivariable_relation(self):
+        ring = ToyRing("ab", [("a", 1), ("b", 1)], [{"a": 1, "b": 2}], 6)
+        a, b = ring.gen("a"), ring.gen("b")
+        assert (a * b).terms == {(1, 1): 1}
+        assert (a * b * b).is_zero()
+        assert (b**4).terms == {(0, 4): 1}
+
+    def test_graded_basis_is_enumerated_once(self):
+        ring = make_toy_ring(RICH_SPEC)
+        assert ring.graded_basis(3) is ring.graded_basis(3)
+        assert ring.graded_basis(3) == ((1, 1), (3, 0))
+        assert ring.graded_basis(-1) == () and ring.graded_basis(11) == ()
+
+
+class TestExponentValidation:
+    @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (), (-1, 2), (0, -3), (1.0, 0)])
+    def test_bad_keys_rejected(self, exps):
+        ring = make_toy_ring(CURVES_SPEC)
+        with pytest.raises(ValueError):
+            ring.element({exps: 1})
+        with pytest.raises(ValueError):
+            ring.normalize({exps: Fraction(1, 2)})
+
+    def test_dead_keys_of_the_right_shape_vanish(self):
+        ring = make_toy_ring(CURVES_SPEC)
+        assert ring.element({(2, 0): 1, (5, 5): 2}).is_zero()
+        assert ring.element({(1, 0): 1}).terms == {(1, 0): 1}
+
+
 class TestRandomBundle:
     def test_deterministic(self):
         ring = make_toy_ring(RICH_SPEC)
@@ -177,6 +259,37 @@ class TestCheckIdentity:
             for seed in range(20)
         ]
         assert any(not r.passed for r in failures)
+
+    @pytest.mark.parametrize(
+        "tag, corrupt",
+        [
+            ("twist", lambda th: mutate_twisted(th, k=1)),
+            ("twist", lambda th: mutate_twisted(th, k=th.rank)),
+            ("c1F-zero", lambda th: mutate_f_classes(th, k=1)),
+        ],
+    )
+    def test_corrupted_theory_fails_with_witness(self, tag, corrupt):
+        ring = make_toy_ring(verify.TOY_RING_SPECS[1])
+        for n in range(2, 5):
+            bad = corrupt(rank_theory(n))
+            assert bad != rank_theory(n)
+            results = [
+                check_identity(tag, ring, n, seed, theory=bad) for seed in range(20)
+            ]
+            failed = [r for r in results if not r.passed]
+            assert failed, (tag, n)
+            assert all(r.witness is not None and not r.witness.is_zero() for r in failed)
+
+    def test_failing_report_line_pinned(self):
+        ring = make_toy_ring(verify.TOY_RING_SPECS[1])
+        bad = mutate_phi(rank_theory(3), i=2)
+        result = check_identity("phi-roundtrip", ring, 3, 0, theory=bad)
+        line = json.dumps(result.to_json_obj(), separators=(",", ":"))
+        assert line == (
+            '{"identity":"phi-roundtrip","ring":"two-lines","rank":3,"seed":0,'
+            '"status":"fail","witness":{"vars":[{"name":"a","degree":1},'
+            '{"name":"b","degree":1}],"terms":[{"coeff":"-45","exps":[2,0]}]}}'
+        )
 
     def test_report_shape(self):
         ring = make_toy_ring(CURVES_SPEC)

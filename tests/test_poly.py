@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redchern.kernels import expand_linear_chain, mul_trunc
+from redchern.oracle import ToyRing
 from redchern.poly import (
     MPoly,
     VarTable,
@@ -16,7 +18,8 @@ from redchern.poly import (
     x_vars,
 )
 
-from .strategies import mpolys
+from . import naive
+from .strategies import coefficients, mpolys
 
 X2 = x_vars(2)
 C2 = c_vars(2)
@@ -213,6 +216,55 @@ def test_evaluate_agrees_with_substitute():
     by_eval = p.evaluate(values, MPoly.one(X2))
     by_subs = p.substitute(values)
     assert by_eval == by_subs
+
+
+Y2 = VarTable([("y1", 1), ("y2", 2)])
+Z1 = VarTable([("z", 1)])
+TOY = ToyRing("toy", [("a", 1), ("b", 2)], [{"a": 4}, {"a": 1, "b": 2}], 7)
+
+
+def toy_reduce(terms):
+    return naive.ntruncate(terms, (1, 2), [(4, 0), (1, 2)], 7)
+
+
+class TestEvaluate:
+    """Memoised evaluation against naive term-by-term evaluation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mpolys(X2, max_terms=6, max_exp=5), mpolys(Y2, 3, 2), mpolys(Y2, 3, 2))
+    def test_at_mpoly_points(self, p, v1, v2):
+        got = p.evaluate({"x1": v1, "x2": v2}, MPoly.one(Y2))
+        assert got.terms == naive.nevaluate(p, [v1.terms, v2.terms], 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mpolys(C2, max_terms=6, max_exp=5), st.data())
+    def test_at_toy_ring_points(self, p, data):
+        raw = st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients(), max_size=4
+        )
+        images = [toy_reduce(data.draw(raw)) for _ in range(2)]
+        got = p.evaluate(
+            {"c1": TOY.element(images[0]), "c2": TOY.element(images[1])}, TOY.one()
+        )
+        assert got.terms == naive.nevaluate(p, images, 2, toy_reduce)
+
+    def test_high_degree(self):
+        p = MPoly(X2, {(41, 0): 1, (20, 22): Fraction(-3, 2), (0, 45): 2, (3, 3): 5})
+        v1 = 1 + MPoly.variable(Z1, "z")
+        v2 = MPoly.variable(Z1, "z") - 2
+        got = p.evaluate({"x1": v1, "x2": v2}, MPoly.one(Z1))
+        assert got.terms == naive.nevaluate(p, [v1.terms, v2.terms], 1)
+        a, b = TOY.gen("a"), TOY.gen("b")
+        got = p.evaluate({"x1": a + b, "x2": b}, TOY.one())
+        assert got.terms == naive.nevaluate(p, [(a + b).terms, b.terms], 2, toy_reduce)
+
+    def test_monomials_deeper_than_the_recursion_limit(self):
+        p = MPoly(X2, {(1500, 0): 1, (2, 1): 1})
+        z = MPoly.variable(Z1, "z")
+        got = p.evaluate({"x1": z, "x2": 2 * z}, MPoly.one(Z1))
+        assert got == MPoly(Z1, {(1500,): 1, (3,): 2})
+        a = TOY.gen("a")
+        assert p.evaluate({"x1": a, "x2": a * 2}, TOY.one()) == a**3 * 2
 
 
 class TestRendering:
