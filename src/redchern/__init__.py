@@ -4,7 +4,7 @@ Subpackage map:
     kernels    truncated products and linear-form chains
     poly       sparse exact polynomials, truncation, substitution, JSON
     symfun     partitions, e/m basis conversion, power sums of forms
-    chern      root calculus: reduced classes, twists, symmetric powers
+    chern      reduced classes, twists, symmetric powers, no root variables
     universal  the triangular system, psi/phi, the pushforward recipe
     oracle     toy graded rings and identity specialization
     verify     named verification suites

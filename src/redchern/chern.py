@@ -1,17 +1,19 @@
-"""Formal Chern-root calculus for reduced Chern classes.
+"""Chern-class calculus for reduced Chern classes, without root variables.
 
-The splitting dictionary sends c_i to the elementary symmetric polynomial
-sigma_i of the degree-1 root variables x1..xn.  Shifting every root by minus
-the average root gives the shifted roots f_i = x_i - (x1+...+xn)/n, whose
-elementary symmetric polynomials are the reduced classes: symmetric, so they
-rewrite as polynomials in c1..cn.
+With Chern roots x1..xn, c_i is the elementary symmetric polynomial sigma_i
+of the roots.  Shifting every root by minus the average root gives the
+shifted roots f_i = x_i - (x1+...+xn)/n, the roots of E (x) (det E)^(-1/n);
+their elementary symmetric polynomials are the reduced classes.  The integer
+forms n*x_i - (x1+...+xn) are a family closed under permuting the x_i, so
+their classes come from power sums in partition coordinates
+(symfun.elementary_of_forms), rescaled by 1/n^r in degree r.  The roots of
+the rank-n symmetric power twisted by the inverse determinant are the forms
+sum_i (m_i - 1) x_i and go the same way.  No product of forms is expanded.
 
-To keep the hot expansions integral, every product of shifted linear forms
-is computed over the integer forms n*x_i - (x1+...+xn) and rescaled by 1/n^r
-per graded piece.  The roots of the rank-n symmetric power twisted by the
-inverse determinant are the forms sum_i (m_i - 1) x_i, a family closed under
-permuting the x_i, so their classes come from power sums in partition
-coordinates (symfun.elementary_of_forms) with no product expanded.
+Twisting by a line bundle of class t has the closed form
+c_k(E (x) L) = sum_i C(n-i, k-i) c_i(E) t^(k-i) (Fulton, Intersection
+Theory, Ex. 3.2.2); the closed formula for the reduced classes is the same
+sum at t = -c_1/n.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from functools import lru_cache
 from math import comb
 
 from redchern import symfun
-from redchern.kernels import expand_linear_chain
-from redchern.poly import MPoly, VarTable, c_vars, x_vars
+from redchern.poly import MPoly, VarTable, c_vars
 
 def ensure_rank(n: int, floor: int = 2) -> None:
     if n < floor:
@@ -58,75 +59,42 @@ class ChernVector:
         return cls(n, tuple(MPoly.variable(table, f"c{i}") for i in range(1, n + 1)))
 
 
-def _express_as_chern(p: MPoly, n: int) -> MPoly:
-    """Certify symmetry, rewrite in the elementary basis, rename e_i -> c_i."""
-    return symfun.express_in_elementary(p).with_table(c_vars(n))
-
-
 @lru_cache(maxsize=None)
 def shifted_root_sigma(n: int) -> tuple[MPoly, ...]:
-    """sigma_r(f1..fn) for r = 1..n as polynomials in the root variables."""
+    """sigma_r(f1..fn) for r = 1..n: the reduced classes, in c1..cn."""
     ensure_rank(n)
     forms = [tuple(n - 1 if j == i else -1 for j in range(n)) for i in range(n)]
-    chain = expand_linear_chain(forms, n, n)
-    product = MPoly(x_vars(n), chain)
     return tuple(
-        product.graded_component(r) * Fraction(1, n**r) for r in range(1, n + 1)
+        p.with_table(c_vars(n)) * Fraction(1, n**r)
+        for r, p in enumerate(symfun.elementary_of_forms(forms, n, n), start=1)
     )
 
 
-def reduced_chern_roots(n: int, r: int) -> MPoly:
-    """The degree-r reduced class at rank n, from the root definition."""
+def _check_index(n: int, r: int) -> None:
     ensure_rank(n)
     if not 1 <= r <= n:
         raise ValueError(f"index {r} outside 1..{n}")
-    return _express_as_chern(shifted_root_sigma(n)[r - 1], n)
+
+
+def reduced_chern_roots(n: int, r: int) -> MPoly:
+    """The degree-r reduced class at rank n, from the shifted roots."""
+    _check_index(n, r)
+    return shifted_root_sigma(n)[r - 1]
+
+
+def _twisted_class(classes, n: int, k: int, t: MPoly) -> MPoly:
+    """c_k of a rank-n bundle with classes c_1..c_n, twisted by a line class t."""
+    total = t**k * comb(n, k)
+    for i in range(1, k + 1):
+        total = total + classes[i - 1] * t ** (k - i) * comb(n - i, k - i)
+    return total
 
 
 def reduced_chern_formula(n: int, r: int) -> MPoly:
     """The degree-r reduced class at rank n, from the closed binomial formula."""
-    ensure_rank(n)
-    if not 1 <= r <= n:
-        raise ValueError(f"index {r} outside 1..{n}")
-    table = c_vars(n)
-    result = MPoly.zero(table)
-    for i in range(r + 1):
-        coeff = Fraction((-1) ** (r - i) * comb(n - i, r - i), n ** (r - i))
-        exps = [0] * n
-        exps[0] += r - i
-        if i >= 1:
-            exps[i - 1] += 1
-        result = result + MPoly.monomial(table, tuple(exps), coeff)
-    return result
-
-
-@lru_cache(maxsize=None)
-def _twist_universal(n: int, t_name: str) -> tuple[MPoly, ...]:
-    """Classes of the twist by a line class t, over c1..cn plus t."""
-    ext_x = x_vars(n).extend([(t_name, 1)])
-    forms = [
-        tuple(1 if j == i or j == n else 0 for j in range(n + 1)) for i in range(n)
-    ]
-    product = MPoly(ext_x, expand_linear_chain(forms, n + 1, -1))
-    univ_table = c_vars(n).extend([(t_name, 1)])
-    t_poly = MPoly.variable(univ_table, t_name)
-    xt = x_vars(n)
-    twisted = []
-    for k in range(1, n + 1):
-        component = product.graded_component(k)
-        total = MPoly.zero(univ_table)
-        for j in range(k + 1):
-            slice_terms = {
-                exps[:n]: coeff
-                for exps, coeff in component.terms.items()
-                if exps[n] == j
-            }
-            if not slice_terms:
-                continue
-            x_part = MPoly(xt, slice_terms)
-            total = total + _express_as_chern(x_part, n).embed(univ_table) * t_poly**j
-        twisted.append(total)
-    return tuple(twisted)
+    _check_index(n, r)
+    classes = ChernVector.free(n).classes
+    return _twisted_class(classes, n, r, classes[0] * Fraction(-1, n))
 
 
 def twist(cv: ChernVector, t_name: str = "t") -> ChernVector:
@@ -139,12 +107,10 @@ def twist(cv: ChernVector, t_name: str = "t") -> ChernVector:
     if t_name in cv.table.names:
         raise ValueError(f"line-class variable {t_name!r} must be fresh")
     target = cv.table.extend([(t_name, 1)])
-    assignment = {
-        f"c{i}": cv.classes[i - 1].embed(target) for i in range(1, n + 1)
-    }
-    assignment[t_name] = MPoly.variable(target, t_name)
+    classes = [c.embed(target) for c in cv.classes]
+    t = MPoly.variable(target, t_name)
     return ChernVector(
-        n, tuple(p.substitute(assignment) for p in _twist_universal(n, t_name))
+        n, tuple(_twisted_class(classes, n, k, t) for k in range(1, n + 1))
     )
 
 
@@ -173,15 +139,12 @@ def sym_power_det_inverse_chern(n: int, k_max: int) -> tuple[MPoly, ...]:
 def reduce_hom(q: MPoly) -> MPoly:
     """The algebra endomorphism sending each c_r to the reduced class.
 
-    Implemented by root substitution and re-expression, so the homomorphism
-    property is inherited from substitution.  Idempotent; kills c_1.
+    One substitution, so the homomorphism property is inherited from
+    substitution.  Idempotent; kills c_1.
     """
     n = len(q.table)
     if q.table != c_vars(n):
         raise ValueError("reduce_hom expects a polynomial over the free c-variables")
     ensure_rank(n)
     sigmas = shifted_root_sigma(n)
-    image = q.substitute({f"c{i}": sigmas[i - 1] for i in range(1, n + 1)})
-    if image.is_zero():
-        return MPoly.zero(c_vars(n))
-    return _express_as_chern(image, n)
+    return q.substitute({f"c{i}": sigmas[i - 1] for i in range(1, n + 1)})

@@ -2,8 +2,8 @@
 
 add_terms and mul_trunc add and multiply every MPoly and every toy-ring
 element; expand_linear_chain expands a product of linear forms under a
-degree cap, for the shifted roots, the twist and the positivity suite's own
-route to s_1..s_n.
+degree cap, for the positivity suite's own route to s_1..s_n and for the
+tests' differential oracles.
 
 Term dicts map exponent tuples to nonzero coefficients (Fraction or int).
 A cap of -1 means no truncation.

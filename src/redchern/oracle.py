@@ -288,7 +288,7 @@ class RankTheory:
 def rank_theory(n: int) -> RankTheory:
     return RankTheory(
         rank=n,
-        reduced=tuple(chern.reduced_chern_roots(n, r) for r in range(1, n + 1)),
+        reduced=chern.shifted_root_sigma(n),
         twisted=chern.twist(chern.ChernVector.free(n), "t").classes,
         f_classes=chern.sym_power_det_inverse_chern(n, n),
         phi=universal.compute_phi(n).phi,

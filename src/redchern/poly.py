@@ -64,11 +64,10 @@ class VarTable:
         clean = []
         for name, degree in pairs:
             name = str(name)
-            degree = int(degree)
             if not name:
                 raise ValueError("variable name must be nonempty")
-            if degree < 1:
-                raise ValueError(f"variable {name!r} must have positive degree")
+            if type(degree) is not int or degree < 1:
+                raise ValueError(f"variable {name!r} must have a positive int degree")
             clean.append((name, degree))
         self.pairs: tuple[tuple[str, int], ...] = tuple(clean)
         self.names: tuple[str, ...] = tuple(n for n, _ in clean)
@@ -147,11 +146,11 @@ class MPoly:
         clean: dict[Exponents, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
             if len(exps) != nv:
                 raise ValueError(f"exponent tuple {exps} does not match {table!r}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+            if not all(type(e) is int and e >= 0 for e in exps):
+                raise ValueError(f"exponents {exps} are not nonnegative ints")
             q = coeff if isinstance(coeff, Fraction) else as_rational(coeff)
             if q:
                 prev = clean.get(exps)
@@ -435,10 +434,13 @@ class MPoly:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MPoly":
         table = VarTable((v["name"], v["degree"]) for v in obj["vars"])
-        return cls(
-            table,
-            {tuple(t["exps"]): parse_rational(t["coeff"]) for t in obj["terms"]},
-        )
+        terms = {}
+        for t in obj["terms"]:
+            exps = tuple(t["exps"])
+            if exps in terms:
+                raise ValueError(f"duplicate exponents {exps} in the term list")
+            terms[exps] = parse_rational(t["coeff"])
+        return cls(table, terms)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))

@@ -194,12 +194,13 @@ def test_criterion_6_toy_ring_transfer():
 def test_criterion_7_table_determinism(tmp_path):
     with criterion(7, "regression table is byte-identical and matches the golden", "< 1 s"):
         runner = CliRunner()
-        paths = [tmp_path / "t1.json", tmp_path / "t2.json"]
-        for p in paths:
-            result = runner.invoke(
-                cli_main, ["table", "--max-rank", "4", "--out", str(p)]
-            )
-            assert result.exit_code == 0
-        blob1, blob2 = (p.read_bytes() for p in paths)
-        assert blob1 == blob2
-        assert blob1 == (GOLDEN / "table_rank4.json").read_bytes()
+        for max_rank in (4, 6):
+            paths = [tmp_path / f"t{max_rank}a.json", tmp_path / f"t{max_rank}b.json"]
+            for p in paths:
+                result = runner.invoke(
+                    cli_main, ["table", "--max-rank", str(max_rank), "--out", str(p)]
+                )
+                assert result.exit_code == 0
+            blob1, blob2 = (p.read_bytes() for p in paths)
+            assert blob1 == blob2
+            assert blob1 == (GOLDEN / f"table_rank{max_rank}.json").read_bytes()

@@ -61,6 +61,17 @@ class TestReducedRoots:
             expanded = naive.expand_cpoly(reduced_chern_roots(n, r), n)
             assert expanded == naive_shifted_sigma(n, r)
 
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
+    def test_against_the_chain_in_root_variables(self, n):
+        # the product of the forms n x_i - sum x, expanded in the roots, is
+        # independent of the power sums and the m-to-e reduction
+        forms = [tuple(n - 1 if j == i else -1 for j in range(n)) for i in range(n)]
+        chain = MPoly(x_vars(n), expand_linear_chain(forms, n, n))
+        sigmas = {f"c{i}": elementary_symmetric(i, n) for i in range(1, n + 1)}
+        for r in range(1, n + 1):
+            expected = chain.graded_component(r) * Fraction(1, n**r)
+            assert reduced_chern_roots(n, r).substitute(sigmas) == expected
+
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             reduced_chern_roots(3, 0)
@@ -119,6 +130,21 @@ class TestTwist:
             target = tw.table
             expected = MPoly.variable(target, "c1") + n * MPoly.variable(target, "t")
             assert det_class(tw) == expected
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+    def test_against_the_chain_in_root_variables(self, n):
+        # the roots of the twist are x_i + t; their expanded product is
+        # independent of the binomial formula
+        table = x_vars(n).extend([("t", 1)])
+        forms = [tuple(1 if j in (i, n) else 0 for j in range(n + 1)) for i in range(n)]
+        chain = MPoly(table, expand_linear_chain(forms, n + 1, n))
+        sigmas = {
+            f"c{i}": elementary_symmetric(i, n).embed(table) for i in range(1, n + 1)
+        }
+        sigmas["t"] = MPoly.variable(table, "t")
+        twisted = twist(ChernVector.free(n)).classes
+        for k in range(1, n + 1):
+            assert twisted[k - 1].substitute(sigmas) == chain.graded_component(k)
 
     def test_fresh_variable_required(self):
         tw = twist(ChernVector.free(2))

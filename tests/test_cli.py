@@ -135,6 +135,16 @@ class TestVerify:
             "72637fa3aa079ab1128d8dede2c12a6d8358fd3ae32e8c63a3d7c745ea0db5a6"
         )
 
+    def test_all_suites_report_bytes_pinned(self, runner):
+        # stdout of `redchern verify --suite all --max-rank 5 --seed 0`
+        result = runner.invoke(
+            main, ["verify", "--suite", "all", "--max-rank", "5", "--seed", "0"]
+        )
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "a0282c25a3be6c7bcb11dda53fa639bc7856b7024a543fd16645bd2f2800644e"
+        )
+
     def test_corrupted_build_exits_1(self, runner, monkeypatch):
         bad = oracle.mutate_phi(oracle.rank_theory(2), i=2)
         monkeypatch.setattr(oracle, "rank_theory", lambda n: bad)
@@ -160,9 +170,11 @@ class TestTable:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_matches_golden_file(self, runner, tmp_path):
-        out = tmp_path / "table.json"
-        runner.invoke(main, ["table", "--max-rank", "4", "--out", str(out)])
-        assert out.read_bytes() == (GOLDEN / "table_rank4.json").read_bytes()
+        for max_rank in (4, 6):
+            out = tmp_path / f"table{max_rank}.json"
+            runner.invoke(main, ["table", "--max-rank", str(max_rank), "--out", str(out)])
+            golden = GOLDEN / f"table_rank{max_rank}.json"
+            assert out.read_bytes() == golden.read_bytes()
 
     def test_minimal_table_contents(self, runner):
         result = runner.invoke(main, ["table", "--max-rank", "2"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from redchern.kernels import expand_linear_chain, mul_trunc
 from redchern.oracle import ToyRing
+from redchern.symfun import Partition
 from redchern.poly import (
     MPoly,
     VarTable,
@@ -160,6 +161,37 @@ def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         MPoly.monomial(X2, (0, 1), 2.0)
     assert MPoly.constant(X2, "1/10") == MPoly.constant(X2, Fraction(1, 10))
+
+
+X1_JSON = '{"vars":[{"name":"x1","degree":1}],"terms":[%s]}'
+
+
+@pytest.mark.parametrize(
+    "build",
+    (
+        lambda: MPoly(X2, {(1.5, 0): 1}),
+        lambda: MPoly.loads(X1_JSON % '{"coeff":"1","exps":[2.7]}'),
+        lambda: MPoly.loads(X1_JSON % '{"coeff":"1","exps":[true]}'),
+        lambda: VarTable([("x", 1.9)]),
+        lambda: Partition([2.5, 1]),
+        lambda: MPoly.loads(
+            X1_JSON % '{"coeff":"1","exps":[2]},{"coeff":"3","exps":[2]}'
+        ),
+    ),
+    ids=(
+        "float-exponent",
+        "json-float-exponent",
+        "json-bool-exponent",
+        "float-degree",
+        "float-part",
+        "json-duplicate-exps",
+    ),
+)
+def test_non_integer_or_duplicate_input_rejected(build):
+    # int() would truncate these silently, and a dict would keep the last
+    # of two duplicate terms
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_chain_against_repeated_mul():

@@ -200,12 +200,15 @@ class TestLargeRank:
             calls.append(nvars)
             return expand_linear_chain(forms, nvars, cap)
 
-        for module in (kernels, chern, verify):
+        for module in (kernels, verify):
             monkeypatch.setattr(module, "expand_linear_chain", counting)
         compute_phi.cache_clear()
         sym_power_det_inverse_chern.cache_clear()
+        chern.shifted_root_sigma.cache_clear()
         compute_phi(7)
         sym_power_det_inverse_chern(6, 6)
+        chern.shifted_root_sigma(7)
+        chern.twist(chern.ChernVector.free(7))
         assert calls == []
 
     def test_rank_seven_leads_pinned(self):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from redchern import chern, kernels, oracle, universal, verify
-from redchern.poly import MPoly, e_vars
+from redchern.poly import MPoly, c_vars, e_vars
 
 
 def test_unknown_suite_rejected():
@@ -53,28 +53,29 @@ def test_triangularity_suite_shape():
 
 
 def test_run_all_expands_each_chain_once(monkeypatch):
-    # three chains per rank: shifted roots, twist, and the positivity
-    # suite's own y-root product; s and F come from power sums instead
+    # one chain per rank, the positivity suite's own y-root product; the
+    # reduced, twisted, s and F classes come from power sums and the
+    # binomial formula instead
     for cached in (
         chern.shifted_root_sigma,
-        chern._twist_universal,
         chern.sym_power_det_inverse_chern,
         universal.compute_phi,
         oracle.rank_theory,
     ):
         cached.cache_clear()
     inputs = []
+    honest = kernels.expand_linear_chain
 
     def counting(forms, nvars, cap):
         forms = tuple(tuple(f) for f in forms)
         inputs.append((forms, nvars, cap))
-        return kernels.expand_linear_chain(forms, nvars, cap)
+        return honest(forms, nvars, cap)
 
-    monkeypatch.setattr(chern, "expand_linear_chain", counting)
+    monkeypatch.setattr(kernels, "expand_linear_chain", counting)
     monkeypatch.setattr(verify, "expand_linear_chain", counting)
     assert all(r.passed for r in verify.run_all(max_rank=4))
-    assert len(inputs) == 9
-    assert len(set(inputs)) == 9
+    assert len(inputs) == 3
+    assert len(set(inputs)) == 3
 
 
 @pytest.fixture
@@ -111,3 +112,63 @@ def test_phi_cannot_see_corruption_in_the_e1_ideal(monkeypatch, fresh_phi):
     results = verify.suite_phi_roundtrip(max_rank=3)
     assert all(r.passed for r in results)
     assert universal.compute_phi(3).psi != honest_psi
+
+
+def failing_ranks(results, identity):
+    failed = [r for r in results if r.identity == identity and not r.passed]
+    assert all(r.witness is not None and not r.witness.is_zero() for r in failed)
+    return {r.rank for r in failed}
+
+
+def test_formula_agreement_catches_a_corrupted_formula(monkeypatch):
+    honest = chern.reduced_chern_formula
+
+    def corrupted(n, r):
+        p = honest(n, r)
+        return p + MPoly.variable(p.table, "c2") if r == 2 else p
+
+    monkeypatch.setattr(chern, "reduced_chern_formula", corrupted)
+    results = verify.suite_formula_agreement(max_rank=4)
+    assert failing_ranks(results, "formula-agreement") == {2, 3, 4}
+    assert sum(not r.passed for r in results) == 3
+
+
+@pytest.mark.parametrize("k, i", ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1)))
+def test_twist_catches_one_binomial_coefficient_off(monkeypatch, k, i):
+    # adds one to C(n - i, k - i), the coefficient of c_i t^(k - i) in c_k
+    honest = chern._twisted_class
+
+    def corrupted(classes, n, kk, t):
+        out = honest(classes, n, kk, t)
+        if kk != k:
+            return out
+        return out + (classes[i - 1] if i else 1) * t ** (k - i)
+
+    monkeypatch.setattr(chern, "_twisted_class", corrupted)
+    results = verify.suite_twist(max_rank=4)
+    assert failing_ranks(results, "twist") == set(range(max(k, 2), 5))
+
+
+def corrupt_reduced_class_2(monkeypatch, extra):
+    honest = chern.shifted_root_sigma
+
+    def corrupted(n):
+        classes = honest(n)
+        return (classes[0], classes[1] + extra(c_vars(n))) + classes[2:]
+
+    monkeypatch.setattr(chern, "shifted_root_sigma", corrupted)
+
+
+def test_c1_zero_catches_a_corrupted_reduced_class(monkeypatch):
+    corrupt_reduced_class_2(monkeypatch, lambda cvt: MPoly.variable(cvt, "c2"))
+    results = verify.suite_c1_zero(max_rank=4)
+    assert failing_ranks(results, "c1-zero") == {2, 3, 4}
+
+
+def test_c1_zero_cannot_see_corruption_in_the_c1_ideal(monkeypatch):
+    # c1-zero sets c_1 = 0, so adding a multiple of c_1 to a reduced class
+    # leaves it passing; the closed formula is what catches it
+    corrupt_reduced_class_2(monkeypatch, lambda cvt: MPoly.variable(cvt, "c1") ** 2)
+    assert all(r.passed for r in verify.suite_c1_zero(max_rank=4))
+    results = verify.suite_formula_agreement(max_rank=4)
+    assert failing_ranks(results, "formula-agreement") == {2, 3, 4}
