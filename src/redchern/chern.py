@@ -114,11 +114,6 @@ def twist(cv: ChernVector, t_name: str = "t") -> ChernVector:
     )
 
 
-def det_class(cv: ChernVector) -> MPoly:
-    """First class of the determinant line bundle: the root sum, i.e. c_1."""
-    return cv.classes[0]
-
-
 @lru_cache(maxsize=None)
 def sym_power_det_inverse_chern(n: int, k_max: int) -> tuple[MPoly, ...]:
     """Classes 1..k_max of the rank-n symmetric power twisted by det inverse.
@@ -135,16 +130,3 @@ def sym_power_det_inverse_chern(n: int, k_max: int) -> tuple[MPoly, ...]:
         p.with_table(c_vars(n)) for p in symfun.elementary_of_forms(forms, n, k_max)
     )
 
-
-def reduce_hom(q: MPoly) -> MPoly:
-    """The algebra endomorphism sending each c_r to the reduced class.
-
-    One substitution, so the homomorphism property is inherited from
-    substitution.  Idempotent; kills c_1.
-    """
-    n = len(q.table)
-    if q.table != c_vars(n):
-        raise ValueError("reduce_hom expects a polynomial over the free c-variables")
-    ensure_rank(n)
-    sigmas = shifted_root_sigma(n)
-    return q.substitute({f"c{i}": sigmas[i - 1] for i in range(1, n + 1)})

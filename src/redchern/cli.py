@@ -119,6 +119,31 @@ def universal_cmd(rank, fmt, out, allow_large_rank):
     _emit(text, _resolve_out(out))
 
 
+# identities reported under a suite of another name
+_SUITE_OF_IDENTITY = {
+    "c1F-zero": "phi-roundtrip",
+    "triangularity-e-to-m": "triangularity",
+}
+
+
+def reproduce_command(result) -> str:
+    """The verify invocation whose report contains this check.
+
+    A toy check at (rank n, seed s) is in the toy-rings block that starts
+    at seed s and covers ranks 2..n; a symbolic check is in its suite at
+    max rank n, whatever the seed.
+    """
+    if result.ring == verify.SYMBOLIC:
+        suite = _SUITE_OF_IDENTITY.get(result.identity, result.identity)
+        args = ["--suite", suite, "--max-rank", str(result.rank)]
+    else:
+        args = ["--suite", "toy-rings", "--max-rank", str(result.rank)]
+        args += ["--seed", str(result.seed)]
+    if result.rank > RANK_CAP:
+        args.append("--allow-large-rank")
+    return " ".join(["redchern", "verify", *args])
+
+
 @main.command()
 @click.option(
     "--suite",
@@ -131,16 +156,23 @@ def universal_cmd(rank, fmt, out, allow_large_rank):
 @click.option("--out", type=str, default=None, help="Report path (default stdout).")
 @click.option("--allow-large-rank", is_flag=True, help="Permit ranks above 6.")
 def verify_cmd(suite, max_rank, seed, out, allow_large_rank):
-    """Run a verification suite; exit 1 on any identity failure."""
+    """Run a verification suite; exit 1 on any identity failure.
+
+    Each failing check also goes to stderr as one JSON line, with the
+    command that reproduces it.
+    """
     _check_rank(max_rank, allow_large_rank)
     results = verify.run_suite(suite, max_rank=max_rank, seed=seed)
     lines = "\n".join(
         json.dumps(r.to_json_obj(), separators=(",", ":")) for r in results
     )
     _emit(lines, _resolve_out(out))
-    failures = sum(1 for r in results if not r.passed)
+    failures = [r for r in results if not r.passed]
+    for r in failures:
+        failed = {"check": r.to_json_obj(), "reproduce": reproduce_command(r)}
+        click.echo(json.dumps(failed, separators=(",", ":")), err=True)
     click.echo(
-        f"{len(results) - failures}/{len(results)} checks passed", err=True
+        f"{len(results) - len(failures)}/{len(results)} checks passed", err=True
     )
     if failures:
         sys.exit(1)

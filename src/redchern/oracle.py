@@ -9,8 +9,12 @@ degree-capped mul_trunc followed by a filter against that set, so no term
 above the cap is ever formed.  The symbolic identities proved in the
 c-variables are universal, so specializing them to random bundles over
 random toy rings can only fail if the symbolic side is wrong; that is what
-check_identity tests, evaluating both sides of each identity independently
-in the ring with MPoly.evaluate.
+check_bundle tests, evaluating both sides of each identity independently
+in the ring with MPoly.evaluate.  It draws each bundle once, checks every
+identity tag on it, and keeps one monomial table per evaluation point, so
+a monomial such as c1^2 is built once for all the polynomials evaluated
+there.  Random classes have integer coefficients, and they stay ints for
+as long as the polynomials evaluated at them have integral coefficients.
 
 Gradings are algebraic throughout: deg c_i = i and the projective-bundle
 class xi has degree 1 (no topological doubling).
@@ -369,6 +373,103 @@ def _first_difference(lhs, rhs):
     return None if diff.is_zero() else diff.min_degree_component()
 
 
+def _first_failure(pairs):
+    """The witness of the first (lhs, rhs) pair that differs, else None."""
+    for lhs, rhs in pairs:
+        witness = _first_difference(lhs, rhs)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _projective_witness(ring: ToyRing, bundle: ToyBundle, seed: int):
+    """None if the projective extension of the bundle behaves, else a witness."""
+    n = bundle.rank
+    ext = projective_bundle_ring(ring, bundle)
+    for coeff in ext.relation_residue().coefficients:
+        if not coeff.is_zero():
+            return coeff.min_degree_component()
+    ok = all(
+        ext.graded_dimension(dd)
+        == sum(ring.graded_dimension(dd - i) for i in range(n))
+        for dd in range(ring.top_degree + 1)
+    )
+    if ok:
+        rng = random.Random((seed + 3) << 4)
+        zero, one = ring.zero(), ring.one()
+        sample = []
+        for _ in range(3):
+            base = ext.inject(ring.random_element(rng.randint(0, 2), rng))
+            # xi^k written down directly, reduced at most once
+            sample.append(base * ext.element([zero] * rng.randint(0, n) + [one]))
+        u, v, w = sample
+        ok = (u * v) * w == u * (v * w) and u * v == v * u
+    return None if ok else ring.one()
+
+
+def check_bundle(
+    ring: ToyRing,
+    n: int,
+    seed: int,
+    theory: RankTheory | None = None,
+) -> tuple[CheckResult, ...]:
+    """Specialize every universal identity to one seeded random bundle.
+
+    Returns one result per tag, in IDENTITY_TAGS order.  The bundle is drawn
+    once; the twist line and the projective sample draw from their own
+    seeds.  Both sides of each identity are evaluated independently in the
+    ring, and a failure reports the first differing graded component as
+    witness.  Each evaluation point keeps one monomial table for all the
+    polynomials evaluated there, so the reduced classes at the bundle are
+    computed once for the twist and the phi round trip.  Passing a
+    corrupted theory is how the suite's mutation sensitivity is exercised.
+    """
+    if theory is None:
+        theory = rank_theory(n)
+    one = ring.one()
+    bundle = random_bundle(ring, n, seed)
+    values = _class_values(bundle)
+    at_c = {}
+    reduced = [p.evaluate(values, one, at_c) for p in theory.reduced]
+    f_values = [p.evaluate(values, one, at_c) for p in theory.f_classes]
+
+    tv = dict(values, t=ring.random_element(1, random.Random((seed + 1) << 4)))
+    at_ct = {}
+    twisted = {
+        f"c{k}": p.evaluate(tv, one, at_ct) for k, p in enumerate(theory.twisted, 1)
+    }
+    at_twisted = {}
+    twist = _first_failure(
+        (p.evaluate(twisted, one, at_twisted), rhs)
+        for p, rhs in zip(theory.reduced, reduced)
+    )
+
+    flat = dict(values, c1=ring.zero())
+    at_flat = {}
+    c1_zero = _first_failure(
+        (p.evaluate(flat, one, at_flat), flat[f"c{r}"])
+        for r, p in enumerate(theory.reduced, 1)
+    )
+
+    u = {f"u{k}": f_values[k - 1] for k in range(2, n + 1)}
+    at_u = {}
+    phi_roundtrip = _first_failure(
+        (p.evaluate(u, one, at_u), rhs) for p, rhs in zip(theory.phi, reduced[1:])
+    )
+
+    witnesses = (
+        twist,
+        c1_zero,
+        phi_roundtrip,
+        _first_difference(f_values[0], ring.zero()),
+        _projective_witness(ring, bundle, seed),
+    )
+    return tuple(
+        CheckResult(tag, ring.id, n, seed, "pass" if w is None else "fail", w)
+        for tag, w in zip(IDENTITY_TAGS, witnesses)
+    )
+
+
 def check_identity(
     tag: str,
     ring: ToyRing,
@@ -376,87 +477,10 @@ def check_identity(
     seed: int,
     theory: RankTheory | None = None,
 ) -> CheckResult:
-    """Specialize one universal identity to a seeded random bundle.
-
-    Both sides are evaluated independently in the ring; a failure reports
-    the first differing graded component as witness.  Passing a corrupted
-    theory is how the suite's mutation sensitivity is exercised.
-    """
+    """The result of one identity tag from check_bundle."""
     if tag not in IDENTITY_TAGS:
         raise ValueError(f"unknown identity tag {tag!r}")
-    if theory is None:
-        theory = rank_theory(rank)
-    n = rank
-    one = ring.one()
-    bundle = random_bundle(ring, n, seed)
-    values = _class_values(bundle)
-    witness = None
-
-    if tag == "twist":
-        rng = random.Random((seed + 1) << 4)
-        line = ring.random_element(1, rng)
-        tv = dict(values)
-        tv["t"] = line
-        twisted_values = {
-            f"c{k}": theory.twisted[k - 1].evaluate(tv, one) for k in range(1, n + 1)
-        }
-        for r in range(1, n + 1):
-            lhs = theory.reduced[r - 1].evaluate(twisted_values, one)
-            rhs = theory.reduced[r - 1].evaluate(values, one)
-            witness = _first_difference(lhs, rhs)
-            if witness is not None:
-                break
-    elif tag == "c1-zero":
-        flat = dict(values)
-        flat["c1"] = ring.zero()
-        for r in range(1, n + 1):
-            lhs = theory.reduced[r - 1].evaluate(flat, one)
-            witness = _first_difference(lhs, flat[f"c{r}"])
-            if witness is not None:
-                break
-    elif tag == "phi-roundtrip":
-        f_values = {
-            f"u{k}": theory.f_classes[k - 1].evaluate(values, one)
-            for k in range(2, n + 1)
-        }
-        for i in range(2, n + 1):
-            lhs = theory.phi[i - 2].evaluate(f_values, one)
-            rhs = theory.reduced[i - 1].evaluate(values, one)
-            witness = _first_difference(lhs, rhs)
-            if witness is not None:
-                break
-    elif tag == "c1F-zero":
-        witness = _first_difference(
-            theory.f_classes[0].evaluate(values, one), ring.zero()
-        )
-    elif tag == "projective-bundle":
-        ext = projective_bundle_ring(ring, bundle)
-        residue = ext.relation_residue()
-        ok = residue.is_zero()
-        if not ok:
-            for coeff in residue.coefficients:
-                if not coeff.is_zero():
-                    witness = coeff.min_degree_component()
-                    break
-        if ok:
-            ok = all(
-                ext.graded_dimension(dd)
-                == sum(ring.graded_dimension(dd - i) for i in range(n))
-                for dd in range(ring.top_degree + 1)
-            )
-        if ok:
-            rng = random.Random((seed + 3) << 4)
-            sample = [
-                ext.inject(ring.random_element(rng.randint(0, 2), rng)) * ext.xi() ** rng.randint(0, n)
-                for _ in range(3)
-            ]
-            u, v, w = sample
-            ok = (u * v) * w == u * (v * w) and u * v == v * u
-        if not ok and witness is None:
-            witness = ring.one()
-
-    status = "pass" if witness is None else "fail"
-    return CheckResult(tag, ring.id, rank, seed, status, witness)
+    return check_bundle(ring, rank, seed, theory)[IDENTITY_TAGS.index(tag)]
 
 
 # ---- projective-bundle extension ----

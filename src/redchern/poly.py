@@ -362,22 +362,35 @@ class MPoly:
             result = result + term
         return result
 
-    def evaluate(self, values: Mapping[str, object], one):
+    def evaluate(
+        self,
+        values: Mapping[str, object],
+        one,
+        monomials: dict[Exponents, object] | None = None,
+    ):
         """Evaluate in any commutative ring.
 
         values maps occurring variable names to ring elements; `one` is the
         ring identity.  Ring elements must support +, * between themselves
-        and * by Fraction.  Each distinct monomial is built once per call,
-        as a smaller monomial times one variable, and the result is the sum
-        of coefficient * monomial.
+        and * by int and Fraction.  Each distinct monomial is built once, as
+        a smaller monomial times one variable, and the result is the sum of
+        coefficient * monomial.  An integral coefficient multiplies as an
+        int, so a point with integer coefficients keeps them.
+
+        monomials is the memo of monomial values, keyed by exponent tuple.
+        By default it lives for one call; a caller that evaluates several
+        polynomials over this table at the same values may pass one dict it
+        owns to all of them, and each monomial is then built once for all.
         """
         indexed: dict[int, object] = {}
         for name in self.variables_used():
             if name not in values:
                 raise ValueError(f"variable {name!r} has no value")
             indexed[self.table.index(name)] = values[name]
-        monomials: dict[Exponents, object] = {(0,) * len(self.table): one}
-        total = one * Fraction(0)
+        if monomials is None:
+            monomials = {}
+        monomials.setdefault((0,) * len(self.table), one)
+        total = one * 0
         for exps, coeff in self.terms.items():
             # walk down to a known monomial, then multiply back up
             chain = []
@@ -390,7 +403,9 @@ class MPoly:
             for mono, i in reversed(chain):
                 value = value * indexed[i]
                 monomials[mono] = value
-            total = total + value * coeff
+            total = total + value * (
+                coeff.numerator if coeff.denominator == 1 else coeff
+            )
         return total
 
     def ring_one(self) -> "MPoly":

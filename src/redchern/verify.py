@@ -173,11 +173,8 @@ def suite_toy_rings(max_rank: int, seed: int = 0) -> list[CheckResult]:
     for spec in TOY_RING_SPECS:
         ring = oracle.make_toy_ring(spec)
         for n in range(2, max_rank + 1):
-            for tag in oracle.IDENTITY_TAGS:
-                for k in range(TOY_SEED_COUNT):
-                    results.append(
-                        oracle.check_identity(tag, ring, n, seed + k)
-                    )
+            for k in range(TOY_SEED_COUNT):
+                results.extend(oracle.check_bundle(ring, n, seed + k))
     return results
 
 

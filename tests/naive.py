@@ -4,10 +4,15 @@ Deliberately shares no code with redchern: plain dicts from exponent tuples
 to Fractions, quadratic-time multiplication, elementary symmetric
 polynomials summed over explicit subsets, and term-by-term evaluation.  Slow but obviously correct, so
 test expectations derived here are independent of the package's kernels.
+The one exception is the last section: two maps on c-space polynomials
+that only the tests use, built on the package.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from redchern.chern import shifted_root_sigma
+from redchern.poly import c_vars
 
 
 def nconst(nvars, value):
@@ -119,3 +124,24 @@ def nevaluate(mp, images, nvars, reduce=lambda a: a):
                 prod = reduce(nmul(prod, images[i]))
         total = nadd(total, nscale(prod, coeff))
     return reduce(total)
+
+
+# ---- maps on c-space polynomials, built on the package ----
+
+
+def det_class(cv):
+    """First class of the determinant line bundle: the root sum, i.e. c_1."""
+    return cv.classes[0]
+
+
+def reduce_hom(q):
+    """The algebra endomorphism sending each c_r to the reduced class.
+
+    One substitution, so the homomorphism property is inherited from
+    substitution.  Idempotent; kills c_1.
+    """
+    n = len(q.table)
+    if q.table != c_vars(n):
+        raise ValueError("reduce_hom expects a polynomial over the free c-variables")
+    sigmas = shifted_root_sigma(n)
+    return q.substitute({f"c{i}": sigmas[i - 1] for i in range(1, n + 1)})

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from redchern import oracle
-from redchern.cli import main
+from redchern.cli import main, reproduce_command
 from redchern.poly import MPoly
 from redchern.universal import compute_phi
 
@@ -88,6 +88,14 @@ class TestUniversal:
         assert runner.invoke(main, ["universal", "-n", "9"]).exit_code == 2
 
 
+# the three seed blocks of the toy-sweep benchmark workload
+TOY_BLOCK_SHA = {
+    0: "72637fa3aa079ab1128d8dede2c12a6d8358fd3ae32e8c63a3d7c745ea0db5a6",
+    20: "c35e5cc1367798afeac0688f6376b26a7d04bfdb0b579cc07523c007c1e99ef4",
+    40: "0c95aabbe01578a8f37a8929dfbff7fd8ea6a40d32331ad038ffe1e99e5305bf",
+}
+
+
 class TestVerify:
     def test_all_rank_two_passes(self, runner):
         result = runner.invoke(main, ["verify", "--max-rank", "2"])
@@ -125,15 +133,15 @@ class TestVerify:
         keys = [(r["identity"], r["ring"], r["rank"], r["seed"]) for r in rows]
         assert keys == sorted(keys)
 
-    def test_toy_rings_report_bytes_pinned(self, runner):
-        # stdout of `redchern verify --suite toy-rings --max-rank 5 --seed 0`
+    @pytest.mark.parametrize("seed", sorted(TOY_BLOCK_SHA))
+    def test_toy_rings_report_bytes_pinned(self, runner, seed):
+        # stdout of `redchern verify --suite toy-rings --max-rank 5 --seed S`
         result = runner.invoke(
-            main, ["verify", "--suite", "toy-rings", "--max-rank", "5", "--seed", "0"]
+            main,
+            ["verify", "--suite", "toy-rings", "--max-rank", "5", "--seed", str(seed)],
         )
         assert result.exit_code == 0
-        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
-            "72637fa3aa079ab1128d8dede2c12a6d8358fd3ae32e8c63a3d7c745ea0db5a6"
-        )
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == TOY_BLOCK_SHA[seed]
 
     def test_all_suites_report_bytes_pinned(self, runner):
         # stdout of `redchern verify --suite all --max-rank 5 --seed 0`
@@ -157,6 +165,48 @@ class TestVerify:
         assert any(
             r["witness"] is not None for r in rows if r["status"] == "fail"
         )
+
+    def test_failing_checks_reproduce_on_stderr(self, runner, monkeypatch):
+        bad = oracle.mutate_phi(oracle.rank_theory(2), i=2)
+        monkeypatch.setattr(oracle, "rank_theory", lambda n: bad)
+        result = runner.invoke(
+            main, ["verify", "--suite", "toy-rings", "--max-rank", "2"]
+        )
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert lines[-1] == "242/300 checks passed"
+        assert lines[0] == (
+            '{"check":{"identity":"phi-roundtrip","ring":"mixed-degrees","rank":2,'
+            '"seed":0,"status":"fail","witness":{"vars":[{"name":"h","degree":1},'
+            '{"name":"g","degree":2}],"terms":[{"coeff":"3","exps":[2,0]}]}},'
+            '"reproduce":"redchern verify --suite toy-rings --max-rank 2 --seed 0"}'
+        )
+        failed = [json.loads(line) for line in lines[:-1]]
+        compact = [json.dumps(f["check"], separators=(",", ":")) for f in failed]
+        assert compact == [
+            line for line in result.stdout.splitlines() if '"status":"fail"' in line
+        ]
+        # the command of a later seed reports that same check
+        last = failed[-1]
+        assert last["reproduce"].endswith("--seed 19")
+        again = runner.invoke(main, last["reproduce"].split()[1:])
+        assert compact[-1] in again.stdout.splitlines()
+
+    @pytest.mark.parametrize(
+        "identity, ring, rank, seed, command",
+        (
+            ("twist", "two-lines", 7, 33, "--suite toy-rings --max-rank 7 --seed 33"
+             " --allow-large-rank"),
+            ("c1F-zero", "two-lines", 3, 5, "--suite toy-rings --max-rank 3 --seed 5"),
+            ("c1F-zero", "symbolic", 4, 0, "--suite phi-roundtrip --max-rank 4"),
+            ("triangularity-e-to-m", "symbolic", 7, 0,
+             "--suite triangularity --max-rank 7 --allow-large-rank"),
+            ("positivity", "symbolic", 6, 0, "--suite positivity --max-rank 6"),
+        ),
+    )
+    def test_reproduce_command(self, identity, ring, rank, seed, command):
+        check = oracle.CheckResult(identity, ring, rank, seed, "fail")
+        assert reproduce_command(check) == "redchern verify " + command
 
     def test_unknown_suite_exits_2(self, runner):
         assert runner.invoke(main, ["verify", "--suite", "bogus"]).exit_code == 2

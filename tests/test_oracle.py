@@ -1,5 +1,6 @@
 """Toy rings, random bundles, identity specialization, projective bundles."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from redchern.oracle import (
     IDENTITY_TAGS,
     ToyBundle,
     ToyRing,
+    check_bundle,
     check_identity,
     make_toy_ring,
     mutate_f_classes,
@@ -302,6 +304,50 @@ class TestCheckIdentity:
             "status": "pass",
             "witness": None,
         }
+
+
+class TestCheckBundle:
+    def test_one_result_per_tag_in_order(self):
+        ring = make_toy_ring(RICH_SPEC)
+        results = check_bundle(ring, 3, 7)
+        assert tuple(r.identity for r in results) == IDENTITY_TAGS
+        assert all(r.passed for r in results)
+        assert {(r.ring, r.rank, r.seed) for r in results} == {("rich", 3, 7)}
+
+    def test_mutations_fail_as_with_one_bundle_per_tag(self):
+        # Every failing (mutation, rank, seed, tag) with its witness, pinned
+        # from the per-tag route in which each tag drew its own bundle and
+        # evaluated the reduced classes itself.  Sharing the bundle and its
+        # evaluations across tags must hide no mutation from any tag.
+        ring = make_toy_ring(verify.TOY_RING_SPECS[1])
+        mutators = (
+            ("phi", mutate_phi, 2),
+            ("reduced", mutate_reduced, 1),
+            ("twisted", mutate_twisted, 1),
+            ("f_classes", mutate_f_classes, 1),
+        )
+        records, failing_tags = [], {}
+        for name, mutate, first in mutators:
+            for n in range(2, 5):
+                for k in range(first, n + 1):
+                    bad = mutate(rank_theory(n), k)
+                    for seed in range(20):
+                        for r in check_bundle(ring, n, seed, theory=bad):
+                            if not r.passed:
+                                witness = r.witness.to_json_obj()
+                                records.append([name, k, n, seed, r.identity, witness])
+                                failing_tags.setdefault(name, set()).add(r.identity)
+        assert failing_tags == {
+            "phi": {"phi-roundtrip"},
+            "reduced": {"twist", "c1-zero", "phi-roundtrip"},
+            "twisted": {"twist"},
+            "f_classes": {"c1F-zero", "phi-roundtrip"},
+        }
+        assert len(records) == 879
+        blob = json.dumps(records, separators=(",", ":"), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "428aed094154c5dc8d844bdf3a153f4ba13c7b5f6b9ed5c860c8b643407cf9a0"
+        )
 
 
 class TestProjectiveBundleRing:

@@ -280,6 +280,41 @@ class TestEvaluate:
         )
         assert got.terms == naive.nevaluate(p, images, 2, toy_reduce)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(mpolys(X2, max_terms=6, max_exp=4), min_size=2, max_size=4),
+        mpolys(Y2, 3, 2),
+        mpolys(Y2, 3, 2),
+    )
+    def test_one_shared_table_at_mpoly_points(self, polys, v1, v2):
+        monomials = {}
+        for p in polys:
+            got = p.evaluate({"x1": v1, "x2": v2}, MPoly.one(Y2), monomials)
+            assert got.terms == naive.nevaluate(p, [v1.terms, v2.terms], 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(mpolys(C2, max_terms=6, max_exp=4), min_size=2, max_size=4), st.data())
+    def test_one_shared_table_at_toy_ring_points(self, polys, data):
+        raw = st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients(), max_size=4
+        )
+        images = [toy_reduce(data.draw(raw)) for _ in range(2)]
+        values = {"c1": TOY.element(images[0]), "c2": TOY.element(images[1])}
+        monomials = {}
+        for p in polys:
+            got = p.evaluate(values, TOY.one(), monomials)
+            assert got.terms == naive.nevaluate(p, images, 2, toy_reduce)
+
+    def test_integral_coefficients_stay_ints(self):
+        p = MPoly(C2, {(2, 0): 3, (1, 1): -2, (0, 1): 1, (0, 0): 5})
+        a, b = TOY.gen("a"), TOY.gen("b")
+        values = {"c1": a * 2 + b, "c2": b * 3 - a * a}
+        got = p.evaluate(values, TOY.one())
+        assert got.terms and all(type(c) is int for c in got.terms.values())
+        halved = (p * Fraction(1, 2)).evaluate(values, TOY.one())
+        assert halved * 2 == got
+        assert any(isinstance(c, Fraction) for c in halved.terms.values())
+
     def test_high_degree(self):
         p = MPoly(X2, {(41, 0): 1, (20, 22): Fraction(-3, 2), (0, 45): 2, (3, 3): 5})
         v1 = 1 + MPoly.variable(Z1, "z")

@@ -78,6 +78,24 @@ def test_run_all_expands_each_chain_once(monkeypatch):
     assert len(set(inputs)) == 3
 
 
+def test_toy_rings_draws_each_bundle_once(monkeypatch):
+    # one draw per (ring, rank, seed): 3 rings x ranks 2..5 x 20 seeds, each
+    # checked against every identity tag
+    draws = []
+    honest = oracle.random_bundle
+
+    def counting(ring, n, seed):
+        draws.append((ring.id, n, seed))
+        return honest(ring, n, seed)
+
+    monkeypatch.setattr(oracle, "random_bundle", counting)
+    results = verify.suite_toy_rings(5, 0)
+    assert len(results) == 240 * len(oracle.IDENTITY_TAGS)
+    assert all(r.passed for r in results)
+    assert len(draws) == 240
+    assert len(set(draws)) == 240
+
+
 @pytest.fixture
 def fresh_phi():
     universal.compute_phi.cache_clear()
