@@ -1,7 +1,7 @@
 """Exact reduced Chern class calculus over the rationals.
 
 Subpackage map:
-    kernels    truncated products and linear-form chains
+    kernels    term-dict sums and truncated products
     poly       sparse exact polynomials, truncation, substitution, JSON
     symfun     partitions, e/m basis conversion, power sums of forms
     chern      reduced classes, twists, symmetric powers, no root variables

@@ -1,9 +1,7 @@
 """Kernels for sparse polynomial sums and truncated products.
 
 add_terms and mul_trunc add and multiply every MPoly and every toy-ring
-element; expand_linear_chain expands a product of linear forms under a
-degree cap, for the positivity suite's own route to s_1..s_n and for the
-tests' differential oracles.
+element.
 
 Term dicts map exponent tuples to nonzero coefficients (Fraction or int).
 A cap of -1 means no truncation.
@@ -48,28 +46,3 @@ def mul_trunc(pa, pb, wdegs, cap):
             prev = out.get(e)
             out[e] = ca * cb if prev is None else prev + ca * cb
     return {e: c for e, c in out.items() if c != 0}
-
-
-def expand_linear_chain(forms, nvars, cap):
-    """Expand prod_j (1 + L_j) for linear forms L_j with integer coefficients.
-
-    forms is an iterable of length-nvars coefficient tuples; every variable
-    has weighted degree 1, so the degree of a term is the sum of exponents.
-    Returns an exponent-tuple -> integer coefficient dict.
-    """
-    acc = {(0,) * nvars: 1}
-    for form in forms:
-        nonzero = [(i, m) for i, m in enumerate(form) if m]
-        if not nonzero:
-            continue
-        nxt = dict(acc)
-        for e, c in acc.items():
-            if cap >= 0 and sum(e) >= cap:
-                continue
-            for i, m in nonzero:
-                e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
-                cm = c * m
-                prev = nxt.get(e2)
-                nxt[e2] = cm if prev is None else prev + cm
-        acc = nxt
-    return {e: c for e, c in acc.items() if c != 0}

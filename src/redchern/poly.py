@@ -370,8 +370,9 @@ class MPoly:
     ):
         """Evaluate in any commutative ring.
 
-        values maps occurring variable names to ring elements; `one` is the
-        ring identity.  Ring elements must support +, * between themselves
+        values maps occurring variable names to ring elements, and a term
+        whose variable has no value raises ValueError; `one` is the ring
+        identity.  Ring elements must support +, * between themselves
         and * by int and Fraction.  Each distinct monomial is built once, as
         a smaller monomial times one variable, and the result is the sum of
         coefficient * monomial.  An integral coefficient multiplies as an
@@ -382,11 +383,8 @@ class MPoly:
         polynomials over this table at the same values may pass one dict it
         owns to all of them, and each monomial is then built once for all.
         """
-        indexed: dict[int, object] = {}
-        for name in self.variables_used():
-            if name not in values:
-                raise ValueError(f"variable {name!r} has no value")
-            indexed[self.table.index(name)] = values[name]
+        names = self.table.names
+        indexed = [values.get(name) for name in names]
         if monomials is None:
             monomials = {}
         monomials.setdefault((0,) * len(self.table), one)
@@ -401,6 +399,8 @@ class MPoly:
                 cur = cur[:i] + (cur[i] - 1,) + cur[i + 1:]
             value = monomials[cur]
             for mono, i in reversed(chain):
+                if indexed[i] is None:
+                    raise ValueError(f"variable {names[i]!r} has no value")
                 value = value * indexed[i]
                 monomials[mono] = value
             total = total + value * (

@@ -1,15 +1,12 @@
 """Partitions and the monomial / elementary bases of symmetric polynomials.
 
-Symmetric polynomials are rewritten in the elementary basis in partition
-coordinates: symmetry is certified first by comparing coefficients across
-whole permutation orbits of exponent vectors (checking every orbit is
-equivalent to checking invariance under all n! permutations, and gives a
-concrete witness permutation on failure), the m-basis coordinates are read
-off, and the unitriangular e-to-m table (counts of 0-1 matrices) is inverted
-one leading partition at a time.  The elementary symmetric functions of a
-permutation-invariant family of integer linear forms go the same way,
-through the power sums of the forms and Newton's identities, without
-expanding the product of the forms.
+Symmetric polynomials live in partition coordinates and never in root
+variables.  The unitriangular e-to-m table (counts of 0-1 matrices) maps
+e-coordinates to m-coordinates, and is inverted one leading partition at a
+time to rewrite m-coordinates in the elementary basis.  The elementary
+symmetric functions of a permutation-invariant family of integer linear
+forms come from the power sums of the forms, that m-to-e rewrite and
+Newton's identities, without expanding the product of the forms.
 
 Partitions are ordered only within a fixed weight, by lexicographic
 comparison of part sequences, largest part first.  That is the order under
@@ -25,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
 
-from redchern.poly import MPoly, e_vars, format_rational, parse_rational, x_vars
+from redchern.poly import MPoly, e_vars, format_rational, parse_rational
 
 
 class Partition:
@@ -117,105 +114,6 @@ def partitions_of(d: int, max_parts: int) -> list[Partition]:
     return [Partition(p) for p in gen(d, d if d else 1, max_parts)]
 
 
-@lru_cache(maxsize=None)
-def elementary_symmetric(r: int, n: int) -> MPoly:
-    """The elementary symmetric polynomial of degree r in x1..xn (zero if r > n)."""
-    table = x_vars(n)
-    if r == 0:
-        return MPoly.one(table)
-    if r > n:
-        return MPoly.zero(table)
-    terms = {}
-    for subset in itertools.combinations(range(n), r):
-        exps = [0] * n
-        for i in subset:
-            exps[i] = 1
-        terms[tuple(exps)] = Fraction(1)
-    return MPoly(table, terms)
-
-
-def monomial_symmetric(lam: Partition, n: int) -> MPoly:
-    """m_lambda in n variables: the sum over distinct permutations of x^lambda."""
-    if len(lam) > n:
-        raise ValueError(f"partition {lam!r} has more than {n} parts")
-    padded = lam.parts + (0,) * (n - len(lam))
-    table = x_vars(n)
-    return MPoly(table, {e: Fraction(1) for e in set(itertools.permutations(padded))})
-
-
-def elementary_product(lam: Partition, n: int) -> MPoly:
-    """e_lambda = product of elementary symmetric polynomials, one per part."""
-    result = MPoly.one(x_vars(n))
-    for p in lam.parts:
-        result = result * elementary_symmetric(p, n)
-    return result
-
-
-class NotSymmetricError(ValueError):
-    """Raised when a polynomial is not invariant under variable permutations.
-
-    witness is an index permutation pi (new exponent i comes from position
-    pi[i]) under which the polynomial changes.
-    """
-
-    def __init__(self, witness: tuple[int, ...]):
-        self.witness = witness
-        super().__init__(f"polynomial is not symmetric; witness permutation {witness}")
-
-
-def _matching_permutation(src, dst) -> tuple[int, ...]:
-    """A permutation pi with dst[i] == src[pi[i]] for exponent multisets."""
-    pools: dict[int, list[int]] = {}
-    for j, v in enumerate(src):
-        pools.setdefault(v, []).append(j)
-    return tuple(pools[v].pop() for v in dst)
-
-
-def _orbit_size(rep) -> int:
-    """Number of distinct permutations of an exponent multiset."""
-    size = 1
-    for k in range(2, len(rep) + 1):
-        size *= k
-    mult: dict[int, int] = {}
-    for v in rep:
-        mult[v] = mult.get(v, 0) + 1
-    for m in mult.values():
-        for k in range(2, m + 1):
-            size //= k
-    return size
-
-
-def symmetry_witness(p: MPoly):
-    """None when p is symmetric, else a witness permutation of variable indices.
-
-    Invariance under all n! permutations is equivalent to every orbit of
-    exponent vectors being fully present with one shared coefficient, so the
-    pass path only counts orbit members; permutations are materialized only
-    to construct a witness.
-    """
-    degrees = set(p.table.degrees)
-    if len(degrees) > 1:
-        raise ValueError("symmetry is only defined for equal-degree variables")
-    groups: dict[tuple[int, ...], dict] = {}
-    for exps, coeff in p.terms.items():
-        rep = tuple(sorted(exps, reverse=True))
-        groups.setdefault(rep, {})[exps] = coeff
-    for rep, present in groups.items():
-        base_exps, base_coeff = next(iter(present.items()))
-        if len(present) == _orbit_size(rep) and all(
-            c == base_coeff for c in present.values()
-        ):
-            continue
-        for member in itertools.permutations(rep):
-            if present.get(member) != base_coeff:
-                return _matching_permutation(base_exps, member)
-    return None
-
-
-def is_symmetric(p: MPoly) -> bool:
-    return symmetry_witness(p) is None
-
-
 @dataclass(frozen=True)
 class SymPolyInBasis:
     """Coordinates of a symmetric polynomial in the m- or e-basis."""
@@ -229,18 +127,6 @@ class SymPolyInBasis:
 
     def coefficient(self, lam: Partition) -> Fraction:
         return self.coeffs.get(lam, Fraction(0))
-
-    def expand(self, n: int) -> MPoly:
-        """Expand into an explicit polynomial in x1..xn."""
-        result = MPoly.zero(x_vars(n))
-        for lam, coeff in self.coeffs.items():
-            basis_poly = (
-                monomial_symmetric(lam, n)
-                if self.basis == "m"
-                else elementary_product(lam, n)
-            )
-            result = result + basis_poly * coeff
-        return result
 
     def sorted_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: json_sort_key(kv[0]))
@@ -263,19 +149,6 @@ class SymPolyInBasis:
                 for item in obj["coeffs"]
             },
         )
-
-
-def monomial_coefficients(p: MPoly) -> SymPolyInBasis:
-    """The m-basis coordinates of a symmetric polynomial."""
-    witness = symmetry_witness(p)
-    if witness is not None:
-        raise NotSymmetricError(witness)
-    coeffs: dict[Partition, Fraction] = {}
-    for exps, coeff in p.terms.items():
-        rep = tuple(sorted(exps, reverse=True))
-        if rep == exps:
-            coeffs[Partition(tuple(v for v in rep if v))] = coeff
-    return SymPolyInBasis("m", coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -346,17 +219,6 @@ def _monomial_to_elementary(coords: SymPolyInBasis, n: int) -> MPoly:
             else:
                 work.pop(mu, None)
     return MPoly(e_vars(n), out)
-
-
-def express_in_elementary(p: MPoly) -> MPoly:
-    """Rewrite a symmetric polynomial as a polynomial in e1..en.
-
-    Exact inverse of expansion: substituting e_i = sigma_i(x) into the result
-    recovers p.  Non-symmetric input raises NotSymmetricError with a witness.
-    """
-    if any(d != 1 for d in p.table.degrees):
-        raise ValueError("input must live in degree-1 root variables")
-    return _monomial_to_elementary(monomial_coefficients(p), len(p.table))
 
 
 def _multinomial(k: int, parts) -> int:

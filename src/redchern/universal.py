@@ -6,7 +6,9 @@ whose first n members generate the ring of symmetric polynomials: each s_r
 is lead_r * e_r plus a combination of products of lower e's with lead_r > 0,
 and back-substituting through that triangular system solves e_i as a
 rational polynomial psi_i in s_1..s_n.  The s_r come from the power sums of
-the forms (symfun.elementary_of_forms), never from the product of the forms.
+the forms (symfun.elementary_of_forms), never from the product of the forms;
+the forms enter only as the composition tuples m, and no polynomial in root
+variables is built.
 
 Setting s_1 to zero in psi_i gives phi_i(u_2..u_n); evaluated at the classes
 of the twisted symmetric power of a bundle, phi_i returns the bundle's
@@ -24,7 +26,7 @@ from typing import Mapping, Sequence
 
 from redchern import symfun
 from redchern.chern import ensure_rank
-from redchern.poly import MPoly, e_vars, format_rational, s_vars, u_vars, x_vars
+from redchern.poly import MPoly, e_vars, format_rational, s_vars, u_vars
 from redchern.symfun import Partition
 
 
@@ -32,34 +34,10 @@ class InternalInconsistencyError(RuntimeError):
     """A structural fact the triangular solve relies on failed to hold."""
 
 
-@dataclass(frozen=True)
-class YRootSet:
-    """The linear forms m_1 x_1 + ... + m_n x_n with m a composition of n."""
-
-    rank: int
-    compositions: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.compositions)
-
-    def forms(self) -> list[MPoly]:
-        table = x_vars(self.rank)
-        return [
-            MPoly(table, {table.unit(i): Fraction(m[i]) for i in range(self.rank) if m[i]})
-            for m in self.compositions
-        ]
-
-
-def y_roots(n: int) -> YRootSet:
-    """The root set at rank n: exactly C(2n-1, n) forms, n*x_i first."""
-    ensure_rank(n)
-    return YRootSet(n, symfun.root_compositions(n))
-
-
 def s_in_elementary(n: int) -> list[MPoly]:
     """s_1..s_n in the elementary basis, from the power sums of the forms."""
-    return symfun.elementary_of_forms(y_roots(n).compositions, n, n)
+    ensure_rank(n)
+    return symfun.elementary_of_forms(symfun.root_compositions(n), n, n)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,8 @@ interleaving.
 from __future__ import annotations
 
 from redchern import chern, oracle, symfun, universal
-from redchern.kernels import expand_linear_chain
 from redchern.oracle import CheckResult
-from redchern.poly import MPoly, c_vars, x_vars
+from redchern.poly import MPoly, c_vars
 
 SUITE_NAMES = (
     "formula-agreement",
@@ -122,21 +121,37 @@ def suite_phi_roundtrip(max_rank: int, seed: int = 0) -> list[CheckResult]:
     return results
 
 
+def _s_in_monomials(n: int) -> list[dict]:
+    """m-coordinates of the library's s_1..s_n, keyed by partition.
+
+    s_r = lead_r e_r + sum d[(r, lambda)] e_lambda is read from the solved
+    system and mapped to the m-basis through the e-to-m table of 0-1 matrix
+    counts.
+    """
+    ups = universal.compute_phi(n)
+    e_coords = [{(r,): lead} for r, lead in enumerate(ups.lead, start=1)]
+    for (r, lam), coeff in ups.d.items():
+        e_coords[r - 1][lam.parts] = coeff
+    out = []
+    for coords in e_coords:
+        m_coords = {}
+        for mu, coeff in coords.items():
+            for lam, count in symfun._e_to_m_table(mu, n).items():
+                m_coords[lam] = m_coords.get(lam, 0) + coeff * count
+        out.append({symfun.Partition(lam): c for lam, c in m_coords.items()})
+    return out
+
+
 def suite_positivity(max_rank: int, seed: int = 0) -> list[CheckResult]:
-    """Every s_i must expand with nonnegative monomial-basis coefficients."""
+    """Every s_r of the library must have nonnegative m-basis coordinates.
+
+    A failure's witness is the negative m-coordinates.
+    """
     results = []
     for n in range(2, max_rank + 1):
-        # an independent route to s_1..s_n: the expanded product of the forms
-        chain = expand_linear_chain(universal.y_roots(n).compositions, n, n)
-        product = MPoly(x_vars(n), chain)
-        for i in range(1, n + 1):
-            coords = symfun.monomial_coefficients(product.graded_component(i))
-            bad = {
-                lam: c for lam, c in coords.coeffs.items() if c < 0
-            }
-            witness = None
-            if bad:
-                witness = symfun.SymPolyInBasis("m", bad).expand(n)
+        for m_coords in _s_in_monomials(n):
+            bad = {lam: c for lam, c in m_coords.items() if c < 0}
+            witness = symfun.SymPolyInBasis("m", bad) if bad else None
             results.append(_result("positivity", n, not bad, witness))
     return results
 

@@ -2,17 +2,28 @@
 
 Deliberately shares no code with redchern: plain dicts from exponent tuples
 to Fractions, quadratic-time multiplication, elementary symmetric
-polynomials summed over explicit subsets, and term-by-term evaluation.  Slow but obviously correct, so
-test expectations derived here are independent of the package's kernels.
-The one exception is the last section: two maps on c-space polynomials
-that only the tests use, built on the package.
+polynomials summed over explicit subsets, expanded products of linear
+forms, and term-by-term evaluation.  Slow but obviously correct, so test
+expectations derived here are independent of the package's kernels.
+The exceptions are the last two sections, built on the package: two maps
+on c-space polynomials, and the root-space side of symmetric functions
+(polynomials in x1..xn, their symmetry check, their m-coordinates and
+their rewrite in e1..en), which only the tests use.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 
-from redchern.chern import shifted_root_sigma
-from redchern.poly import c_vars
+from redchern.chern import ensure_rank, shifted_root_sigma
+from redchern.poly import MPoly, c_vars, x_vars
+from redchern.symfun import (
+    Partition,
+    SymPolyInBasis,
+    _monomial_to_elementary,
+    root_compositions,
+)
 
 
 def nconst(nvars, value):
@@ -97,6 +108,30 @@ def expand_cpoly(mp, nvars):
     return total
 
 
+def expand_linear_chain(forms, nvars, cap):
+    """Expand prod_j (1 + L_j) for linear forms L_j with integer coefficients.
+
+    forms is an iterable of length-nvars coefficient tuples; every variable
+    has degree 1, so the degree of a term is the sum of its exponents, and
+    terms above degree cap are dropped (cap -1: none).  Returns an
+    exponent-tuple -> integer coefficient dict.
+    """
+    acc = {(0,) * nvars: 1}
+    for form in forms:
+        nonzero = [(i, m) for i, m in enumerate(form) if m]
+        if not nonzero:
+            continue
+        nxt = dict(acc)
+        for e, c in acc.items():
+            if cap >= 0 and sum(e) >= cap:
+                continue
+            for i, m in nonzero:
+                e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+                nxt[e2] = nxt.get(e2, 0) + c * m
+        acc = nxt
+    return {e: c for e, c in acc.items() if c != 0}
+
+
 def ntruncate(a, degrees, relations, top):
     """Drop the terms above weighted degree top or divisible by a relation.
 
@@ -145,3 +180,159 @@ def reduce_hom(q):
         raise ValueError("reduce_hom expects a polynomial over the free c-variables")
     sigmas = shifted_root_sigma(n)
     return q.substitute({f"c{i}": sigmas[i - 1] for i in range(1, n + 1)})
+
+
+# ---- symmetric polynomials in root variables, built on the package ----
+
+
+@lru_cache(maxsize=None)
+def elementary_symmetric(r: int, n: int) -> MPoly:
+    """The elementary symmetric polynomial of degree r in x1..xn (zero if r > n)."""
+    table = x_vars(n)
+    if r == 0:
+        return MPoly.one(table)
+    if r > n:
+        return MPoly.zero(table)
+    terms = {}
+    for subset in combinations(range(n), r):
+        exps = [0] * n
+        for i in subset:
+            exps[i] = 1
+        terms[tuple(exps)] = Fraction(1)
+    return MPoly(table, terms)
+
+
+def monomial_symmetric(lam: Partition, n: int) -> MPoly:
+    """m_lambda in n variables: the sum over distinct permutations of x^lambda."""
+    if len(lam) > n:
+        raise ValueError(f"partition {lam!r} has more than {n} parts")
+    padded = lam.parts + (0,) * (n - len(lam))
+    table = x_vars(n)
+    return MPoly(table, {e: Fraction(1) for e in set(permutations(padded))})
+
+
+def elementary_product(lam: Partition, n: int) -> MPoly:
+    """e_lambda = product of elementary symmetric polynomials, one per part."""
+    result = MPoly.one(x_vars(n))
+    for p in lam.parts:
+        result = result * elementary_symmetric(p, n)
+    return result
+
+
+def expand_in_roots(coords: SymPolyInBasis, n: int) -> MPoly:
+    """Expand m- or e-basis coordinates into an explicit polynomial in x1..xn."""
+    basis = monomial_symmetric if coords.basis == "m" else elementary_product
+    result = MPoly.zero(x_vars(n))
+    for lam, coeff in coords.coeffs.items():
+        result = result + basis(lam, n) * coeff
+    return result
+
+
+class NotSymmetricError(ValueError):
+    """Raised when a polynomial is not invariant under variable permutations.
+
+    witness is an index permutation pi (new exponent i comes from position
+    pi[i]) under which the polynomial changes.
+    """
+
+    def __init__(self, witness: tuple[int, ...]):
+        self.witness = witness
+        super().__init__(f"polynomial is not symmetric; witness permutation {witness}")
+
+
+def _matching_permutation(src, dst) -> tuple[int, ...]:
+    """A permutation pi with dst[i] == src[pi[i]] for exponent multisets."""
+    pools: dict[int, list[int]] = {}
+    for j, v in enumerate(src):
+        pools.setdefault(v, []).append(j)
+    return tuple(pools[v].pop() for v in dst)
+
+
+def _orbit_size(rep) -> int:
+    """Number of distinct permutations of an exponent multiset."""
+    size = 1
+    for k in range(2, len(rep) + 1):
+        size *= k
+    mult: dict[int, int] = {}
+    for v in rep:
+        mult[v] = mult.get(v, 0) + 1
+    for m in mult.values():
+        for k in range(2, m + 1):
+            size //= k
+    return size
+
+
+def symmetry_witness(p: MPoly):
+    """None when p is symmetric, else a witness permutation of variable indices.
+
+    Invariance under all n! permutations is equivalent to every orbit of
+    exponent vectors being fully present with one shared coefficient, so the
+    pass path only counts orbit members; permutations are materialized only
+    to construct a witness.
+    """
+    degrees = set(p.table.degrees)
+    if len(degrees) > 1:
+        raise ValueError("symmetry is only defined for equal-degree variables")
+    groups: dict[tuple[int, ...], dict] = {}
+    for exps, coeff in p.terms.items():
+        rep = tuple(sorted(exps, reverse=True))
+        groups.setdefault(rep, {})[exps] = coeff
+    for rep, present in groups.items():
+        base_exps, base_coeff = next(iter(present.items()))
+        if len(present) == _orbit_size(rep) and all(
+            c == base_coeff for c in present.values()
+        ):
+            continue
+        for member in permutations(rep):
+            if present.get(member) != base_coeff:
+                return _matching_permutation(base_exps, member)
+    return None
+
+
+def monomial_coefficients(p: MPoly) -> SymPolyInBasis:
+    """The m-basis coordinates of a symmetric polynomial."""
+    witness = symmetry_witness(p)
+    if witness is not None:
+        raise NotSymmetricError(witness)
+    coeffs: dict[Partition, Fraction] = {}
+    for exps, coeff in p.terms.items():
+        rep = tuple(sorted(exps, reverse=True))
+        if rep == exps:
+            coeffs[Partition(tuple(v for v in rep if v))] = coeff
+    return SymPolyInBasis("m", coeffs)
+
+
+def express_in_elementary(p: MPoly) -> MPoly:
+    """Rewrite a symmetric polynomial as a polynomial in e1..en.
+
+    Exact inverse of expansion: substituting e_i = sigma_i(x) into the result
+    recovers p.  Non-symmetric input raises NotSymmetricError with a witness.
+    """
+    if any(d != 1 for d in p.table.degrees):
+        raise ValueError("input must live in degree-1 root variables")
+    return _monomial_to_elementary(monomial_coefficients(p), len(p.table))
+
+
+@dataclass(frozen=True)
+class YRootSet:
+    """The linear forms m_1 x_1 + ... + m_n x_n with m a composition of n."""
+
+    rank: int
+    compositions: tuple[tuple[int, ...], ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.compositions)
+
+    def forms(self) -> list[MPoly]:
+        table = x_vars(self.rank)
+        return [
+            MPoly(table, {table.unit(i): Fraction(m[i]) for i in range(self.rank) if m[i]})
+            for m in self.compositions
+        ]
+
+
+def y_roots(n: int) -> YRootSet:
+    """The root set at rank n: exactly C(2n-1, n) forms, n*x_i first."""
+    ensure_rank(n)
+    return YRootSet(n, root_compositions(n))

@@ -25,11 +25,10 @@ from redchern.chern import (
 )
 from redchern.cli import main as cli_main
 from redchern.poly import MPoly, c_vars, e_vars, u_vars, x_vars
-from redchern.symfun import monomial_coefficients
-from redchern.universal import brauer_reduced, compute_phi, s_in_elementary, solve_psi, y_roots
+from redchern.universal import brauer_reduced, compute_phi, s_in_elementary, solve_psi
 
 from . import naive
-from .naive import reduce_hom
+from .naive import monomial_coefficients, reduce_hom, y_roots
 from .test_chern import random_cpoly
 
 GOLDEN = Path(__file__).parent / "golden"

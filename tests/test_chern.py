@@ -12,12 +12,11 @@ from redchern.chern import (
     sym_power_det_inverse_chern,
     twist,
 )
-from redchern.kernels import expand_linear_chain
 from redchern.poly import MPoly, c_vars, x_vars
-from redchern.symfun import elementary_symmetric, root_compositions
+from redchern.symfun import root_compositions
 
 from . import naive
-from .naive import det_class, reduce_hom
+from .naive import det_class, elementary_symmetric, expand_linear_chain, reduce_hom
 
 RANKS = (2, 3, 4, 5, 6)
 

@@ -153,6 +153,19 @@ class TestVerify:
             "a0282c25a3be6c7bcb11dda53fa639bc7856b7024a543fd16645bd2f2800644e"
         )
 
+    def test_positivity_rank_seven_report_bytes_pinned(self, runner):
+        # stdout of `redchern verify --suite positivity --max-rank 7
+        # --allow-large-rank`, recorded when the suite still expanded the
+        # product of the 1716 forms
+        result = runner.invoke(
+            main,
+            ["verify", "--suite", "positivity", "--max-rank", "7", "--allow-large-rank"],
+        )
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "abf9fbc99a2e3783b36c240f2f924a5619e82b943a91872641a699da55a2fb32"
+        )
+
     def test_corrupted_build_exits_1(self, runner, monkeypatch):
         bad = oracle.mutate_phi(oracle.rank_theory(2), i=2)
         monkeypatch.setattr(oracle, "rank_theory", lambda n: bad)

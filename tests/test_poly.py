@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redchern.kernels import expand_linear_chain, mul_trunc
+from redchern.kernels import mul_trunc
 from redchern.oracle import ToyRing
 from redchern.symfun import Partition
 from redchern.poly import (
@@ -195,7 +195,7 @@ def test_non_integer_or_duplicate_input_rejected(build):
 
 
 def test_chain_against_repeated_mul():
-    # the chain kernel must agree with folding mul_trunc over the factors
+    # the naive chain expansion must agree with folding mul_trunc over the factors
     rng = random.Random(2024)
     for _ in range(20):
         nvars = rng.randint(1, 4)
@@ -213,7 +213,7 @@ def test_chain_against_repeated_mul():
                     e = tuple(1 if j == i else 0 for j in range(nvars))
                     factor[e] = m
             acc = mul_trunc(acc, factor, wdegs, cap)
-        assert expand_linear_chain(forms, nvars, cap) == acc
+        assert naive.expand_linear_chain(forms, nvars, cap) == acc
 
 
 def test_mul_trunc_cap_zero_keeps_constants():
@@ -324,6 +324,17 @@ class TestEvaluate:
         a, b = TOY.gen("a"), TOY.gen("b")
         got = p.evaluate({"x1": a + b, "x2": b}, TOY.one())
         assert got.terms == naive.nevaluate(p, [(a + b).terms, b.terms], 2, toy_reduce)
+
+    @pytest.mark.parametrize("shared", (False, True))
+    def test_missing_variable_raises(self, shared):
+        # x2 occurs only in the second term, past a monomial already built
+        p = MPoly(X2, {(2, 0): 1, (1, 1): 3})
+        monomials = {} if shared else None
+        z = MPoly.variable(Z1, "z")
+        if shared:
+            MPoly(X2, {(1, 0): 1}).evaluate({"x1": z}, MPoly.one(Z1), monomials)
+        with pytest.raises(ValueError, match="variable 'x2' has no value"):
+            p.evaluate({"x1": z}, MPoly.one(Z1), monomials)
 
     def test_monomials_deeper_than_the_recursion_limit(self):
         p = MPoly(X2, {(1500, 0): 1, (2, 1): 1})

@@ -1,11 +1,15 @@
 """Suite runner: determinism, sorting, failure reporting."""
 
 import json
+import sys
 
 import pytest
 
-from redchern import chern, kernels, oracle, universal, verify
-from redchern.poly import MPoly, c_vars, e_vars
+from redchern import chern, kernels, oracle, symfun, universal, verify
+from redchern.poly import MPoly, c_vars, e_vars, x_vars
+from redchern.symfun import Partition
+
+from . import naive
 
 
 def test_unknown_suite_rejected():
@@ -52,10 +56,10 @@ def test_triangularity_suite_shape():
     assert all(r.passed for r in results)
 
 
-def test_run_all_expands_each_chain_once(monkeypatch):
-    # one chain per rank, the positivity suite's own y-root product; the
-    # reduced, twisted, s and F classes come from power sums and the
-    # binomial formula instead
+def test_run_all_expands_no_chain():
+    # s_1..s_n and the reduced, twisted and F classes come from power sums
+    # and the binomial formula, and positivity reads s from the solved
+    # system, so no module of the library binds the chain expansion
     for cached in (
         chern.shifted_root_sigma,
         chern.sym_power_det_inverse_chern,
@@ -63,19 +67,10 @@ def test_run_all_expands_each_chain_once(monkeypatch):
         oracle.rank_theory,
     ):
         cached.cache_clear()
-    inputs = []
-    honest = kernels.expand_linear_chain
-
-    def counting(forms, nvars, cap):
-        forms = tuple(tuple(f) for f in forms)
-        inputs.append((forms, nvars, cap))
-        return honest(forms, nvars, cap)
-
-    monkeypatch.setattr(kernels, "expand_linear_chain", counting)
-    monkeypatch.setattr(verify, "expand_linear_chain", counting)
     assert all(r.passed for r in verify.run_all(max_rank=4))
-    assert len(inputs) == 3
-    assert len(set(inputs)) == 3
+    library = [m for name, m in sys.modules.items() if name.startswith("redchern")]
+    assert kernels in library and verify in library
+    assert not any(hasattr(m, "expand_linear_chain") for m in library)
 
 
 def test_toy_rings_draws_each_bundle_once(monkeypatch):
@@ -130,6 +125,78 @@ def test_phi_cannot_see_corruption_in_the_e1_ideal(monkeypatch, fresh_phi):
     results = verify.suite_phi_roundtrip(max_rank=3)
     assert all(r.passed for r in results)
     assert universal.compute_phi(3).psi != honest_psi
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_positivity_reads_the_chains_m_coordinates(n):
+    # the expanded product of the C(2n-1, n) forms, read in the m-basis, is
+    # independent of the power sums, the triangular solve and the e-to-m table
+    chain = MPoly(x_vars(n), naive.expand_linear_chain(symfun.root_compositions(n), n, n))
+    for r, m_coords in enumerate(verify._s_in_monomials(n), start=1):
+        expected = naive.monomial_coefficients(chain.graded_component(r)).coeffs
+        assert m_coords == expected
+
+
+def test_positivity_catches_a_negative_m_coordinate(monkeypatch, fresh_phi):
+    # s_2 = lead_2 e_2 + d e_1^2 has m_11 coordinate lead_2 + 2d, and e_2 = m_11,
+    # so subtracting (lead_2 + 2d + 1) e_2 leaves m_11 = -1
+    honest = universal.s_in_elementary
+
+    def minus_e2(evt):
+        s2 = honest(len(evt))[1]
+        lead = s2.coefficient(evt.unit(1))
+        d = s2.coefficient((2,) + (0,) * (len(evt) - 1))
+        return MPoly.variable(evt, "e2") * -(lead + 2 * d + 1)
+
+    corrupt_s2(monkeypatch, minus_e2)
+    results = verify.run_suite("positivity", max_rank=4)
+    failed = [r for r in results if not r.passed]
+    assert {r.rank for r in failed} == {2, 3, 4}
+    assert all(r.witness.coeffs == {Partition((1, 1)): -1} for r in failed)
+    line = json.dumps(failed[0].to_json_obj(), separators=(",", ":"))
+    assert line == (
+        '{"identity":"positivity","ring":"symbolic","rank":2,"seed":0,'
+        '"status":"fail","witness":{"basis":"m","coeffs":'
+        '[{"partition":[1,1],"coeff":"-1"}]}}'
+    )
+
+
+def test_triangularity_catches_a_corrupted_lead(monkeypatch, fresh_phi):
+    # doubling s_1 makes lead_1 twice the form count
+    honest = universal.s_in_elementary
+    monkeypatch.setattr(
+        universal, "s_in_elementary", lambda n: [2 * honest(n)[0]] + honest(n)[1:]
+    )
+    results = verify.suite_triangularity(max_rank=4)
+    failed = {r.rank for r in results if not r.passed}
+    assert failed == {2, 3, 4}
+    assert all(r.identity == "triangularity" for r in results if not r.passed)
+
+
+@pytest.mark.parametrize(
+    "lam, extra",
+    (
+        ((2, 1), {(2, 1): 1}),  # the conj entry of e_21 becomes 2
+        ((2,), {(2,): 1}),  # e_2 gains m_2, above its conj (1, 1)
+    ),
+)
+def test_triangularity_catches_a_corrupted_e_to_m_row(monkeypatch, lam, extra):
+    honest = symfun.elementary_to_monomial
+
+    def corrupted(mu, n):
+        coords = honest(mu, n)
+        if mu.parts != lam:
+            return coords
+        coeffs = dict(coords.coeffs)
+        for parts, c in extra.items():
+            coeffs[Partition(parts)] = coords.coefficient(Partition(parts)) + c
+        return symfun.SymPolyInBasis("m", coeffs)
+
+    monkeypatch.setattr(symfun, "elementary_to_monomial", corrupted)
+    results = verify.suite_triangularity(max_rank=4)
+    failed = {r.rank for r in results if not r.passed}
+    assert failed == {2, 3, 4}
+    assert all(r.identity == "triangularity-e-to-m" for r in results if not r.passed)
 
 
 def failing_ranks(results, identity):
