@@ -3,7 +3,7 @@
 Subpackage map:
     kernels    term-dict sums and truncated products
     poly       sparse exact polynomials, truncation, substitution, JSON
-    symfun     partitions, e/m basis conversion, power sums of forms
+    symfun     partitions, e-to-m table, power-sum series to e-coordinates
     chern      reduced classes, twists, symmetric powers, no root variables
     universal  the triangular system, psi/phi, the pushforward recipe
     oracle     toy graded rings and identity specialization

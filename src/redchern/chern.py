@@ -3,12 +3,12 @@
 With Chern roots x1..xn, c_i is the elementary symmetric polynomial sigma_i
 of the roots.  Shifting every root by minus the average root gives the
 shifted roots f_i = x_i - (x1+...+xn)/n, the roots of E (x) (det E)^(-1/n);
-their elementary symmetric polynomials are the reduced classes.  The integer
-forms n*x_i - (x1+...+xn) are a family closed under permuting the x_i, so
-their classes come from power sums in partition coordinates
-(symfun.elementary_of_forms), rescaled by 1/n^r in degree r.  The roots of
-the rank-n symmetric power twisted by the inverse determinant are the forms
-sum_i (m_i - 1) x_i and go the same way.  No product of forms is expanded.
+their elementary symmetric polynomials are the reduced classes.  They come
+from the closed power-sum series of the integer forms n*x_i - (x1+...+xn)
+(symfun.elementary_from_power_sums), rescaled by 1/n^r in degree r.  The
+roots of the rank-n symmetric power twisted by the inverse determinant are
+the forms sum_i (m_i - 1) x_i, whose series is the composition series times
+exp(-t p_1).  No form is listed and no product of forms is expanded.
 
 Twisting by a line bundle of class t has the closed form
 c_k(E (x) L) = sum_i C(n-i, k-i) c_i(E) t^(k-i) (Fulton, Intersection
@@ -61,12 +61,16 @@ class ChernVector:
 
 @lru_cache(maxsize=None)
 def shifted_root_sigma(n: int) -> tuple[MPoly, ...]:
-    """sigma_r(f1..fn) for r = 1..n: the reduced classes, in c1..cn."""
+    """sigma_r(f1..fn) for r = 1..n: the reduced classes, in c1..cn.
+
+    The power-sum series of the forms n x_i - p_1 is
+    exp(-t p_1) sum_i exp(n t x_i).
+    """
     ensure_rank(n)
-    forms = [tuple(n - 1 if j == i else -1 for j in range(n)) for i in range(n)]
+    series = symfun.exp_minus_p1(n).mul_truncated(symfun.exp_power_sum(n, n, n), n)
     return tuple(
         p.with_table(c_vars(n)) * Fraction(1, n**r)
-        for r, p in enumerate(symfun.elementary_of_forms(forms, n, n), start=1)
+        for r, p in enumerate(symfun.elementary_from_power_sums(series, n, n), start=1)
     )
 
 
@@ -118,15 +122,19 @@ def twist(cv: ChernVector, t_name: str = "t") -> ChernVector:
 def sym_power_det_inverse_chern(n: int, k_max: int) -> tuple[MPoly, ...]:
     """Classes 1..k_max of the rank-n symmetric power twisted by det inverse.
 
-    The roots of that bundle are the integer forms sum_i (m_i - 1) x_i over
-    compositions m of n; the first class vanishes identically.
+    The roots of that bundle are the integer forms sum_i (m_i - 1) x_i =
+    m.x - p_1 over compositions m of n, so their power-sum series is
+    exp(-t p_1) times the composition series; the first class vanishes
+    identically.
     """
     ensure_rank(n)
     count = comb(2 * n - 1, n)
     if not 1 <= k_max <= count:
         raise ValueError(f"k_max {k_max} outside 1..{count}")
-    forms = [tuple(v - 1 for v in m) for m in symfun.root_compositions(n)]
-    return tuple(
-        p.with_table(c_vars(n)) for p in symfun.elementary_of_forms(forms, n, k_max)
+    series = symfun.exp_minus_p1(k_max).mul_truncated(
+        symfun.composition_series(n, k_max), k_max
     )
-
+    return tuple(
+        p.with_table(c_vars(n))
+        for p in symfun.elementary_from_power_sums(series, n, k_max)
+    )

@@ -49,18 +49,19 @@ class ToyRing:
     def __init__(self, ring_id, generators, relations=(), top_degree=12):
         self.id = str(ring_id)
         self.table = VarTable(generators)
-        self.top_degree = int(top_degree)
-        if self.top_degree < 0:
-            raise ValueError("top_degree must be >= 0")
+        if type(top_degree) is not int or top_degree < 0:
+            raise ValueError(f"top_degree must be an int >= 0, got {top_degree!r}")
+        self.top_degree = top_degree
         pats = []
         for rel in relations:
             if not rel:
                 raise ValueError("empty relation")
             pat = {}
             for name, power in dict(rel).items():
-                power = int(power)
-                if power < 1:
-                    raise ValueError(f"relation power for {name!r} must be >= 1")
+                if type(power) is not int or power < 1:
+                    raise ValueError(
+                        f"relation power {power!r} for {name!r} is not an int >= 1"
+                    )
                 pat[self.table.index(name)] = power
             pats.append(tuple(sorted(pat.items())))
         # each relation as its (variable index, power) pairs

@@ -206,10 +206,6 @@ class MPoly:
         wdeg = self.table.wdeg
         return sorted(self.terms.items(), key=lambda item: (wdeg(item[0]), item[0]))
 
-    def variables_used(self) -> tuple[str, ...]:
-        used = [any(e[i] for e in self.terms) for i in range(len(self.table))]
-        return tuple(n for n, u in zip(self.table.names, used) if u)
-
     # ---- arithmetic ----
 
     def _check_table(self, other: "MPoly") -> None:
@@ -330,7 +326,6 @@ class MPoly:
         Every variable occurring in self must be assigned, and all images
         must share one variable table.
         """
-        images: dict[int, MPoly] = {}
         target: VarTable | None = None
         for name, img in assignment.items():
             if not isinstance(img, MPoly):
@@ -339,28 +334,9 @@ class MPoly:
                 target = img.table
             elif img.table != target:
                 raise ValueError("assignment images use mismatched variable tables")
-            if name in self.table.names:
-                images[self.table.index(name)] = img
-        for name in self.variables_used():
-            if self.table.index(name) not in images:
-                raise ValueError(f"variable {name!r} is not assigned")
-        if target is None:
-            target = self.table
-        result = MPoly.zero(target)
-        pow_cache: dict[tuple[int, int], MPoly] = {}
-        for exps, coeff in self.terms.items():
-            term = MPoly.constant(target, coeff)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                key = (i, e)
-                power = pow_cache.get(key)
-                if power is None:
-                    power = images[i] ** e
-                    pow_cache[key] = power
-                term = term * power
-            result = result + term
-        return result
+        return self.evaluate(
+            assignment, MPoly.one(self.table if target is None else target)
+        )
 
     def evaluate(
         self,

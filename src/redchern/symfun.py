@@ -2,11 +2,11 @@
 
 Symmetric polynomials live in partition coordinates and never in root
 variables.  The unitriangular e-to-m table (counts of 0-1 matrices) maps
-e-coordinates to m-coordinates, and is inverted one leading partition at a
-time to rewrite m-coordinates in the elementary basis.  The elementary
-symmetric functions of a permutation-invariant family of integer linear
-forms come from the power sums of the forms, that m-to-e rewrite and
-Newton's identities, without expanding the product of the forms.
+e-coordinates to m-coordinates.  The elementary symmetric functions of a
+family of root values come from the family's exponential power-sum series
+in p_1, p_2, ...: each p_a is rewritten in e1..en by Newton's identities,
+and Newton's identities again give e_r of the family.  No form is listed
+and no product of forms is expanded.
 
 Partitions are ordered only within a fixed weight, by lexicographic
 comparison of part sequences, largest part first.  That is the order under
@@ -20,9 +20,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, factorial
 
-from redchern.poly import MPoly, e_vars, format_rational, parse_rational
+from redchern.poly import MPoly, VarTable, e_vars, format_rational, parse_rational
 
 
 class Partition:
@@ -195,75 +195,82 @@ def elementary_to_monomial(lam: Partition, n: int) -> SymPolyInBasis:
     )
 
 
-def _monomial_to_elementary(coords: SymPolyInBasis, n: int) -> MPoly:
-    """Rewrite m-basis coordinates in n variables as a polynomial in e1..en.
+def _power_sum_vars(k: int) -> VarTable:
+    """Power-sum variables p1..pk with deg p_a = a."""
+    return VarTable((f"p{a}", a) for a in range(1, k + 1))
 
-    The lexicographically largest remaining lambda is the leading term of
-    e_{lambda'}, so subtracting c * e_{lambda'} clears it and touches only
-    smaller partitions of the same weight.
+
+def exp_power_sum(n: int, scale: int, cap: int) -> MPoly:
+    """sum_i exp(scale t x_i) over n roots, to t^cap, in p_1..p_cap.
+
+    The t-degree of a term is its weighted degree, so the series is
+    n + sum_a scale^a p_a / a!.
     """
-    work = {lam.parts: c for lam, c in coords.coeffs.items() if c}
-    out: dict[tuple[int, ...], Fraction] = {}
-    while work:
-        lam = max(work, key=lambda parts: (sum(parts), parts))
-        coeff = work[lam]
-        conj = Partition(lam).conjugate().parts
-        exps = [0] * n
-        for p in conj:
-            exps[p - 1] += 1
-        out[tuple(exps)] = coeff
-        for mu, count in _e_to_m_table(conj, n).items():
-            rest = work.get(mu, 0) - coeff * count
-            if rest:
-                work[mu] = rest
-            else:
-                work.pop(mu, None)
-    return MPoly(e_vars(n), out)
+    table = _power_sum_vars(cap)
+    terms = {(0,) * cap: n}
+    for a in range(1, cap + 1):
+        terms[table.unit(a - 1)] = Fraction(scale**a, factorial(a))
+    return MPoly(table, terms)
 
 
-def _multinomial(k: int, parts) -> int:
-    out, rest = 1, k
-    for p in parts:
-        out *= comb(rest, p)
-        rest -= p
-    return out
+def exp_minus_p1(cap: int) -> MPoly:
+    """exp(-t p_1) = prod_i exp(-t x_i), to t^cap, in p_1..p_cap."""
+    zeros = (0,) * (cap - 1)
+    terms = {(j,) + zeros: Fraction((-1) ** j, factorial(j)) for j in range(cap + 1)}
+    return MPoly(_power_sum_vars(cap), terms)
 
 
-def elementary_of_forms(forms, n: int, r_max: int) -> list[MPoly]:
-    """e_1..e_{r_max} of the values of integer linear forms, in e1..en.
+@lru_cache(maxsize=None)
+def composition_series(n: int, cap: int) -> MPoly:
+    """sum over compositions m of n of exp(t m.x), to t^cap, in p_1..p_cap.
 
-    forms are length-n coefficient tuples whose multiset is closed under
-    permuting the variables, so every power sum of the values is symmetric:
-    P_k = sum over lambda of multinom(k; lambda) * S(lambda) * m_lambda with
-    S(lambda) = sum_f prod_j f_j^lambda_j.  Each P_k is rewritten in the
-    e-basis and Newton's identities r e_r = sum_i (-1)^(i-1) e_{r-i} P_i
-    give the elementary symmetric functions of the forms.
+    That sum is h_n(exp(t x_1), ..., exp(t x_n)), and Newton's identity
+    m h_m = sum_j P_j h_{m-j} with P_j = sum_i exp(j t x_i) builds it
+    (Macdonald, Symmetric Functions, Ch. I Sec. 2).
     """
-    forms = [tuple(f) for f in forms]
-    if any(len(f) != n for f in forms):
-        raise ValueError(f"every form needs {n} coefficients")
-    family = Counter(forms)
-    for i in range(n - 1):
-        swapped = Counter(f[:i] + (f[i + 1], f[i]) + f[i + 2:] for f in forms)
-        if swapped != family:
-            raise ValueError(
-                f"forms are not invariant under the transposition (x{i + 1} x{i + 2})"
-            )
+    powers = [exp_power_sum(n, j, cap) for j in range(1, n + 1)]
+    h = [MPoly.one(_power_sum_vars(cap))]
+    for m in range(1, n + 1):
+        acc = MPoly.zero(h[0].table)
+        for j in range(1, m + 1):
+            acc = acc + powers[j - 1].mul_truncated(h[m - j], cap)
+        h.append(acc * Fraction(1, m))
+    return h[n]
+
+
+@lru_cache(maxsize=None)
+def _power_sums_in_elementary(n: int, k_max: int) -> tuple[MPoly, ...]:
+    """p_1..p_k_max of n variables in e1..en, with e_i = 0 for i > n.
+
+    Newton's identities: p_a = sum_{i<a} (-1)^(i-1) e_i p_{a-i}
+    + (-1)^(a-1) a e_a.
+    """
     evt = e_vars(n)
-    prefixes = {
-        length: Counter(f[:length] for f in forms) for length in range(1, n + 1)
-    }
-    power_sums = []
-    for k in range(1, r_max + 1):
-        coeffs = {}
-        for lam in partitions_of(k, n):
-            total = sum(
-                count * prod(v**p for v, p in zip(head, lam.parts))
-                for head, count in prefixes[len(lam)].items()
-            )
-            if total:
-                coeffs[lam] = _multinomial(k, lam.parts) * total
-        power_sums.append(_monomial_to_elementary(SymPolyInBasis("m", coeffs), n))
+    out: list[MPoly] = []
+    for a in range(1, k_max + 1):
+        acc = MPoly.zero(evt)
+        for i in range(1, min(a, n) + 1):
+            term = MPoly.variable(evt, f"e{i}") * (out[a - i - 1] if i < a else a)
+            acc = acc + term if i % 2 else acc - term
+        out.append(acc)
+    return tuple(out)
+
+
+def elementary_from_power_sums(series: MPoly, n: int, r_max: int) -> list[MPoly]:
+    """e_1..e_{r_max} of a family of values, in e1..en.
+
+    series is the family's exponential power-sum series
+    sum_k P_k t^k / k! in p_1..p_K of n roots, K >= r_max, where the t-degree
+    of a term is its weighted degree.  Each p_a is rewritten in e1..en, and
+    Newton's identities r e_r = sum_i (-1)^(i-1) e_{r-i} P_i give the
+    elementary symmetric functions of the family.
+    """
+    if len(series.table) < r_max:
+        raise ValueError(f"series stops below t^{r_max}")
+    p_in_e = _power_sums_in_elementary(n, len(series.table))
+    in_e = series.substitute({f"p{a}": p for a, p in enumerate(p_in_e, start=1)})
+    power_sums = [in_e.graded_component(k) * factorial(k) for k in range(1, r_max + 1)]
+    evt = e_vars(n)
     sigmas = [MPoly.one(evt)]
     for r in range(1, r_max + 1):
         acc = MPoly.zero(evt)
@@ -272,26 +279,3 @@ def elementary_of_forms(forms, n: int, r_max: int) -> list[MPoly]:
             acc = acc + term if i % 2 else acc - term
         sigmas.append(acc * Fraction(1, r))
     return sigmas[1:]
-
-
-def root_compositions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All (m_1..m_n) with m_i >= 0 summing to n: the index set of the y-roots.
-
-    Ordered with the n extreme compositions n*delta_i first, then the rest
-    ascending lexicographically.  The count is C(2n-1, n).
-    """
-    extremes = [tuple(n if j == i else 0 for j in range(n)) for i in range(n)]
-    extreme_set = set(extremes)
-
-    def gen(slots, rest):
-        if slots == 1:
-            yield (rest,)
-            return
-        for first in range(rest + 1):
-            for tail in gen(slots - 1, rest - first):
-                yield (first,) + tail
-
-    rest = sorted(m for m in gen(n, n) if m not in extreme_set)
-    result = tuple(extremes) + tuple(rest)
-    assert len(result) == comb(2 * n - 1, n)
-    return result

@@ -5,9 +5,9 @@ compositions m of n) have elementary symmetric polynomials s_1, s_2, ...
 whose first n members generate the ring of symmetric polynomials: each s_r
 is lead_r * e_r plus a combination of products of lower e's with lead_r > 0,
 and back-substituting through that triangular system solves e_i as a
-rational polynomial psi_i in s_1..s_n.  The s_r come from the power sums of
-the forms (symfun.elementary_of_forms), never from the product of the forms;
-the forms enter only as the composition tuples m, and no polynomial in root
+rational polynomial psi_i in s_1..s_n.  The s_r come from the closed
+power-sum series h_n(exp(t x_1), ..., exp(t x_n)) of the forms
+(symfun.composition_series); no form is listed and no polynomial in root
 variables is built.
 
 Setting s_1 to zero in psi_i gives phi_i(u_2..u_n); evaluated at the classes
@@ -18,7 +18,7 @@ projective-space bundle through its pushforward classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -35,9 +35,9 @@ class InternalInconsistencyError(RuntimeError):
 
 
 def s_in_elementary(n: int) -> list[MPoly]:
-    """s_1..s_n in the elementary basis, from the power sums of the forms."""
+    """s_1..s_n in the elementary basis, from the composition series."""
     ensure_rank(n)
-    return symfun.elementary_of_forms(symfun.root_compositions(n), n, n)
+    return symfun.elementary_from_power_sums(symfun.composition_series(n, n), n, n)
 
 
 @dataclass(frozen=True)
@@ -131,14 +131,7 @@ def compute_phi(n: int) -> UniversalPolys:
     for j in range(2, n + 1):
         assignment[f"s{j}"] = MPoly.variable(uvt, f"u{j}")
     phi = tuple(ups.psi[i - 1].substitute(assignment) for i in range(2, n + 1))
-    return UniversalPolys(
-        rank=ups.rank,
-        count=ups.count,
-        psi=ups.psi,
-        phi=phi,
-        lead=ups.lead,
-        d=ups.d,
-    )
+    return replace(ups, phi=phi)
 
 
 def brauer_reduced(n: int, pushforward_classes: Sequence) -> list:

@@ -5,24 +5,30 @@ to Fractions, quadratic-time multiplication, elementary symmetric
 polynomials summed over explicit subsets, expanded products of linear
 forms, and term-by-term evaluation.  Slow but obviously correct, so test
 expectations derived here are independent of the package's kernels.
-The exceptions are the last two sections, built on the package: two maps
-on c-space polynomials, and the root-space side of symmetric functions
+The exceptions are the last three sections, built on the package: two
+maps on c-space polynomials; the root-space side of symmetric functions
 (polynomials in x1..xn, their symmetry check, their m-coordinates and
-their rewrite in e1..en), which only the tests use.
+their rewrite in e1..en); and the forms route to e_r of a permutation-
+invariant family of integer linear forms (list every form, sum its power
+sums in the m-basis, rewrite them in e1..en, apply Newton's identities),
+the reference for the library's power-sum series.  Only the tests use
+them.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb, prod
 
 from redchern.chern import ensure_rank, shifted_root_sigma
-from redchern.poly import MPoly, c_vars, x_vars
+from redchern.poly import MPoly, c_vars, e_vars, x_vars
 from redchern.symfun import (
     Partition,
     SymPolyInBasis,
-    _monomial_to_elementary,
-    root_compositions,
+    _e_to_m_table,
+    partitions_of,
 )
 
 
@@ -336,3 +342,108 @@ def y_roots(n: int) -> YRootSet:
     """The root set at rank n: exactly C(2n-1, n) forms, n*x_i first."""
     ensure_rank(n)
     return YRootSet(n, root_compositions(n))
+
+
+# ---- e_r of a family of integer linear forms, built on the package ----
+
+
+def _monomial_to_elementary(coords: SymPolyInBasis, n: int) -> MPoly:
+    """Rewrite m-basis coordinates in n variables as a polynomial in e1..en.
+
+    The lexicographically largest remaining lambda is the leading term of
+    e_{lambda'}, so subtracting c * e_{lambda'} clears it and touches only
+    smaller partitions of the same weight.
+    """
+    work = {lam.parts: c for lam, c in coords.coeffs.items() if c}
+    out: dict[tuple[int, ...], Fraction] = {}
+    while work:
+        lam = max(work, key=lambda parts: (sum(parts), parts))
+        coeff = work[lam]
+        conj = Partition(lam).conjugate().parts
+        exps = [0] * n
+        for p in conj:
+            exps[p - 1] += 1
+        out[tuple(exps)] = coeff
+        for mu, count in _e_to_m_table(conj, n).items():
+            rest = work.get(mu, 0) - coeff * count
+            if rest:
+                work[mu] = rest
+            else:
+                work.pop(mu, None)
+    return MPoly(e_vars(n), out)
+
+
+def _multinomial(k: int, parts) -> int:
+    out, rest = 1, k
+    for p in parts:
+        out *= comb(rest, p)
+        rest -= p
+    return out
+
+
+def elementary_of_forms(forms, n: int, r_max: int) -> list[MPoly]:
+    """e_1..e_{r_max} of the values of integer linear forms, in e1..en.
+
+    forms are length-n coefficient tuples whose multiset is closed under
+    permuting the variables, so every power sum of the values is symmetric:
+    P_k = sum over lambda of multinom(k; lambda) * S(lambda) * m_lambda with
+    S(lambda) = sum_f prod_j f_j^lambda_j.  Each P_k is rewritten in the
+    e-basis and Newton's identities r e_r = sum_i (-1)^(i-1) e_{r-i} P_i
+    give the elementary symmetric functions of the forms.
+    """
+    forms = [tuple(f) for f in forms]
+    if any(len(f) != n for f in forms):
+        raise ValueError(f"every form needs {n} coefficients")
+    family = Counter(forms)
+    for i in range(n - 1):
+        swapped = Counter(f[:i] + (f[i + 1], f[i]) + f[i + 2:] for f in forms)
+        if swapped != family:
+            raise ValueError(
+                f"forms are not invariant under the transposition (x{i + 1} x{i + 2})"
+            )
+    evt = e_vars(n)
+    prefixes = {
+        length: Counter(f[:length] for f in forms) for length in range(1, n + 1)
+    }
+    power_sums = []
+    for k in range(1, r_max + 1):
+        coeffs = {}
+        for lam in partitions_of(k, n):
+            total = sum(
+                count * prod(v**p for v, p in zip(head, lam.parts))
+                for head, count in prefixes[len(lam)].items()
+            )
+            if total:
+                coeffs[lam] = _multinomial(k, lam.parts) * total
+        power_sums.append(_monomial_to_elementary(SymPolyInBasis("m", coeffs), n))
+    sigmas = [MPoly.one(evt)]
+    for r in range(1, r_max + 1):
+        acc = MPoly.zero(evt)
+        for i in range(1, r + 1):
+            term = sigmas[r - i] * power_sums[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        sigmas.append(acc * Fraction(1, r))
+    return sigmas[1:]
+
+
+def root_compositions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All (m_1..m_n) with m_i >= 0 summing to n: the index set of the y-roots.
+
+    Ordered with the n extreme compositions n*delta_i first, then the rest
+    ascending lexicographically.  The count is C(2n-1, n).
+    """
+    extremes = [tuple(n if j == i else 0 for j in range(n)) for i in range(n)]
+    extreme_set = set(extremes)
+
+    def gen(slots, rest):
+        if slots == 1:
+            yield (rest,)
+            return
+        for first in range(rest + 1):
+            for tail in gen(slots - 1, rest - first):
+                yield (first,) + tail
+
+    rest = sorted(m for m in gen(n, n) if m not in extreme_set)
+    result = tuple(extremes) + tuple(rest)
+    assert len(result) == comb(2 * n - 1, n)
+    return result

@@ -13,10 +13,15 @@ from redchern.chern import (
     twist,
 )
 from redchern.poly import MPoly, c_vars, x_vars
-from redchern.symfun import root_compositions
 
 from . import naive
-from .naive import det_class, elementary_symmetric, expand_linear_chain, reduce_hom
+from .naive import (
+    det_class,
+    elementary_symmetric,
+    expand_linear_chain,
+    reduce_hom,
+    root_compositions,
+)
 
 RANKS = (2, 3, 4, 5, 6)
 

@@ -87,6 +87,15 @@ class TestUniversal:
     def test_range(self, runner):
         assert runner.invoke(main, ["universal", "-n", "9"]).exit_code == 2
 
+    def test_rank_twelve_bytes_pinned(self, runner):
+        # stdout of `redchern universal -n 12 --allow-large-rank`, recorded
+        # when s_1..s_12 still came from listing the 1 352 078 forms
+        result = runner.invoke(main, ["universal", "-n", "12", "--allow-large-rank"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "79a9d1e732ee7381552a86c2f83514898ca5385094fc31842cb40cded69bfcfb"
+        )
+
 
 # the three seed blocks of the toy-sweep benchmark workload
 TOY_BLOCK_SHA = {

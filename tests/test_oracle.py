@@ -81,6 +81,22 @@ class TestMakeToyRing:
         with pytest.raises(ValueError):
             make_toy_ring({**P2_SPEC, "relations": [{"nope": 2}]})
 
+    @pytest.mark.parametrize(
+        "override",
+        (
+            {"relations": [{"h": 2.7}]},
+            {"relations": [{"h": True}]},
+            {"relations": [{"h": "3"}]},
+            {"top_degree": 4.9},
+            {"top_degree": True},
+            {"top_degree": "8"},
+        ),
+    )
+    def test_rejects_non_int_powers_and_top_degree(self, override):
+        # int() would truncate 2.7 to 2 and 4.9 to 4, and read True as 1
+        with pytest.raises(ValueError):
+            make_toy_ring({**P2_SPEC, **override})
+
     def test_top_degree_truncates(self):
         ring = make_toy_ring(
             {"id": "trunc", "generators": [["h", 1]], "top_degree": 2}

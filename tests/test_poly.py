@@ -241,13 +241,12 @@ def test_json_canonical_form():
     ]
 
 
-def test_evaluate_agrees_with_substitute():
+def test_substitute_agrees_with_naive_evaluation():
     p = 2 * xp("c1", C2) ** 2 - xp("c2", C2) + 3
-    values = {"c1": xp("x1") + xp("x2"), "x2": None, "c2": xp("x1") * xp("x2")}
-    del values["x2"]
-    by_eval = p.evaluate(values, MPoly.one(X2))
+    values = {"c1": xp("x1") + xp("x2"), "c2": xp("x1") * xp("x2")}
     by_subs = p.substitute(values)
-    assert by_eval == by_subs
+    by_naive = naive.nevaluate(p, [values["c1"].terms, values["c2"].terms], 2)
+    assert by_subs.terms == by_naive
 
 
 Y2 = VarTable([("y1", 1), ("y2", 2)])

@@ -7,26 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redchern.poly import MPoly, e_vars, x_vars
+from redchern.chern import shifted_root_sigma, sym_power_det_inverse_chern
+from redchern.poly import MPoly, c_vars, e_vars, x_vars
 from redchern.symfun import (
     Partition,
     SymPolyInBasis,
+    _power_sums_in_elementary,
     compare_order,
-    elementary_of_forms,
+    composition_series,
+    elementary_from_power_sums,
     elementary_to_monomial,
     partitions_of,
-    root_compositions,
 )
+from redchern.universal import s_in_elementary
 
 from . import naive
 from .naive import (
     NotSymmetricError,
+    elementary_of_forms,
     elementary_product,
     elementary_symmetric,
     expand_in_roots,
     express_in_elementary,
     monomial_coefficients,
     monomial_symmetric,
+    root_compositions,
     symmetry_witness,
 )
 
@@ -286,6 +291,42 @@ class TestElementaryOfForms:
     def test_rejects_float_coefficients(self):
         with pytest.raises(TypeError):
             elementary_of_forms([(1.5, 0), (0, 1.5)], 2, 2)
+
+
+class TestPowerSumSeries:
+    """The library's power-sum series against the forms route of tests/naive.py."""
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_power_sums_in_elementary_past_the_rank(self, n):
+        for k, p_e in enumerate(_power_sums_in_elementary(n, 6), start=1):
+            expected = {
+                tuple(k if j == i else 0 for j in range(n)): Fraction(1)
+                for i in range(n)
+            }
+            assert naive.expand_cpoly(p_e, n) == expected
+
+    @pytest.mark.parametrize("n", (7, 8))
+    def test_s_against_the_forms(self, n):
+        assert s_in_elementary(n) == elementary_of_forms(root_compositions(n), n, n)
+
+    @pytest.mark.parametrize("n", (7, 8))
+    def test_symmetric_power_classes_against_the_forms(self, n):
+        forms = [tuple(v - 1 for v in m) for m in root_compositions(n)]
+        expected = [p.with_table(c_vars(n)) for p in elementary_of_forms(forms, n, n)]
+        assert list(sym_power_det_inverse_chern(n, n)) == expected
+
+    @pytest.mark.parametrize("n", (8, 9, 10))
+    def test_shifted_roots_against_the_forms(self, n):
+        forms = [tuple(n - 1 if j == i else -1 for j in range(n)) for i in range(n)]
+        expected = [
+            p.with_table(c_vars(n)) * Fraction(1, n**r)
+            for r, p in enumerate(elementary_of_forms(forms, n, n), start=1)
+        ]
+        assert list(shifted_root_sigma(n)) == expected
+
+    def test_rejects_a_series_shorter_than_r_max(self):
+        with pytest.raises(ValueError):
+            elementary_from_power_sums(composition_series(2, 2), 2, 3)
 
 
 class TestMonomialCoefficients:

@@ -109,8 +109,9 @@ def corrupt_s2(monkeypatch, extra):
 
 
 def test_phi_roundtrip_catches_a_corrupted_s(monkeypatch, fresh_phi):
-    # s and the symmetric-power classes share elementary_of_forms, so the
-    # cross-check must still fail when s alone is wrong
+    # s and the symmetric-power classes share the composition series and
+    # elementary_from_power_sums, so the cross-check must still fail when s
+    # alone is wrong
     corrupt_s2(monkeypatch, lambda evt: MPoly.variable(evt, "e2"))
     results = verify.suite_phi_roundtrip(max_rank=3)
     assert any(not r.passed and r.identity == "phi-roundtrip" for r in results)
@@ -131,7 +132,7 @@ def test_phi_cannot_see_corruption_in_the_e1_ideal(monkeypatch, fresh_phi):
 def test_positivity_reads_the_chains_m_coordinates(n):
     # the expanded product of the C(2n-1, n) forms, read in the m-basis, is
     # independent of the power sums, the triangular solve and the e-to-m table
-    chain = MPoly(x_vars(n), naive.expand_linear_chain(symfun.root_compositions(n), n, n))
+    chain = MPoly(x_vars(n), naive.expand_linear_chain(naive.root_compositions(n), n, n))
     for r, m_coords in enumerate(verify._s_in_monomials(n), start=1):
         expected = naive.monomial_coefficients(chain.graded_component(r)).coeffs
         assert m_coords == expected
