@@ -1,7 +1,7 @@
 """Exact reduced Chern class calculus over the rationals.
 
 Subpackage map:
-    kernels    term-dict sums and truncated products
+    kernels    term-dict sums; truncated products of MPoly values
     poly       sparse exact polynomials, truncation, substitution, JSON
     symfun     partitions, e-to-m table, power-sum series to e-coordinates
     chern      reduced classes, twists, symmetric powers, no root variables

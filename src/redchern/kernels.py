@@ -1,7 +1,8 @@
 """Kernels for sparse polynomial sums and truncated products.
 
-add_terms and mul_trunc add and multiply every MPoly and every toy-ring
-element.
+add_terms adds MPoly values and toy-ring elements; mul_trunc multiplies
+MPoly values.  Toy-ring products go through their ring's multiplication
+table instead (oracle.ToyRing.multiply_into).
 
 Term dicts map exponent tuples to nonzero coefficients (Fraction or int).
 A cap of -1 means no truncation.

@@ -3,18 +3,21 @@
 A toy ring is a quotient of a polynomial ring by monomial relations plus a
 global degree cap, so normal forms are confluent without any Groebner
 machinery, and every graded piece is a finite-dimensional vector space with
-a monomial basis.  Elements are term dicts over the surviving monomials,
-which each ring enumerates once; a product is the shared kernel's
-degree-capped mul_trunc followed by a filter against that set, so no term
-above the cap is ever formed.  The symbolic identities proved in the
-c-variables are universal, so specializing them to random bundles over
-random toy rings can only fail if the symbolic side is wrong; that is what
-check_bundle tests, evaluating both sides of each identity independently
-in the ring with MPoly.evaluate.  It draws each bundle once, checks every
-identity tag on it, and keeps one monomial table per evaluation point, so
-a monomial such as c1^2 is built once for all the polynomials evaluated
-there.  Random classes have integer coefficients, and they stay ints for
-as long as the polynomials evaluated at them have integral coefficients.
+a monomial basis.  Elements are term dicts over the surviving monomials.
+Each ring enumerates them once and, on its first product, builds one
+multiplication table from each pair of them to their product where that
+survives; a product multiplies and accumulates over the table into one
+dict, so no dead monomial is ever formed.  The projective-bundle extension
+accumulates its products, and their reduction by the relation, the same
+way.  The symbolic identities proved in the c-variables are universal, so
+specializing them to random bundles over random toy rings can only fail
+if the symbolic side is wrong; that is what check_bundle tests, evaluating
+both sides of each identity independently in the ring with
+MPoly.evaluate.  It draws each bundle once, checks every identity tag on
+it, and keeps one monomial table per evaluation point, so a monomial such
+as c1^2 is built once for all the polynomials evaluated there.  Random
+classes have integer coefficients, and they stay ints for as long as the
+polynomials evaluated at them have integral coefficients.
 
 Gradings are algebraic throughout: deg c_i = i and the projective-bundle
 class xi has degree 1 (no topological doubling).
@@ -26,10 +29,12 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
+from operator import add
 from typing import Mapping, Sequence
 
 from redchern import chern, universal
-from redchern.kernels import add_terms, mul_trunc
+from redchern.kernels import add_terms
 from redchern.poly import MPoly, VarTable, as_rational
 
 
@@ -97,8 +102,21 @@ class ToyRing:
         return tuple(map(tuple, bases))
 
     @cached_property
-    def _live(self) -> frozenset:
-        return frozenset(e for basis in self._bases for e in basis)
+    def _products(self) -> dict:
+        """The multiplication table, built once, on first use.
+
+        It maps each surviving monomial to its row, which maps every
+        surviving monomial whose product with it survives to that product.
+        """
+        bases = self._bases
+        table = {e: {} for basis in bases for e in basis}
+        for wa, basis_a in enumerate(bases):
+            fits = [eb for basis in bases[: self.top_degree - wa + 1] for eb in basis]
+            for ea, eb in product(basis_a, fits):
+                e = tuple(map(add, ea, eb))
+                if e in table:
+                    table[ea][eb] = e
+        return table
 
     def normalize(self, terms: Mapping) -> dict:
         """Validate exponent keys and coefficients, then reduce to normal form."""
@@ -110,7 +128,7 @@ class ToyRing:
                 raise ValueError(f"exponent tuple {exps} is not {nv} nonnegative ints")
             if not (type(coeff) is int or isinstance(coeff, Fraction)):
                 coeff = as_rational(coeff)
-            if not coeff or exps not in self._live:
+            if not coeff or exps not in self._products:
                 continue
             prev = out.get(exps)
             total = coeff if prev is None else prev + coeff
@@ -120,11 +138,19 @@ class ToyRing:
                 del out[exps]
         return out
 
-    def product(self, a: dict, b: dict) -> dict:
-        """Normal form of the product of two normal-form term dicts."""
-        raw = mul_trunc(a, b, self.table.degrees, self.top_degree)
-        live = self._live
-        return {e: c for e, c in raw.items() if e in live}
+    def multiply_into(self, out: dict, a: Mapping, b: Mapping) -> dict:
+        """Add the product of the normal-form term dicts a and b into out.
+
+        Returns out, where a coefficient that cancels stays as a zero.
+        """
+        table = self._products
+        for ea, ca in a.items():
+            row = table[ea]
+            for eb, cb in b.items():
+                e = row.get(eb)
+                if e is not None:
+                    out[e] = out.get(e, 0) + ca * cb
+        return out
 
     # ---- elements ----
 
@@ -169,7 +195,7 @@ class ToyElement:
         return not self.terms
 
     def _check(self, other: "ToyElement") -> None:
-        if self.ring != other.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise ValueError("elements of different toy rings")
 
     def __add__(self, other):
@@ -191,7 +217,8 @@ class ToyElement:
     def __mul__(self, other):
         if isinstance(other, ToyElement):
             self._check(other)
-            return ToyElement(self.ring, self.ring.product(self.terms, other.terms))
+            raw = self.ring.multiply_into({}, self.terms, other.terms)
+            return ToyElement(self.ring, {e: c for e, c in raw.items() if c})
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         if not other:
@@ -370,8 +397,7 @@ def _class_values(bundle: ToyBundle) -> dict:
 
 
 def _first_difference(lhs, rhs):
-    diff = lhs - rhs
-    return None if diff.is_zero() else diff.min_degree_component()
+    return None if lhs == rhs else (lhs - rhs).min_degree_component()
 
 
 def _first_failure(pairs):
@@ -404,7 +430,8 @@ def _projective_witness(ring: ToyRing, bundle: ToyBundle, seed: int):
             # xi^k written down directly, reduced at most once
             sample.append(base * ext.element([zero] * rng.randint(0, n) + [one]))
         u, v, w = sample
-        ok = (u * v) * w == u * (v * w) and u * v == v * u
+        uv = u * v
+        ok = uv * w == u * (v * w) and uv == v * u
     return None if ok else ring.one()
 
 
@@ -503,12 +530,7 @@ class ProjectiveBundleRing:
         self.rank = bundle.rank
 
     def element(self, coefficients: Sequence) -> "ProjectiveElement":
-        coeffs = list(coefficients)
-        if len(coeffs) > self.rank:
-            coeffs = self._reduce(coeffs)
-        while len(coeffs) < self.rank:
-            coeffs.append(self.base.zero())
-        return ProjectiveElement(self, tuple(coeffs))
+        return self._reduce([dict(a.terms) for a in coefficients])
 
     def zero(self) -> "ProjectiveElement":
         return self.element([])
@@ -522,16 +544,22 @@ class ProjectiveBundleRing:
     def xi(self) -> "ProjectiveElement":
         return self.element([self.base.zero(), self.base.one()])
 
-    def _reduce(self, coeffs: list) -> list:
+    def _reduce(self, raw: list) -> "ProjectiveElement":
+        """The element sum raw[k] xi^k, for base term dicts raw[k] it may modify.
+
+        From the top power down, xi^k for k >= n is rewritten by
+        xi^n = -(c_1 xi^{n-1} + ... + c_n), accumulating into raw[k-n..k-1].
+        """
         n = self.rank
-        classes = self.bundle.classes
-        for k in range(len(coeffs) - 1, n - 1, -1):
-            head = coeffs[k]
-            if head.is_zero():
-                continue
-            for i in range(1, n + 1):
-                coeffs[k - i] = coeffs[k - i] - classes[i - 1] * head
-        return coeffs[:n]
+        multiply_into = self.base.multiply_into
+        for k in range(len(raw) - 1, n - 1, -1):
+            head = {e: -c for e, c in raw[k].items() if c}
+            if head:
+                for i, c_i in enumerate(self.bundle.classes, 1):
+                    multiply_into(raw[k - i], c_i.terms, head)
+        raw += [{}] * (n - len(raw))
+        coeffs = [{e: c for e, c in t.items() if c} for t in raw[:n]]
+        return ProjectiveElement(self, tuple(ToyElement(self.base, t) for t in coeffs))
 
     def relation_residue(self) -> "ProjectiveElement":
         """xi^n + c_1 xi^{n-1} + ... + c_n, reduced; zero by construction."""
@@ -579,15 +607,14 @@ class ProjectiveElement:
             return self.ext.element([a * other for a in self.coefficients])
         if not isinstance(other, ProjectiveElement):
             return NotImplemented
-        n = self.ext.rank
-        raw = [self.ext.base.zero()] * (2 * n - 1)
+        multiply_into = self.ext.base.multiply_into
+        raw = [{} for _ in range(2 * self.ext.rank - 1)]
+        rhs = [(j, b.terms) for j, b in enumerate(other.coefficients) if b.terms]
         for i, a in enumerate(self.coefficients):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coefficients):
-                if not b.is_zero():
-                    raw[i + j] = raw[i + j] + a * b
-        return self.ext.element(raw)
+            if a.terms:
+                for j, b in rhs:
+                    multiply_into(raw[i + j], a.terms, b)
+        return self.ext._reduce(raw)
 
     __rmul__ = __mul__
 

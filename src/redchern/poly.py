@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from redchern.kernels import add_terms, mul_trunc
@@ -348,11 +349,15 @@ class MPoly:
 
         values maps occurring variable names to ring elements, and a term
         whose variable has no value raises ValueError; `one` is the ring
-        identity.  Ring elements must support +, * between themselves
-        and * by int and Fraction.  Each distinct monomial is built once, as
-        a smaller monomial times one variable, and the result is the sum of
-        coefficient * monomial.  An integral coefficient multiplies as an
-        int, so a point with integer coefficients keeps them.
+        identity.  The ring is the rationals (int and Fraction values) or
+        one whose elements support * between themselves and * by 0, and
+        expose their term dicts as `terms`, as MPoly and toy-ring elements
+        do.  Each distinct monomial is built once, as a smaller monomial
+        times one variable.  The coefficients are scaled to integers over
+        their common denominator, every integer times its monomial's terms
+        is added into one dict, and each sum is divided by the denominator
+        once, so a polynomial with integral coefficients keeps a point's
+        int coefficients as ints.
 
         monomials is the memo of monomial values, keyed by exponent tuple.
         By default it lives for one call; a caller that evaluates several
@@ -360,28 +365,34 @@ class MPoly:
         owns to all of them, and each monomial is then built once for all.
         """
         names = self.table.names
-        indexed = [values.get(name) for name in names]
         if monomials is None:
             monomials = {}
-        monomials.setdefault((0,) * len(self.table), one)
-        total = one * 0
+        monomials.setdefault((0,) * len(names), one)
+        scalar = isinstance(one, (int, Fraction))
+        den = lcm(*[c.denominator for c in self.terms.values()])
+        acc: dict = {}
         for exps, coeff in self.terms.items():
             # walk down to a known monomial, then multiply back up
             chain = []
             cur = exps
-            while cur not in monomials:
+            while (value := monomials.get(cur)) is None:
                 i = next(j for j, e in enumerate(cur) if e)
                 chain.append((cur, i))
                 cur = cur[:i] + (cur[i] - 1,) + cur[i + 1:]
-            value = monomials[cur]
             for mono, i in reversed(chain):
-                if indexed[i] is None:
+                factor = values.get(names[i])
+                if factor is None:
                     raise ValueError(f"variable {names[i]!r} has no value")
-                value = value * indexed[i]
+                value = value * factor
                 monomials[mono] = value
-            total = total + value * (
-                coeff.numerator if coeff.denominator == 1 else coeff
-            )
+            k = coeff.numerator * (den // coeff.denominator)
+            for e, c in ({(): value} if scalar else value.terms).items():
+                acc[e] = acc.get(e, 0) + k * c
+        terms = {e: Fraction(c, den) if den > 1 else c for e, c in acc.items() if c}
+        if scalar:
+            return terms.get((), one * 0)
+        total = one * 0  # a fresh zero of the ring, which takes the sums
+        total.terms = terms
         return total
 
     def ring_one(self) -> "MPoly":

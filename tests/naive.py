@@ -167,6 +167,27 @@ def nevaluate(mp, images, nvars, reduce=lambda a: a):
     return reduce(total)
 
 
+def nprojective_mul(a, b, classes, reduce):
+    """Product in the projective extension, on coefficient lists of term dicts.
+
+    a and b stand for sum a_i xi^i with len(classes) = n entries each, and
+    classes are the term dicts of c_1..c_n.  The two vectors are convolved
+    into 2n - 1 entries with nmul and reduce; then, from the top power
+    down, each xi^k with k >= n is replaced by -(c_1 xi^{k-1} + ... +
+    c_n xi^{k-n}).
+    """
+    n = len(classes)
+    raw = [{} for _ in range(2 * n - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            raw[i + j] = nadd(raw[i + j], reduce(nmul(x, y)))
+    for k in range(2 * n - 2, n - 1, -1):
+        for i in range(1, n + 1):
+            shifted = nscale(nmul(classes[i - 1], raw[k]), -1)
+            raw[k - i] = nadd(raw[k - i], reduce(shifted))
+    return raw[:n]
+
+
 # ---- maps on c-space polynomials, built on the package ----
 
 

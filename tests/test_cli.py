@@ -162,6 +162,17 @@ class TestVerify:
             "a0282c25a3be6c7bcb11dda53fa639bc7856b7024a543fd16645bd2f2800644e"
         )
 
+    def test_all_suites_rank_six_report_bytes_pinned(self, runner):
+        # stdout of `redchern verify --suite all --max-rank 6 --seed 0`, the
+        # verify-r6 benchmark workload, as pinned in perfbench/run.py
+        result = runner.invoke(
+            main, ["verify", "--suite", "all", "--max-rank", "6", "--seed", "0"]
+        )
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "eabe41a503739d8d471bf9f8707712e14897efda113683ad05b4a91c882c6e87"
+        )
+
     def test_positivity_rank_seven_report_bytes_pinned(self, runner):
         # stdout of `redchern verify --suite positivity --max-rank 7
         # --allow-large-rank`, recorded when the suite still expanded the

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -142,17 +143,24 @@ class TestToyElements:
 
 
 @st.composite
-def random_rings(draw):
-    """A toy ring on 1..3 generators of degree 1..3, with its raw data."""
-    ngens = draw(st.integers(min_value=1, max_value=3))
+def random_rings(draw, multivariable=False):
+    """A toy ring on 1..3 generators of degree 1..3, with its raw data.
+
+    With multivariable set, the ring has 2..3 generators and its first
+    relation involves at least two of them.
+    """
+    ngens = draw(st.integers(min_value=2 if multivariable else 1, max_value=3))
     names = [f"g{i}" for i in range(ngens)]
     degrees = draw(st.lists(st.integers(1, 3), min_size=ngens, max_size=ngens))
-    relations = draw(
-        st.lists(
-            st.dictionaries(st.sampled_from(names), st.integers(1, 4), min_size=1),
-            max_size=3,
+
+    def relation(min_size):
+        return st.dictionaries(
+            st.sampled_from(names), st.integers(1, 4), min_size=min_size
         )
-    )
+
+    relations = draw(st.lists(relation(1), max_size=3))
+    if multivariable:
+        relations.insert(0, draw(relation(2)))
     top = draw(st.integers(min_value=0, max_value=9))
     ring = ToyRing("random", list(zip(names, degrees)), relations, top)
     patterns = [tuple(rel.get(name, 0) for name in names) for rel in relations]
@@ -196,6 +204,27 @@ class TestCappedProduct:
         assert ring.graded_basis(3) is ring.graded_basis(3)
         assert ring.graded_basis(3) == ((1, 1), (3, 0))
         assert ring.graded_basis(-1) == () and ring.graded_basis(11) == ()
+
+    def test_multiplication_table_is_built_once_on_surviving_monomials(self):
+        builds = []
+
+        class CountingRing(ToyRing):
+            @cached_property
+            def _products(self):
+                builds.append(self.id)
+                return ToyRing._products.func(self)
+
+        ring = CountingRing("ab", [("a", 1), ("b", 2)], [{"a": 2, "b": 1}, {"b": 3}], 7)
+        x = ring.element({(0, 0): 1, (1, 0): 2, (0, 1): -1})
+        for _ in range(4):
+            x = x * x + ring.gen("a") * ring.gen("b")
+        assert builds == ["ab"]
+        live = {e for d in range(8) for e in ring.graded_basis(d)}
+        table = ring._products
+        assert set(table) == live
+        for ea, row in table.items():
+            products = {eb: tuple(map(sum, zip(ea, eb))) for eb in live}
+            assert row == {eb: e for eb, e in products.items() if e in live}
 
 
 class TestExponentValidation:
@@ -403,6 +432,26 @@ class TestProjectiveBundleRing:
             bundle = random_bundle(ring, 3, seed=seed)
             ext = projective_bundle_ring(ring, bundle)
             assert ext.relation_residue().is_zero()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_product_matches_naive_convolution_and_reduction(self, data):
+        ring, degrees, patterns, top = data.draw(random_rings(multivariable=True))
+        n = data.draw(st.integers(min_value=2, max_value=4))
+        bundle = random_bundle(ring, n, data.draw(st.integers(0, 10**6)))
+        ext = projective_bundle_ring(ring, bundle)
+
+        def reduce(t):
+            return naive.ntruncate(t, degrees, patterns, top)
+
+        vectors = [
+            [reduce(data.draw(raw_terms(len(degrees)))) for _ in range(n)]
+            for _ in range(2)
+        ]
+        a, b = (ext.element([ring.element(t) for t in v]) for v in vectors)
+        classes = [c.terms for c in bundle.classes]
+        expected = naive.nprojective_mul(*vectors, classes, reduce)
+        assert [c.terms for c in (a * b).coefficients] == expected
 
     def test_multiplication_respects_the_relation(self):
         ring = make_toy_ring(CURVES_SPEC)

@@ -20,7 +20,7 @@ from redchern.poly import (
 )
 
 from . import naive
-from .strategies import coefficients, mpolys
+from .strategies import coefficients, exponent_tuples, mpolys
 
 X2 = x_vars(2)
 C2 = c_vars(2)
@@ -252,10 +252,18 @@ def test_substitute_agrees_with_naive_evaluation():
 Y2 = VarTable([("y1", 1), ("y2", 2)])
 Z1 = VarTable([("z", 1)])
 TOY = ToyRing("toy", [("a", 1), ("b", 2)], [{"a": 4}, {"a": 1, "b": 2}], 7)
+DENOMINATORS = (1, 2, 3, 4, 6, 9)
 
 
 def toy_reduce(terms):
     return naive.ntruncate(terms, (1, 2), [(4, 0), (1, 2)], 7)
+
+
+def raw_toy_terms(coeffs=coefficients()):
+    """Term dicts over TOY's exponents, before reduction."""
+    return st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=4
+    )
 
 
 class TestEvaluate:
@@ -270,10 +278,7 @@ class TestEvaluate:
     @settings(max_examples=60, deadline=None)
     @given(mpolys(C2, max_terms=6, max_exp=5), st.data())
     def test_at_toy_ring_points(self, p, data):
-        raw = st.dictionaries(
-            st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients(), max_size=4
-        )
-        images = [toy_reduce(data.draw(raw)) for _ in range(2)]
+        images = [toy_reduce(data.draw(raw_toy_terms())) for _ in range(2)]
         got = p.evaluate(
             {"c1": TOY.element(images[0]), "c2": TOY.element(images[1])}, TOY.one()
         )
@@ -294,15 +299,49 @@ class TestEvaluate:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(mpolys(C2, max_terms=6, max_exp=4), min_size=2, max_size=4), st.data())
     def test_one_shared_table_at_toy_ring_points(self, polys, data):
-        raw = st.dictionaries(
-            st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients(), max_size=4
-        )
-        images = [toy_reduce(data.draw(raw)) for _ in range(2)]
+        images = [toy_reduce(data.draw(raw_toy_terms())) for _ in range(2)]
         values = {"c1": TOY.element(images[0]), "c2": TOY.element(images[1])}
         monomials = {}
         for p in polys:
             got = p.evaluate(values, TOY.one(), monomials)
             assert got.terms == naive.nevaluate(p, images, 2, toy_reduce)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            exponent_tuples(C2, 4),
+            st.builds(Fraction, st.integers(-6, 6), st.sampled_from(DENOMINATORS)),
+            max_size=6,
+        ),
+        st.data(),
+    )
+    def test_mixed_denominators(self, terms, data):
+        # the coefficients are summed over their common denominator, and
+        # each sum divided once; points have int or Fraction coefficients
+        p = MPoly(C2, terms)
+        ints = raw_toy_terms(st.integers(-3, 3).filter(bool))
+        images = [toy_reduce(data.draw(s)) for s in (ints, ints | raw_toy_terms())]
+        values = {"c1": TOY.element(images[0]), "c2": TOY.element(images[1])}
+        got = p.evaluate(values, TOY.one())
+        assert got.terms == naive.nevaluate(p, images, 2, toy_reduce)
+        v1, v2 = data.draw(mpolys(Y2, 3, 2)), data.draw(mpolys(Y2, 3, 2))
+        got = p.evaluate({"c1": v1, "c2": v2}, MPoly.one(Y2))
+        assert got.terms == naive.nevaluate(p, [v1.terms, v2.terms], 2)
+        q1, q2 = data.draw(coefficients()), data.draw(coefficients())
+        got = p.evaluate({"c1": q1, "c2": q2}, Fraction(1))
+        assert got == naive.nevaluate(p, [{(): q1}, {(): q2}], 0).get((), 0)
+
+    def test_cancellation_leaves_no_stored_zero(self):
+        p = MPoly(X2, {(2, 0): Fraction(1, 2), (0, 1): Fraction(-1, 3), (1, 0): 1})
+        z = MPoly.variable(Z1, "z")
+        got = p.evaluate({"x1": z, "x2": Fraction(3, 2) * z * z}, MPoly.one(Z1))
+        assert got.terms == {(1,): 1}
+        got = p.evaluate({"x1": 2 * z, "x2": 6 * z * z + 6 * z}, MPoly.one(Z1))
+        assert got.terms == {}
+        h = TOY.gen("a") * 2 + TOY.gen("b")
+        got = p.evaluate({"x1": h, "x2": h * h * Fraction(3, 2) + h * 3}, TOY.one())
+        assert got.terms == {}
+        assert p.evaluate({"x1": Fraction(2), "x2": Fraction(12)}, Fraction(1)) == 0
 
     def test_integral_coefficients_stay_ints(self):
         p = MPoly(C2, {(2, 0): 3, (1, 1): -2, (0, 1): 1, (0, 0): 5})
