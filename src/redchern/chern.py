@@ -67,10 +67,10 @@ def shifted_root_sigma(n: int) -> tuple[MPoly, ...]:
     exp(-t p_1) sum_i exp(n t x_i).
     """
     ensure_rank(n)
-    series = symfun.exp_minus_p1(n).mul_truncated(symfun.exp_power_sum(n, n, n), n)
+    series = symfun.exp_minus_p1(n).mul_truncated(symfun.exp_power_sum(n, n), n)
     return tuple(
         p.with_table(c_vars(n)) * Fraction(1, n**r)
-        for r, p in enumerate(symfun.elementary_from_power_sums(series, n, n), start=1)
+        for r, p in enumerate(symfun.elementary_from_power_sums(series, n), start=1)
     )
 
 
@@ -101,26 +101,26 @@ def reduced_chern_formula(n: int, r: int) -> MPoly:
     return _twisted_class(classes, n, r, classes[0] * Fraction(-1, n))
 
 
-def twist(cv: ChernVector, t_name: str = "t") -> ChernVector:
+def twist(cv: ChernVector) -> ChernVector:
     """Classes of the bundle tensored with a line bundle of class t.
 
     Substituting t = 0 recovers cv.
     """
     n = cv.rank
     ensure_rank(n, floor=1)
-    if t_name in cv.table.names:
-        raise ValueError(f"line-class variable {t_name!r} must be fresh")
-    target = cv.table.extend([(t_name, 1)])
+    if "t" in cv.table.names:
+        raise ValueError("line-class variable 't' must be fresh")
+    target = cv.table.extend([("t", 1)])
     classes = [c.embed(target) for c in cv.classes]
-    t = MPoly.variable(target, t_name)
+    t = MPoly.variable(target, "t")
     return ChernVector(
         n, tuple(_twisted_class(classes, n, k, t) for k in range(1, n + 1))
     )
 
 
 @lru_cache(maxsize=None)
-def sym_power_det_inverse_chern(n: int, k_max: int) -> tuple[MPoly, ...]:
-    """Classes 1..k_max of the rank-n symmetric power twisted by det inverse.
+def sym_power_det_inverse_chern(n: int) -> tuple[MPoly, ...]:
+    """Classes 1..n of the rank-n symmetric power twisted by det inverse.
 
     The roots of that bundle are the integer forms sum_i (m_i - 1) x_i =
     m.x - p_1 over compositions m of n, so their power-sum series is
@@ -128,13 +128,7 @@ def sym_power_det_inverse_chern(n: int, k_max: int) -> tuple[MPoly, ...]:
     identically.
     """
     ensure_rank(n)
-    count = comb(2 * n - 1, n)
-    if not 1 <= k_max <= count:
-        raise ValueError(f"k_max {k_max} outside 1..{count}")
-    series = symfun.exp_minus_p1(k_max).mul_truncated(
-        symfun.composition_series(n, k_max), k_max
-    )
+    series = symfun.exp_minus_p1(n).mul_truncated(symfun.composition_series(n), n)
     return tuple(
-        p.with_table(c_vars(n))
-        for p in symfun.elementary_from_power_sums(series, n, k_max)
+        p.with_table(c_vars(n)) for p in symfun.elementary_from_power_sums(series, n)
     )

@@ -466,17 +466,12 @@ def _split_name(name: str) -> tuple[str, str]:
     return name[:i], name[i:]
 
 
-_LATEX_NAMES = {"xi": r"\xi"}
-
-
 def _name_text(name: str) -> str:
     head, idx = _split_name(name)
     return f"{head}_{idx}" if head and idx else name
 
 
 def _name_latex(name: str) -> str:
-    if name in _LATEX_NAMES:
-        return _LATEX_NAMES[name]
     head, idx = _split_name(name)
     if head and idx:
         return f"{head}_{idx}" if len(idx) == 1 else f"{head}_{{{idx}}}"

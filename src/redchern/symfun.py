@@ -152,20 +152,21 @@ class SymPolyInBasis:
 
 
 @lru_cache(maxsize=None)
-def _e_to_m_table(mu: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
-    """m-coordinates of e_mu in n variables, keyed by part tuples.
+def _e_to_m_table(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """m-coordinates of e_mu in any number of variables, keyed by part tuples.
 
     The entry for lambda counts the 0-1 matrices with row sums mu and column
-    sums lambda; only lambda with at most n parts survive in n variables.
-    Built row by row: the coefficient of x^lambda in e_r * F sums the
-    coefficients of F at lambda minus the indicator of each r-subset of the
-    nonzero positions of lambda, grouped by blocks of equal parts.
+    sums lambda; it does not depend on the variable count, which only drops
+    the lambda with too many parts.  Built row by row: the coefficient of
+    x^lambda in e_r * F sums the coefficients of F at lambda minus the
+    indicator of each r-subset of the nonzero positions of lambda, grouped
+    by blocks of equal parts.
     """
     if not mu:
         return {(): 1}
-    r, rest = mu[0], _e_to_m_table(mu[1:], n)
+    r, rest, weight = mu[0], _e_to_m_table(mu[1:]), sum(mu)
     table = {}
-    for lam in partitions_of(sum(mu), n):
+    for lam in partitions_of(weight, weight):
         blocks = sorted(Counter(lam.parts).items(), reverse=True)
         total = 0
         for picks in itertools.product(*(range(c + 1) for _, c in blocks)):
@@ -189,90 +190,90 @@ def elementary_to_monomial(lam: Partition, n: int) -> SymPolyInBasis:
         raise ValueError(f"partition {lam!r} has more than {n} parts")
     if lam.parts and lam.parts[0] > n:
         raise ValueError(f"part {lam.parts[0]} exceeds the variable count {n}")
-    return SymPolyInBasis(
-        "m",
-        {Partition(mu): Fraction(c) for mu, c in _e_to_m_table(lam.parts, n).items()},
-    )
+    table = _e_to_m_table(lam.parts)
+    coeffs = {Partition(mu): Fraction(c) for mu, c in table.items() if len(mu) <= n}
+    return SymPolyInBasis("m", coeffs)
 
 
-def _power_sum_vars(k: int) -> VarTable:
-    """Power-sum variables p1..pk with deg p_a = a."""
-    return VarTable((f"p{a}", a) for a in range(1, k + 1))
+def _power_sum_vars(n: int) -> VarTable:
+    """Power-sum variables p1..pn with deg p_a = a."""
+    return VarTable((f"p{a}", a) for a in range(1, n + 1))
 
 
-def exp_power_sum(n: int, scale: int, cap: int) -> MPoly:
-    """sum_i exp(scale t x_i) over n roots, to t^cap, in p_1..p_cap.
+def exp_power_sum(n: int, scale: int) -> MPoly:
+    """sum_i exp(scale t x_i) over n roots, to t^n, in p_1..p_n.
 
     The t-degree of a term is its weighted degree, so the series is
     n + sum_a scale^a p_a / a!.
     """
-    table = _power_sum_vars(cap)
-    terms = {(0,) * cap: n}
-    for a in range(1, cap + 1):
+    table = _power_sum_vars(n)
+    terms = {(0,) * n: n}
+    for a in range(1, n + 1):
         terms[table.unit(a - 1)] = Fraction(scale**a, factorial(a))
     return MPoly(table, terms)
 
 
-def exp_minus_p1(cap: int) -> MPoly:
-    """exp(-t p_1) = prod_i exp(-t x_i), to t^cap, in p_1..p_cap."""
-    zeros = (0,) * (cap - 1)
-    terms = {(j,) + zeros: Fraction((-1) ** j, factorial(j)) for j in range(cap + 1)}
-    return MPoly(_power_sum_vars(cap), terms)
+def exp_minus_p1(n: int) -> MPoly:
+    """exp(-t p_1) = prod_i exp(-t x_i), to t^n, in p_1..p_n."""
+    zeros = (0,) * (n - 1)
+    terms = {(j,) + zeros: Fraction((-1) ** j, factorial(j)) for j in range(n + 1)}
+    return MPoly(_power_sum_vars(n), terms)
 
 
 @lru_cache(maxsize=None)
-def composition_series(n: int, cap: int) -> MPoly:
-    """sum over compositions m of n of exp(t m.x), to t^cap, in p_1..p_cap.
+def composition_series(n: int) -> MPoly:
+    """sum over compositions m of n of exp(t m.x), to t^n, in p_1..p_n.
 
     That sum is h_n(exp(t x_1), ..., exp(t x_n)), and Newton's identity
     m h_m = sum_j P_j h_{m-j} with P_j = sum_i exp(j t x_i) builds it
     (Macdonald, Symmetric Functions, Ch. I Sec. 2).
     """
-    powers = [exp_power_sum(n, j, cap) for j in range(1, n + 1)]
-    h = [MPoly.one(_power_sum_vars(cap))]
+    powers = [exp_power_sum(n, j) for j in range(1, n + 1)]
+    h = [MPoly.one(_power_sum_vars(n))]
     for m in range(1, n + 1):
         acc = MPoly.zero(h[0].table)
         for j in range(1, m + 1):
-            acc = acc + powers[j - 1].mul_truncated(h[m - j], cap)
+            acc = acc + powers[j - 1].mul_truncated(h[m - j], n)
         h.append(acc * Fraction(1, m))
     return h[n]
 
 
 @lru_cache(maxsize=None)
-def _power_sums_in_elementary(n: int, k_max: int) -> tuple[MPoly, ...]:
-    """p_1..p_k_max of n variables in e1..en, with e_i = 0 for i > n.
+def _power_sums_in_elementary(n: int) -> tuple[MPoly, ...]:
+    """p_1..p_n of n variables in e1..en.
 
     Newton's identities: p_a = sum_{i<a} (-1)^(i-1) e_i p_{a-i}
     + (-1)^(a-1) a e_a.
     """
     evt = e_vars(n)
     out: list[MPoly] = []
-    for a in range(1, k_max + 1):
+    for a in range(1, n + 1):
         acc = MPoly.zero(evt)
-        for i in range(1, min(a, n) + 1):
+        for i in range(1, a + 1):
             term = MPoly.variable(evt, f"e{i}") * (out[a - i - 1] if i < a else a)
             acc = acc + term if i % 2 else acc - term
         out.append(acc)
     return tuple(out)
 
 
-def elementary_from_power_sums(series: MPoly, n: int, r_max: int) -> list[MPoly]:
-    """e_1..e_{r_max} of a family of values, in e1..en.
+def elementary_from_power_sums(series: MPoly, n: int) -> list[MPoly]:
+    """e_1..e_n of a family of values, in e1..en.
 
     series is the family's exponential power-sum series
-    sum_k P_k t^k / k! in p_1..p_K of n roots, K >= r_max, where the t-degree
-    of a term is its weighted degree.  Each p_a is rewritten in e1..en, and
+    sum_k P_k t^k / k! to t^n, in p_1..p_n of n roots, where the t-degree of
+    a term is its weighted degree.  Each p_a is rewritten in e1..en, and
     Newton's identities r e_r = sum_i (-1)^(i-1) e_{r-i} P_i give the
     elementary symmetric functions of the family.
     """
-    if len(series.table) < r_max:
-        raise ValueError(f"series stops below t^{r_max}")
-    p_in_e = _power_sums_in_elementary(n, len(series.table))
-    in_e = series.substitute({f"p{a}": p for a, p in enumerate(p_in_e, start=1)})
-    power_sums = [in_e.graded_component(k) * factorial(k) for k in range(1, r_max + 1)]
+    if series.table != _power_sum_vars(n):
+        raise ValueError(f"series must be in p1..p{n}")
+    in_e = series.substitute(
+        {f"p{a}": p for a, p in enumerate(_power_sums_in_elementary(n), start=1)}
+    )
+    power_sums = [in_e.graded_component(k) * factorial(k) for k in range(1, n + 1)]
     evt = e_vars(n)
     sigmas = [MPoly.one(evt)]
-    for r in range(1, r_max + 1):
+    for r in range(1, n + 1):
         acc = MPoly.zero(evt)
         for i in range(1, r + 1):
             term = sigmas[r - i] * power_sums[i - 1]

@@ -37,7 +37,7 @@ class InternalInconsistencyError(RuntimeError):
 def s_in_elementary(n: int) -> list[MPoly]:
     """s_1..s_n in the elementary basis, from the composition series."""
     ensure_rank(n)
-    return symfun.elementary_from_power_sums(symfun.composition_series(n, n), n, n)
+    return symfun.elementary_from_power_sums(symfun.composition_series(n), n)
 
 
 @dataclass(frozen=True)

@@ -385,7 +385,9 @@ def _monomial_to_elementary(coords: SymPolyInBasis, n: int) -> MPoly:
         for p in conj:
             exps[p - 1] += 1
         out[tuple(exps)] = coeff
-        for mu, count in _e_to_m_table(conj, n).items():
+        for mu, count in _e_to_m_table(conj).items():
+            if len(mu) > n:
+                continue
             rest = work.get(mu, 0) - coeff * count
             if rest:
                 work[mu] = rest

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from redchern import verify
 from redchern.oracle import (
     IDENTITY_TAGS,
+    ProjectiveBundleRing,
+    ProjectiveElement,
     ToyBundle,
     ToyRing,
     check_bundle,
-    check_identity,
     make_toy_ring,
     mutate_f_classes,
     mutate_phi,
@@ -49,6 +50,11 @@ RICH_SPEC = {
     "relations": [{"a": 5}, {"b": 3}],
     "top_degree": 10,
 }
+
+
+def check_identity(tag, ring, rank, seed, theory=None):
+    """The result of one identity tag, picked from check_bundle's results."""
+    return check_bundle(ring, rank, seed, theory)[IDENTITY_TAGS.index(tag)]
 
 
 class TestMakeToyRing:
@@ -402,8 +408,9 @@ class TestProjectiveBundleRing:
             bundle = ToyBundle(n, tuple(ring.zero() for _ in range(n)))
             ext = projective_bundle_ring(ring, bundle)
             # the extension is then plainly the truncated polynomial ring on xi
-            dims = [ext.graded_dimension(d) for d in range(n + 2)]
-            assert dims == [1] * n + [0, 0]
+            for k in range(n):
+                expected = [{(): 1} if i == k else {} for i in range(n)]
+                assert [a.terms for a in (ext.xi() ** k).coefficients] == expected
             assert (ext.xi() ** n).is_zero()
             assert not (ext.xi() ** (n - 1)).is_zero()
 
@@ -418,13 +425,14 @@ class TestProjectiveBundleRing:
         )
         bundle = random_bundle(ring, 2, seed=4)
         ext = projective_bundle_ring(ring, bundle)
-        base_total = sum(ring.graded_dimension(d) for d in range(9))
-        ext_total = sum(ext.graded_dimension(d) for d in range(9))
-        assert ext_total == 2 * base_total
-        for d in range(9):
-            assert ext.graded_dimension(d) == ring.graded_dimension(
-                d
-            ) + ring.graded_dimension(d - 1)
+        # b xi^i over base monomials b and i < 2 stay distinct unit vectors,
+        # so the degree-d piece has the dimension of the base's d and d - 1
+        xi = ext.xi()
+        for i in range(2):
+            for e in (e for d in range(9) for e in ring.graded_basis(d)):
+                image = ext.inject(ring.element({e: 1})) * xi**i
+                expected = [{e: 1} if j == i else {} for j in range(2)]
+                assert [a.terms for a in image.coefficients] == expected
 
     def test_relation_residue_reduces_to_zero(self):
         ring = make_toy_ring(RICH_SPEC)
@@ -461,3 +469,44 @@ class TestProjectiveBundleRing:
         c1 = ext.inject(bundle.classes[0])
         c2 = ext.inject(bundle.classes[1])
         assert xi * xi == -(c1 * xi) - c2
+
+
+def projective_results():
+    """The projective-bundle results of the toy-rings suite at rank 5."""
+    results = verify.suite_toy_rings(5, 0)
+    return [r for r in results if r.identity == "projective-bundle"]
+
+
+def test_projective_bundle_catches_a_sign_flipped_relation(monkeypatch):
+    # reducing by xi^n = +(c_1 xi^(n-1) + ... + c_n) still gives an
+    # associative, commutative ring, so only the relation residue sees it
+    honest = ProjectiveBundleRing._reduce
+
+    def flipped(self, raw):
+        negated = ToyBundle(self.rank, tuple(-c for c in self.bundle.classes))
+        return ProjectiveElement(
+            self, honest(ProjectiveBundleRing(self.base, negated), raw).coefficients
+        )
+
+    monkeypatch.setattr(ProjectiveBundleRing, "_reduce", flipped)
+    results = projective_results()
+    assert len(results) == 240
+    assert not any(r.passed for r in results)
+    # the residue's witness is a class of positive degree, never the unit
+    assert all(r.witness != r.witness.ring_one() for r in results)
+    monkeypatch.setattr(
+        ProjectiveBundleRing, "relation_residue", ProjectiveBundleRing.zero
+    )
+    assert all(r.passed for r in projective_results())
+
+
+def test_projective_bundle_catches_a_noncommutative_product(monkeypatch):
+    # a product with a stray left factor keeps the relation residue zero,
+    # which never multiplies, but breaks commutativity of the sample
+    honest = ProjectiveElement.__mul__
+    monkeypatch.setattr(
+        ProjectiveElement, "__mul__", lambda a, b: honest(a, b) + a
+    )
+    failed = [r for r in projective_results() if not r.passed]
+    assert len(failed) == 233
+    assert all(r.witness == r.witness.ring_one() for r in failed)

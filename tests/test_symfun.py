@@ -296,9 +296,9 @@ class TestElementaryOfForms:
 class TestPowerSumSeries:
     """The library's power-sum series against the forms route of tests/naive.py."""
 
-    @pytest.mark.parametrize("n", (2, 3))
-    def test_power_sums_in_elementary_past_the_rank(self, n):
-        for k, p_e in enumerate(_power_sums_in_elementary(n, 6), start=1):
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_power_sums_in_elementary(self, n):
+        for k, p_e in enumerate(_power_sums_in_elementary(n), start=1):
             expected = {
                 tuple(k if j == i else 0 for j in range(n)): Fraction(1)
                 for i in range(n)
@@ -313,7 +313,7 @@ class TestPowerSumSeries:
     def test_symmetric_power_classes_against_the_forms(self, n):
         forms = [tuple(v - 1 for v in m) for m in root_compositions(n)]
         expected = [p.with_table(c_vars(n)) for p in elementary_of_forms(forms, n, n)]
-        assert list(sym_power_det_inverse_chern(n, n)) == expected
+        assert list(sym_power_det_inverse_chern(n)) == expected
 
     @pytest.mark.parametrize("n", (8, 9, 10))
     def test_shifted_roots_against_the_forms(self, n):
@@ -325,8 +325,11 @@ class TestPowerSumSeries:
         assert list(shifted_root_sigma(n)) == expected
 
     def test_rejects_a_series_shorter_than_r_max(self):
-        with pytest.raises(ValueError):
-            elementary_from_power_sums(composition_series(2, 2), 2, 3)
+        # the series must be in p1..pn, so neither a shorter nor a longer one
+        with pytest.raises(ValueError, match="p1..p3"):
+            elementary_from_power_sums(composition_series(2), 3)
+        with pytest.raises(ValueError, match="p1..p2"):
+            elementary_from_power_sums(composition_series(3), 2)
 
 
 class TestMonomialCoefficients:

@@ -201,7 +201,7 @@ class TestLargeRank:
         sym_power_det_inverse_chern.cache_clear()
         chern.shifted_root_sigma.cache_clear()
         compute_phi(7)
-        sym_power_det_inverse_chern(6, 6)
+        sym_power_det_inverse_chern(6)
         chern.shifted_root_sigma(7)
         chern.twist(chern.ChernVector.free(7))
         library = [m for name, m in sys.modules.items() if name.startswith("redchern")]
@@ -232,7 +232,7 @@ class TestComputePhi:
 
     def test_main_round_trip(self):
         for n in (2, 3, 4):
-            f_classes = sym_power_det_inverse_chern(n, n)
+            f_classes = sym_power_det_inverse_chern(n)
             recovered = brauer_reduced(n, f_classes[1:])
             for i in range(2, n + 1):
                 assert recovered[i - 2] == reduced_chern_roots(n, i)
@@ -275,7 +275,7 @@ class TestBrauerReduced:
         bundle = oracle.random_bundle(ring, 3, seed=5)
         values = {f"c{i}": bundle.classes[i - 1] for i in (1, 2, 3)}
         one = ring.one()
-        f_classes = sym_power_det_inverse_chern(3, 3)
+        f_classes = sym_power_det_inverse_chern(3)
         toy_f = [f_classes[k].evaluate(values, one) for k in (1, 2)]
         recovered = brauer_reduced(3, toy_f)
         for i in (2, 3):

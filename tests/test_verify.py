@@ -174,6 +174,38 @@ def test_triangularity_catches_a_corrupted_lead(monkeypatch, fresh_phi):
     assert all(r.identity == "triangularity" for r in results if not r.passed)
 
 
+def test_triangularity_catches_a_negative_lead(monkeypatch, fresh_phi):
+    honest = universal.s_in_elementary
+
+    def negated_s2(n):
+        s_list = honest(n)
+        return [s_list[0], -s_list[1]] + s_list[2:]
+
+    monkeypatch.setattr(universal, "s_in_elementary", negated_s2)
+    results = verify.suite_triangularity(max_rank=4)
+    failed = {r.rank for r in results if not r.passed}
+    assert failed == {2, 3, 4}
+    assert all(r.identity == "triangularity" for r in results if not r.passed)
+
+
+def test_triangularity_catches_a_term_of_the_wrong_weight(monkeypatch, fresh_phi):
+    # an e_1 term in s_2 becomes the d entry (2, (1,)), of weight 1
+    corrupt_s2(monkeypatch, lambda evt: MPoly.variable(evt, "e1"))
+    assert (2, Partition((1,))) in universal.compute_phi(3).d
+    results = verify.suite_triangularity(max_rank=4)
+    failed = {r.rank for r in results if not r.passed}
+    assert failed == {2, 3, 4}
+    assert all(r.identity == "triangularity" for r in results if not r.passed)
+
+
+def test_positivity_builds_one_e_to_m_table_per_partition():
+    # the table does not depend on the variable count, so ranks 2..6 share
+    # one build for each partition met on the way
+    symfun._e_to_m_table.cache_clear()
+    verify.run_suite("positivity", 6)
+    assert symfun._e_to_m_table.cache_info().misses == 30
+
+
 @pytest.mark.parametrize(
     "lam, extra",
     (
