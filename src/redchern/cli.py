@@ -152,7 +152,7 @@ def reproduce_command(result) -> str:
     show_default=True,
 )
 @click.option("--max-rank", type=int, default=4, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=str, default=None, help="Report path (default stdout).")
 @click.option("--allow-large-rank", is_flag=True, help="Permit ranks above 6.")
 def verify_cmd(suite, max_rank, seed, out, allow_large_rank):

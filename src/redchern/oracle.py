@@ -7,15 +7,18 @@ a monomial basis.  Elements are term dicts over the surviving monomials.
 Each ring enumerates them once and, on its first product, builds one
 multiplication table from each pair of them to their product where that
 survives; a product multiplies and accumulates over the table into one
-dict, so no dead monomial is ever formed.  The projective-bundle extension
-accumulates its products, and their reduction by the relation, the same
-way.  The symbolic identities proved in the c-variables are universal, so
-specializing them to random bundles over random toy rings can only fail
-if the symbolic side is wrong; that is what check_bundle tests, evaluating
-both sides of each identity independently in the ring with
-MPoly.evaluate.  It draws each bundle once, checks every identity tag on
-it, and keeps one monomial table per evaluation point, so a monomial such
-as c1^2 is built once for all the polynomials evaluated there.  Random
+dict, so no dead monomial is ever formed.  A projective-bundle element
+holds its coefficients as base term dicts, and its products, with their
+reduction by the relation, accumulate the same way.  The symbolic
+identities proved in the c-variables are universal, so specializing them
+to random bundles over random toy rings can only fail if the symbolic
+side is wrong; that is what check_bundle tests, evaluating both sides of
+each identity independently in the ring with MPoly.evaluate, which
+multiplies term dicts through the ring's multiply_into and wraps only the
+values it returns.  It draws each bundle once, checks every identity tag
+on it, and keeps one monomial table per evaluation point, so a monomial
+such as c1^2 is built once for all the polynomials evaluated there; the
+c1 = 0 point starts from the bundle's monomials free of c1.  Random
 classes have integer coefficients, and they stay ints for as long as the
 polynomials evaluated at them have integral coefficients.
 
@@ -172,9 +175,6 @@ class ToyRing:
     def graded_basis(self, d: int) -> tuple[tuple[int, ...], ...]:
         """Monomial basis of the degree-d piece, lexicographically sorted."""
         return self._bases[d] if 0 <= d <= self.top_degree else ()
-
-    def graded_dimension(self, d: int) -> int:
-        return len(self.graded_basis(d))
 
     def random_element(self, d: int, rng: random.Random) -> "ToyElement":
         """A random homogeneous degree-d element with coefficients in -3..3."""
@@ -442,7 +442,8 @@ def check_bundle(
     ring, and a failure reports the first differing graded component as
     witness.  Each evaluation point keeps one monomial table for all the
     polynomials evaluated there, so the reduced classes at the bundle are
-    computed once for the twist and the phi round trip.  Passing a
+    computed once for the twist and the phi round trip, and the c1 = 0
+    point reuses the bundle's monomials that do not contain c1.  Passing a
     corrupted theory is how the suite's mutation sensitivity is exercised.
     """
     if theory is None:
@@ -466,7 +467,7 @@ def check_bundle(
     )
 
     flat = dict(values, c1=ring.zero())
-    at_flat = {}
+    at_flat = {e: v for e, v in at_c.items() if not e[0]}
     c1_zero = _first_failure(
         (p.evaluate(flat, one, at_flat), flat[f"c{r}"])
         for r, p in enumerate(theory.reduced, 1)
@@ -538,58 +539,60 @@ class ProjectiveBundleRing:
                 for i, c_i in enumerate(self.bundle.classes, 1):
                     multiply_into(raw[k - i], c_i.terms, head)
         raw += [{}] * (n - len(raw))
-        coeffs = [{e: c for e, c in t.items() if c} for t in raw[:n]]
-        return ProjectiveElement(self, tuple(ToyElement(self.base, t) for t in coeffs))
+        coeffs = tuple({e: c for e, c in t.items() if c} for t in raw[:n])
+        return ProjectiveElement(self, coeffs)
 
     def relation_residue(self) -> "ProjectiveElement":
         """xi^n + c_1 xi^{n-1} + ... + c_n, reduced; zero by construction."""
-        n = self.rank
-        raw = [self.base.zero()] * (n + 1)
-        raw[n] = self.base.one()
-        for i in range(1, n + 1):
-            raw[n - i] = raw[n - i] + self.bundle.classes[i - 1]
-        return self.element(raw)
+        return self.element([*reversed(self.bundle.classes), self.base.one()])
 
 
 class ProjectiveElement:
-    __slots__ = ("ext", "coefficients")
+    """sum a_i xi^i over i < n, each a_i held as a base-ring term dict."""
 
-    def __init__(self, ext: ProjectiveBundleRing, coefficients: tuple):
+    __slots__ = ("ext", "terms")
+
+    def __init__(self, ext: ProjectiveBundleRing, terms: tuple):
         self.ext = ext
-        self.coefficients = coefficients
+        self.terms = terms
+
+    @property
+    def coefficients(self) -> tuple:
+        """The a_i as base-ring elements, built on each read."""
+        return tuple(ToyElement(self.ext.base, t) for t in self.terms)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.coefficients)
+        return not any(self.terms)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ext.inject(self.ext.base.one() * other)
         if not isinstance(other, ProjectiveElement):
             return NotImplemented
-        return self.ext.element(
-            [a + b for a, b in zip(self.coefficients, other.coefficients)]
-        )
+        sums = [add_terms(a, b) for a, b in zip(self.terms, other.terms)]
+        return self.ext._reduce(sums)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.ext.element([-a for a in self.coefficients])
+        return self.ext._reduce([{e: -c for e, c in t.items()} for t in self.terms])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.ext.element([a * other for a in self.coefficients])
+            scaled = [{e: c * other for e, c in t.items()} for t in self.terms]
+            return self.ext._reduce(scaled)
         if not isinstance(other, ProjectiveElement):
             return NotImplemented
         multiply_into = self.ext.base.multiply_into
         raw = [{} for _ in range(2 * self.ext.rank - 1)]
-        rhs = [(j, b.terms) for j, b in enumerate(other.coefficients) if b.terms]
-        for i, a in enumerate(self.coefficients):
-            if a.terms:
+        rhs = [(j, b) for j, b in enumerate(other.terms) if b]
+        for i, a in enumerate(self.terms):
+            if a:
                 for j, b in rhs:
-                    multiply_into(raw[i + j], a.terms, b)
+                    multiply_into(raw[i + j], a, b)
         return self.ext._reduce(raw)
 
     __rmul__ = __mul__
@@ -600,7 +603,7 @@ class ProjectiveElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjectiveElement):
             return NotImplemented
-        return self.ext is other.ext and self.coefficients == other.coefficients
+        return self.ext is other.ext and self.terms == other.terms
 
     __hash__ = None  # type: ignore[assignment]
 

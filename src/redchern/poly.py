@@ -139,7 +139,7 @@ class MPoly:
     values, so instances can be shared freely across threads.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "terms", "_scaled")
 
     def __init__(self, table: VarTable, terms: Mapping[Exponents, object] = ()):
         self.table = table
@@ -343,55 +343,79 @@ class MPoly:
         self,
         values: Mapping[str, object],
         one,
-        monomials: dict[Exponents, object] | None = None,
+        monomials: dict[Exponents, dict] | None = None,
     ):
         """Evaluate in any commutative ring.
 
         values maps occurring variable names to ring elements, and a term
         whose variable has no value raises ValueError; `one` is the ring
-        identity.  The ring is the rationals (int and Fraction values) or
-        one whose elements support * between themselves and * by 0, and
-        expose their term dicts as `terms`, as MPoly and toy-ring elements
-        do.  Each distinct monomial is built once, as a smaller monomial
-        times one variable.  The coefficients are scaled to integers over
-        their common denominator, every integer times its monomial's terms
-        is added into one dict, and each sum is divided by the denominator
-        once, so a polynomial with integral coefficients keeps a point's
-        int coefficients as ints.
+        identity.  The ring is the rationals (int and Fraction values), an
+        MPoly ring, or one like the toy rings, whose elements carry `ring`
+        and `terms`, are built as type(one)(ring, terms), and whose
+        ring.multiply_into(out, a, b) adds a product of term dicts into out.
+        All work is on term dicts ({(): q} for a rational q), multiplied by
+        mul_trunc or multiply_into; only the value returned is wrapped.
+        Each distinct monomial is built once, as a smaller monomial times
+        one variable.  The coefficients are read once per polynomial as
+        integers over their common denominator; every integer times its
+        monomial's terms is added into one dict, and each sum is divided by
+        the denominator once, so a polynomial with integral coefficients
+        keeps a point's int coefficients as ints.
 
-        monomials is the memo of monomial values, keyed by exponent tuple.
-        By default it lives for one call; a caller that evaluates several
-        polynomials over this table at the same values may pass one dict it
-        owns to all of them, and each monomial is then built once for all.
+        monomials is the memo of monomial term dicts, keyed by exponent
+        tuple; its dicts are shared, never modified.  By default it lives
+        for one call; a caller that evaluates several polynomials over this
+        table at the same values may pass one dict it owns to all of them,
+        and each monomial is then built once for all.
         """
         names = self.table.names
+        scalar = isinstance(one, (int, Fraction))
+        if scalar:
+            def times(a, f):
+                return mul_trunc(a, {(): f}, (), -1)
+        elif isinstance(one, MPoly):
+            def times(a, f):
+                one._check_table(f)
+                return mul_trunc(a, f.terms, one.table.degrees, -1)
+        else:
+            multiply_into, unit = one.ring.multiply_into, one.terms
+            def times(a, f):
+                one._check(f)
+                return f.terms if a is unit else multiply_into({}, a, f.terms)
         if monomials is None:
             monomials = {}
-        monomials.setdefault((0,) * len(names), one)
-        scalar = isinstance(one, (int, Fraction))
-        den = lcm(*[c.denominator for c in self.terms.values()])
+        monomials.setdefault((0,) * len(names), {(): one} if scalar else one.terms)
+        # integer numerators, kept with the terms dict they were read from
+        scaled = getattr(self, "_scaled", None)
+        if scaled is None or scaled[0] is not self.terms:
+            terms = self.terms
+            den = lcm(*[c.denominator for c in terms.values()])
+            ints = [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+            scaled = self._scaled = (terms, den, ints)
+        _, den, ints = scaled
         acc: dict = {}
-        for exps, coeff in self.terms.items():
+        for exps, k in ints:
             # walk down to a known monomial, then multiply back up
             chain = []
             cur = exps
             while (value := monomials.get(cur)) is None:
-                i = next(j for j, e in enumerate(cur) if e)
+                i = cur.index(next(filter(None, cur)))
                 chain.append((cur, i))
                 cur = cur[:i] + (cur[i] - 1,) + cur[i + 1:]
             for mono, i in reversed(chain):
                 factor = values.get(names[i])
                 if factor is None:
                     raise ValueError(f"variable {names[i]!r} has no value")
-                value = value * factor
-                monomials[mono] = value
-            k = coeff.numerator * (den // coeff.denominator)
-            for e, c in ({(): value} if scalar else value.terms).items():
+                value = monomials[mono] = times(value, factor)
+            for e, c in value.items():
                 acc[e] = acc.get(e, 0) + k * c
         terms = {e: Fraction(c, den) if den > 1 else c for e, c in acc.items() if c}
         if scalar:
             return terms.get((), one * 0)
-        total = one * 0  # a fresh zero of the ring, which takes the sums
+        if not isinstance(one, MPoly):
+            return type(one)(one.ring, terms)
+        total = MPoly.__new__(MPoly)
+        total.table = one.table
         total.terms = terms
         return total
 

@@ -244,6 +244,15 @@ class TestVerify:
     def test_unknown_suite_exits_2(self, runner):
         assert runner.invoke(main, ["verify", "--suite", "bogus"]).exit_code == 2
 
+    def test_negative_seed_exits_2(self, runner):
+        # random.Random drops the sign of its seed, so --seed -5 would draw
+        # the bundles of --seed 5 again without saying so
+        args = ["verify", "--suite", "toy-rings", "--max-rank", "2", "--seed"]
+        result = runner.invoke(main, args + ["-5"])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+        assert runner.invoke(main, args + ["0"]).exit_code == 0
+
 
 class TestTable:
     def test_byte_identical_reruns(self, runner, tmp_path):

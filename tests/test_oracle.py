@@ -26,6 +26,7 @@ from redchern.oracle import (
     random_bundle,
     rank_theory,
 )
+from redchern.poly import MPoly
 
 from . import naive
 from .strategies import coefficients
@@ -60,25 +61,25 @@ def check_identity(tag, ring, rank, seed, theory=None):
 class TestMakeToyRing:
     def test_projective_plane_model(self):
         ring = make_toy_ring(P2_SPEC)
-        assert [ring.graded_dimension(d) for d in (0, 2, 4)] == [1, 1, 1]
-        assert [ring.graded_dimension(d) for d in (1, 3, 5, 6)] == [0, 0, 0, 0]
+        assert [len(ring.graded_basis(d)) for d in (0, 2, 4)] == [1, 1, 1]
+        assert [len(ring.graded_basis(d)) for d in (1, 3, 5, 6)] == [0, 0, 0, 0]
         h = ring.gen("h")
         assert (h * h * h).is_zero()
         assert not (h * h).is_zero()
 
     def test_product_of_curves_model(self):
         ring = make_toy_ring(CURVES_SPEC)
-        assert ring.graded_dimension(0) == 1
-        assert ring.graded_dimension(1) == 2
-        assert ring.graded_dimension(2) == 1
+        assert len(ring.graded_basis(0)) == 1
+        assert len(ring.graded_basis(1)) == 2
+        assert len(ring.graded_basis(2)) == 1
         assert (ring.gen("h1") * ring.gen("h2")) == ring.element(
             {(1, 1): Fraction(1)}
         )
 
     def test_empty_spec_is_the_rationals(self):
         ring = make_toy_ring({"id": "point", "generators": [], "top_degree": 4})
-        assert ring.graded_dimension(0) == 1
-        assert all(ring.graded_dimension(d) == 0 for d in range(1, 5))
+        assert len(ring.graded_basis(0)) == 1
+        assert all(len(ring.graded_basis(d)) == 0 for d in range(1, 5))
 
     def test_rejects_bad_relations(self):
         with pytest.raises(ValueError):
@@ -357,6 +358,10 @@ class TestCheckIdentity:
         }
 
 
+# base-ring products of check_bundle on two-lines at rank 5, seed 7
+PRODUCTS_AT_RANK_FIVE = 72
+
+
 class TestCheckBundle:
     def test_one_result_per_tag_in_order(self):
         ring = make_toy_ring(RICH_SPEC)
@@ -364,6 +369,62 @@ class TestCheckBundle:
         assert tuple(r.identity for r in results) == IDENTITY_TAGS
         assert all(r.passed for r in results)
         assert {(r.ring, r.rank, r.seed) for r in results} == {("rich", 3, 7)}
+
+    def test_products_counted_and_c1_free_monomials_reused(self, monkeypatch):
+        # one fixed rank-5 bundle: every base-ring product is counted, and
+        # the c1 = 0 point takes its monomials free of c1 from the c point
+        class CountingRing(ToyRing):
+            products = 0
+
+            def multiply_into(self, out, a, b):
+                self.products += 1
+                return ToyRing.multiply_into(self, out, a, b)
+
+        spec = verify.TOY_RING_SPECS[1]
+        ring = CountingRing(
+            spec["id"], spec["generators"], spec["relations"], spec["top_degree"]
+        )
+        rank_theory(5)
+        memos = []  # (values, memo, the memo's keys when first passed)
+        honest = MPoly.evaluate
+
+        def spy(self, values, one, monomials=None):
+            if monomials is not None and all(m is not monomials for _, m, _ in memos):
+                memos.append((values, monomials, set(monomials)))
+            return honest(self, values, one, monomials)
+
+        monkeypatch.setattr(MPoly, "evaluate", spy)
+        assert all(r.passed for r in check_bundle(ring, 5, 7))
+        assert ring.products == PRODUCTS_AT_RANK_FIVE
+        flat = [(m, keys) for v, m, keys in memos if "c1" in v and v["c1"].is_zero()]
+        assert len(flat) == 1
+        memo, seeded = flat[0]
+        built = set(memo) - seeded
+        assert built and all(e[0] > 0 for e in built)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_memo_carried_to_c1_zero_matches_fresh_and_naive(self, data):
+        ring, degrees, patterns, top = data.draw(random_rings())
+        n = data.draw(st.integers(min_value=2, max_value=5))
+        bundle = random_bundle(ring, n, data.draw(st.integers(0, 10**6)))
+        polys = rank_theory(n).reduced + rank_theory(n).f_classes
+        values = {f"c{i}": c for i, c in enumerate(bundle.classes, 1)}
+        one = ring.one()
+        at_c = {}
+        for p in polys:
+            p.evaluate(values, one, at_c)
+        flat = dict(values, c1=ring.zero())
+        at_flat = {e: v for e, v in at_c.items() if not e[0]}
+        images = [{}] + [c.terms for c in bundle.classes[1:]]
+
+        def reduce(t):
+            return naive.ntruncate(t, degrees, patterns, top)
+
+        for p in polys:
+            carried = p.evaluate(flat, one, at_flat)
+            assert carried == p.evaluate(flat, one)
+            assert carried.terms == naive.nevaluate(p, images, len(degrees), reduce)
 
     def test_mutations_fail_as_with_one_bundle_per_tag(self):
         # Every failing (mutation, rank, seed, tag) with its witness, pinned
@@ -445,7 +506,7 @@ class TestProjectiveBundleRing:
     @given(st.data())
     def test_product_matches_naive_convolution_and_reduction(self, data):
         ring, degrees, patterns, top = data.draw(random_rings(multivariable=True))
-        n = data.draw(st.integers(min_value=2, max_value=4))
+        n = data.draw(st.integers(min_value=2, max_value=6))
         bundle = random_bundle(ring, n, data.draw(st.integers(0, 10**6)))
         ext = projective_bundle_ring(ring, bundle)
 
@@ -456,6 +517,12 @@ class TestProjectiveBundleRing:
             [reduce(data.draw(raw_terms(len(degrees)))) for _ in range(n)]
             for _ in range(2)
         ]
+        if data.draw(st.booleans()):
+            # positive constant terms everywhere: the constant term of each
+            # xi^k, k >= n, is then a sum of positive products, so every
+            # head of the reduction is nonzero, xi^(2n-2) down to xi^n
+            for t in vectors[0] + vectors[1]:
+                t[(0,) * len(degrees)] = data.draw(st.integers(1, 3))
         a, b = (ext.element([ring.element(t) for t in v]) for v in vectors)
         classes = [c.terms for c in bundle.classes]
         expected = naive.nprojective_mul(*vectors, classes, reduce)
@@ -485,7 +552,7 @@ def test_projective_bundle_catches_a_sign_flipped_relation(monkeypatch):
     def flipped(self, raw):
         negated = ToyBundle(self.rank, tuple(-c for c in self.bundle.classes))
         return ProjectiveElement(
-            self, honest(ProjectiveBundleRing(self.base, negated), raw).coefficients
+            self, honest(ProjectiveBundleRing(self.base, negated), raw).terms
         )
 
     monkeypatch.setattr(ProjectiveBundleRing, "_reduce", flipped)

@@ -343,6 +343,15 @@ class TestEvaluate:
         assert got.terms == {}
         assert p.evaluate({"x1": Fraction(2), "x2": Fraction(12)}, Fraction(1)) == 0
 
+    def test_numerators_follow_a_replaced_terms_dict(self):
+        # the integer numerators are kept per polynomial, never past its terms
+        p = MPoly(X2, {(1, 0): Fraction(1, 2)})
+        z = MPoly.variable(Z1, "z")
+        assert p.evaluate({"x1": z}, MPoly.one(Z1)) == z * Fraction(1, 2)
+        p.terms = {(0, 1): Fraction(2, 3), (0, 0): Fraction(1, 5)}
+        got = p.evaluate({"x2": z}, MPoly.one(Z1))
+        assert got == z * Fraction(2, 3) + Fraction(1, 5)
+
     def test_integral_coefficients_stay_ints(self):
         p = MPoly(C2, {(2, 0): 3, (1, 1): -2, (0, 1): 1, (0, 0): 5})
         a, b = TOY.gen("a"), TOY.gen("b")
