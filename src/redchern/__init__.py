@@ -3,17 +3,19 @@
 Subpackage map:
     kernels    term-dict sums; truncated products of MPoly values
     poly       sparse exact polynomials, truncation, substitution, JSON
-    symfun     partitions, e-to-m table, power-sum series to e-coordinates
-    chern      reduced classes, twists, symmetric powers, no root variables
-    universal  the triangular system, psi/phi, the pushforward recipe
+    symfun     partitions as part tuples, e-to-m table, power-sum series
+               to e-coordinates
+    chern      reduced classes, twists, symmetric powers as cached class
+               tuples, no root variables
+    universal  s_1..s_n in e-coordinates, the triangular solve, psi/phi,
+               the pushforward recipe
     oracle     toy graded rings and identity specialization
     verify     named verification suites
     cli        command-line entry points
 """
 
 from redchern.poly import MPoly, VarTable
-from redchern.symfun import Partition
 
 __version__ = "0.1.0"
 
-__all__ = ["MPoly", "Partition", "VarTable", "__version__"]
+__all__ = ["MPoly", "VarTable", "__version__"]

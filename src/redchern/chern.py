@@ -18,45 +18,17 @@ sum at t = -c_1/n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from redchern import symfun
-from redchern.poly import MPoly, VarTable, c_vars
+from redchern.poly import MPoly, c_vars
+
 
 def ensure_rank(n: int, floor: int = 2) -> None:
     if n < floor:
         raise ValueError(f"rank {n} is below {floor}")
-
-
-@dataclass(frozen=True)
-class ChernVector:
-    """Rank plus classes c_1..c_n of a symbolic vector bundle; c_0 is 1."""
-
-    rank: int
-    classes: tuple[MPoly, ...]
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if len(self.classes) != self.rank:
-            raise ValueError("need exactly rank classes")
-        table = self.classes[0].table
-        for cls in self.classes:
-            if cls.table != table:
-                raise ValueError("classes must share one variable table")
-
-    @property
-    def table(self) -> VarTable:
-        return self.classes[0].table
-
-    @classmethod
-    def free(cls, n: int) -> "ChernVector":
-        """The universal bundle symbol: classes are the free variables c1..cn."""
-        table = c_vars(n)
-        return cls(n, tuple(MPoly.variable(table, f"c{i}") for i in range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -97,25 +69,22 @@ def _twisted_class(classes, n: int, k: int, t: MPoly) -> MPoly:
 def reduced_chern_formula(n: int, r: int) -> MPoly:
     """The degree-r reduced class at rank n, from the closed binomial formula."""
     _check_index(n, r)
-    classes = ChernVector.free(n).classes
+    table = c_vars(n)
+    classes = [MPoly.variable(table, f"c{i}") for i in range(1, n + 1)]
     return _twisted_class(classes, n, r, classes[0] * Fraction(-1, n))
 
 
-def twist(cv: ChernVector) -> ChernVector:
-    """Classes of the bundle tensored with a line bundle of class t.
+@lru_cache(maxsize=None)
+def twist(n: int) -> tuple[MPoly, ...]:
+    """c_1..c_n of the rank-n bundle tensored with a line bundle of class t.
 
-    Substituting t = 0 recovers cv.
+    The classes are in c1..cn, t; substituting t = 0 recovers c1..cn.
     """
-    n = cv.rank
     ensure_rank(n, floor=1)
-    if "t" in cv.table.names:
-        raise ValueError("line-class variable 't' must be fresh")
-    target = cv.table.extend([("t", 1)])
-    classes = [c.embed(target) for c in cv.classes]
-    t = MPoly.variable(target, "t")
-    return ChernVector(
-        n, tuple(_twisted_class(classes, n, k, t) for k in range(1, n + 1))
-    )
+    table = c_vars(n).extend([("t", 1)])
+    classes = [MPoly.variable(table, f"c{i}") for i in range(1, n + 1)]
+    t = MPoly.variable(table, "t")
+    return tuple(_twisted_class(classes, n, k, t) for k in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)

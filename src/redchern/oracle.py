@@ -289,15 +289,14 @@ class ToyBundle:
             if not cls.graded_component(i) == cls:
                 raise ValueError(f"class {i} is not homogeneous of degree {i}")
 
-    @property
-    def ring(self) -> ToyRing:
-        return self.classes[0].ring
-
 
 def random_bundle(ring: ToyRing, n: int, seed) -> ToyBundle:
     """A seeded random rank-n bundle: one draw per graded piece."""
     if n < 2:
         raise ValueError("rank must be >= 2")
+    if seed < 0:
+        # random.Random reads a seed by its absolute value
+        raise ValueError(f"seed {seed} is negative")
     rng = random.Random(seed)
     return ToyBundle(n, tuple(ring.random_element(i, rng) for i in range(1, n + 1)))
 
@@ -321,7 +320,7 @@ def rank_theory(n: int) -> RankTheory:
     return RankTheory(
         rank=n,
         reduced=chern.shifted_root_sigma(n),
-        twisted=chern.twist(chern.ChernVector.free(n)).classes,
+        twisted=chern.twist(n),
         f_classes=chern.sym_power_det_inverse_chern(n),
         phi=universal.compute_phi(n).phi,
     )

@@ -349,12 +349,12 @@ class MPoly:
 
         values maps occurring variable names to ring elements, and a term
         whose variable has no value raises ValueError; `one` is the ring
-        identity.  The ring is the rationals (int and Fraction values), an
-        MPoly ring, or one like the toy rings, whose elements carry `ring`
-        and `terms`, are built as type(one)(ring, terms), and whose
+        identity.  The ring is an MPoly ring (a rational number is a constant
+        over VarTable(())), or one like the toy rings, whose elements carry
+        `ring` and `terms`, are built as type(one)(ring, terms), and whose
         ring.multiply_into(out, a, b) adds a product of term dicts into out.
-        All work is on term dicts ({(): q} for a rational q), multiplied by
-        mul_trunc or multiply_into; only the value returned is wrapped.
+        All work is on term dicts, multiplied by mul_trunc or multiply_into;
+        only the value returned is wrapped.
         Each distinct monomial is built once, as a smaller monomial times
         one variable.  The coefficients are read once per polynomial as
         integers over their common denominator; every integer times its
@@ -369,11 +369,7 @@ class MPoly:
         and each monomial is then built once for all.
         """
         names = self.table.names
-        scalar = isinstance(one, (int, Fraction))
-        if scalar:
-            def times(a, f):
-                return mul_trunc(a, {(): f}, (), -1)
-        elif isinstance(one, MPoly):
+        if isinstance(one, MPoly):
             def times(a, f):
                 one._check_table(f)
                 return mul_trunc(a, f.terms, one.table.degrees, -1)
@@ -384,7 +380,7 @@ class MPoly:
                 return f.terms if a is unit else multiply_into({}, a, f.terms)
         if monomials is None:
             monomials = {}
-        monomials.setdefault((0,) * len(names), {(): one} if scalar else one.terms)
+        monomials.setdefault((0,) * len(names), one.terms)
         # integer numerators, kept with the terms dict they were read from
         scaled = getattr(self, "_scaled", None)
         if scaled is None or scaled[0] is not self.terms:
@@ -410,8 +406,6 @@ class MPoly:
             for e, c in value.items():
                 acc[e] = acc.get(e, 0) + k * c
         terms = {e: Fraction(c, den) if den > 1 else c for e, c in acc.items() if c}
-        if scalar:
-            return terms.get((), one * 0)
         if not isinstance(one, MPoly):
             return type(one)(one.ring, terms)
         total = MPoly.__new__(MPoly)

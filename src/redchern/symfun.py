@@ -8,9 +8,12 @@ in p_1, p_2, ...: each p_a is rewritten in e1..en by Newton's identities,
 and Newton's identities again give e_r of the family.  No form is listed
 and no product of forms is expanded.
 
-Partitions are ordered only within a fixed weight, by lexicographic
-comparison of part sequences, largest part first.  That is the order under
-which the e-to-m change of basis is unitriangular.
+A partition is a tuple of weakly decreasing positive ints, () the empty
+one.  It is validated where it enters from outside: in
+SymPolyInBasis.from_json_obj and elementary_to_monomial.  Partitions are
+ordered only within a fixed weight, by lexicographic comparison of part
+sequences, largest part first.  That is the order under which the e-to-m
+change of basis is unitriangular.
 """
 
 from __future__ import annotations
@@ -25,76 +28,41 @@ from math import comb, factorial
 from redchern.poly import MPoly, VarTable, e_vars, format_rational, parse_rational
 
 
-class Partition:
-    """Weakly decreasing sequence of positive integers; () is the empty partition."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        parts = tuple(parts)
-        if not all(type(p) is int for p in parts):
-            raise ValueError(f"parts must be ints: {parts}")
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing: {parts}")
-        if parts and parts[-1] < 1:
-            raise ValueError(f"parts must be positive: {parts}")
-        self.parts = parts
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram."""
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for i in range(p):
-                cols[i] += 1
-        return Partition(cols)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition{self.parts}"
-
-    def to_json_obj(self) -> list[int]:
-        return list(self.parts)
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "Partition":
-        return cls(obj)
+def _check_partition(parts) -> tuple[int, ...]:
+    """parts as a tuple, if they are weakly decreasing positive ints."""
+    parts = tuple(parts)
+    if not all(type(p) is int for p in parts):
+        raise ValueError(f"parts must be ints: {parts}")
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"parts must be weakly decreasing: {parts}")
+    if parts and parts[-1] < 1:
+        raise ValueError(f"parts must be positive: {parts}")
+    return parts
 
 
-def compare_order(lam: Partition, mu: Partition) -> int:
+def conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """Transpose of the Young diagram."""
+    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0] if lam else 0))
+
+
+def compare_order(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """Total order within one weight: -1, 0 or 1, largest-part-first lex.
 
     Partitions of different weights are not comparable here.
     """
-    if lam.weight != mu.weight:
+    if sum(lam) != sum(mu):
         raise ValueError(
-            f"cannot order partitions of different weights: {lam!r} vs {mu!r}"
+            f"cannot order partitions of different weights: {lam} vs {mu}"
         )
-    if lam.parts == mu.parts:
-        return 0
-    return 1 if lam.parts > mu.parts else -1
+    return (lam > mu) - (lam < mu)
 
 
-def json_sort_key(lam: Partition):
+def json_sort_key(lam: tuple[int, ...]):
     """Weight-major ascending, then descending within weight (serialization order)."""
-    return (lam.weight, tuple(-p for p in lam.parts))
+    return (sum(lam), tuple(-p for p in lam))
 
 
-def partitions_of(d: int, max_parts: int) -> list[Partition]:
+def partitions_of(d: int, max_parts: int) -> list[tuple[int, ...]]:
     """All partitions of weight d with at most max_parts parts, descending."""
     if d < 0:
         raise ValueError("weight must be >= 0")
@@ -111,7 +79,7 @@ def partitions_of(d: int, max_parts: int) -> list[Partition]:
             for tail in gen(rest - first, first, slots - 1):
                 yield (first,) + tail
 
-    return [Partition(p) for p in gen(d, d if d else 1, max_parts)]
+    return list(gen(d, d if d else 1, max_parts))
 
 
 @dataclass(frozen=True)
@@ -125,7 +93,7 @@ class SymPolyInBasis:
         if self.basis not in ("m", "e"):
             raise ValueError(f"unknown basis tag {self.basis!r}")
 
-    def coefficient(self, lam: Partition) -> Fraction:
+    def coefficient(self, lam: tuple[int, ...]) -> Fraction:
         return self.coeffs.get(lam, Fraction(0))
 
     def sorted_items(self):
@@ -135,7 +103,7 @@ class SymPolyInBasis:
         return {
             "basis": self.basis,
             "coeffs": [
-                {"partition": lam.to_json_obj(), "coeff": format_rational(c)}
+                {"partition": list(lam), "coeff": format_rational(c)}
                 for lam, c in self.sorted_items()
             ],
         }
@@ -145,7 +113,7 @@ class SymPolyInBasis:
         return cls(
             obj["basis"],
             {
-                Partition.from_json_obj(item["partition"]): parse_rational(item["coeff"])
+                _check_partition(item["partition"]): parse_rational(item["coeff"])
                 for item in obj["coeffs"]
             },
         )
@@ -167,7 +135,7 @@ def _e_to_m_table(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     r, rest, weight = mu[0], _e_to_m_table(mu[1:]), sum(mu)
     table = {}
     for lam in partitions_of(weight, weight):
-        blocks = sorted(Counter(lam.parts).items(), reverse=True)
+        blocks = sorted(Counter(lam).items(), reverse=True)
         total = 0
         for picks in itertools.product(*(range(c + 1) for _, c in blocks)):
             if sum(picks) != r:
@@ -180,18 +148,18 @@ def _e_to_m_table(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
             key = tuple(sorted((v for v in lower if v), reverse=True))
             total += ways * rest.get(key, 0)
         if total:
-            table[lam.parts] = total
+            table[lam] = total
     return table
 
 
-def elementary_to_monomial(lam: Partition, n: int) -> SymPolyInBasis:
+def elementary_to_monomial(lam, n: int) -> SymPolyInBasis:
     """m-basis coordinates of e_lambda in n variables, from the 0-1 matrix counts."""
+    lam = _check_partition(lam)
     if len(lam) > n:
-        raise ValueError(f"partition {lam!r} has more than {n} parts")
-    if lam.parts and lam.parts[0] > n:
-        raise ValueError(f"part {lam.parts[0]} exceeds the variable count {n}")
-    table = _e_to_m_table(lam.parts)
-    coeffs = {Partition(mu): Fraction(c) for mu, c in table.items() if len(mu) <= n}
+        raise ValueError(f"partition {lam} has more than {n} parts")
+    if lam and lam[0] > n:
+        raise ValueError(f"part {lam[0]} exceeds the variable count {n}")
+    coeffs = {mu: Fraction(c) for mu, c in _e_to_m_table(lam).items() if len(mu) <= n}
     return SymPolyInBasis("m", coeffs)
 
 

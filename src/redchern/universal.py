@@ -22,12 +22,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from redchern import symfun
 from redchern.chern import ensure_rank
 from redchern.poly import MPoly, e_vars, format_rational, s_vars, u_vars
-from redchern.symfun import Partition
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -44,18 +43,17 @@ def s_in_elementary(n: int) -> list[MPoly]:
 class UniversalPolys:
     """The solved system at one rank.
 
-    psi[i-1] expresses e_i in s_1..s_n; phi[i-2] is psi_i with s_1 = 0 and
-    s_j renamed u_j; lead[r-1] is the (positive) coefficient of e_r in s_r,
-    and d maps (r, lambda) to the coefficient of e_lambda in s_r for the
-    remaining partitions lambda of r.
+    s[r-1] is s_r in e1..en, the system that was solved; psi[i-1] expresses
+    e_i in s_1..s_n; phi[i-2] is psi_i with s_1 = 0 and s_j renamed u_j;
+    lead[r-1] is the (positive) coefficient of e_r in s_r.
     """
 
     rank: int
     count: int
+    s: tuple[MPoly, ...]
     psi: tuple[MPoly, ...]
     phi: tuple[MPoly, ...]
     lead: tuple[Fraction, ...]
-    d: Mapping
 
     def to_json_obj(self) -> dict:
         return {
@@ -65,13 +63,6 @@ class UniversalPolys:
             "phi": [p.to_json_obj() for p in self.phi],
             "lead": [format_rational(c) for c in self.lead],
         }
-
-
-def _partition_from_e_exps(exps) -> Partition:
-    parts = []
-    for i, e in enumerate(exps):
-        parts.extend([i + 1] * e)
-    return Partition(sorted(parts, reverse=True))
 
 
 def solve_psi(n: int) -> UniversalPolys:
@@ -84,7 +75,6 @@ def solve_psi(n: int) -> UniversalPolys:
     svt = s_vars(n)
     solved: list[MPoly] = []
     leads: list[Fraction] = []
-    dcoef: dict[tuple[int, Partition], Fraction] = {}
     for r in range(1, n + 1):
         s_e = s_list[r - 1]
         unit = evt.unit(r - 1)
@@ -95,8 +85,6 @@ def solve_psi(n: int) -> UniversalPolys:
             )
         leads.append(lead)
         rest = s_e - MPoly.monomial(evt, unit, lead)
-        for exps, coeff in rest.terms.items():
-            dcoef[(r, _partition_from_e_exps(exps))] = coeff
         if rest.is_zero():
             rest_s = MPoly.zero(svt)
         else:
@@ -115,10 +103,10 @@ def solve_psi(n: int) -> UniversalPolys:
     return UniversalPolys(
         rank=n,
         count=comb(2 * n - 1, n),
+        s=tuple(s_list),
         psi=tuple(solved),
         phi=(),
         lead=tuple(leads),
-        d=dcoef,
     )
 
 

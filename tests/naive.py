@@ -25,9 +25,9 @@ from math import comb, prod
 from redchern.chern import ensure_rank, shifted_root_sigma
 from redchern.poly import MPoly, c_vars, e_vars, x_vars
 from redchern.symfun import (
-    Partition,
     SymPolyInBasis,
     _e_to_m_table,
+    conjugate,
     partitions_of,
 )
 
@@ -191,9 +191,9 @@ def nprojective_mul(a, b, classes, reduce):
 # ---- maps on c-space polynomials, built on the package ----
 
 
-def det_class(cv):
+def det_class(classes):
     """First class of the determinant line bundle: the root sum, i.e. c_1."""
-    return cv.classes[0]
+    return classes[0]
 
 
 def reduce_hom(q):
@@ -229,19 +229,19 @@ def elementary_symmetric(r: int, n: int) -> MPoly:
     return MPoly(table, terms)
 
 
-def monomial_symmetric(lam: Partition, n: int) -> MPoly:
+def monomial_symmetric(lam: tuple[int, ...], n: int) -> MPoly:
     """m_lambda in n variables: the sum over distinct permutations of x^lambda."""
     if len(lam) > n:
-        raise ValueError(f"partition {lam!r} has more than {n} parts")
-    padded = lam.parts + (0,) * (n - len(lam))
+        raise ValueError(f"partition {lam} has more than {n} parts")
+    padded = lam + (0,) * (n - len(lam))
     table = x_vars(n)
     return MPoly(table, {e: Fraction(1) for e in set(permutations(padded))})
 
 
-def elementary_product(lam: Partition, n: int) -> MPoly:
+def elementary_product(lam: tuple[int, ...], n: int) -> MPoly:
     """e_lambda = product of elementary symmetric polynomials, one per part."""
     result = MPoly.one(x_vars(n))
-    for p in lam.parts:
+    for p in lam:
         result = result * elementary_symmetric(p, n)
     return result
 
@@ -321,11 +321,11 @@ def monomial_coefficients(p: MPoly) -> SymPolyInBasis:
     witness = symmetry_witness(p)
     if witness is not None:
         raise NotSymmetricError(witness)
-    coeffs: dict[Partition, Fraction] = {}
+    coeffs: dict[tuple[int, ...], Fraction] = {}
     for exps, coeff in p.terms.items():
         rep = tuple(sorted(exps, reverse=True))
         if rep == exps:
-            coeffs[Partition(tuple(v for v in rep if v))] = coeff
+            coeffs[tuple(v for v in rep if v)] = coeff
     return SymPolyInBasis("m", coeffs)
 
 
@@ -375,12 +375,12 @@ def _monomial_to_elementary(coords: SymPolyInBasis, n: int) -> MPoly:
     e_{lambda'}, so subtracting c * e_{lambda'} clears it and touches only
     smaller partitions of the same weight.
     """
-    work = {lam.parts: c for lam, c in coords.coeffs.items() if c}
+    work = {lam: c for lam, c in coords.coeffs.items() if c}
     out: dict[tuple[int, ...], Fraction] = {}
     while work:
         lam = max(work, key=lambda parts: (sum(parts), parts))
         coeff = work[lam]
-        conj = Partition(lam).conjugate().parts
+        conj = conjugate(lam)
         exps = [0] * n
         for p in conj:
             exps[p - 1] += 1
@@ -433,11 +433,11 @@ def elementary_of_forms(forms, n: int, r_max: int) -> list[MPoly]:
         coeffs = {}
         for lam in partitions_of(k, n):
             total = sum(
-                count * prod(v**p for v, p in zip(head, lam.parts))
+                count * prod(v**p for v, p in zip(head, lam))
                 for head, count in prefixes[len(lam)].items()
             )
             if total:
-                coeffs[lam] = _multinomial(k, lam.parts) * total
+                coeffs[lam] = _multinomial(k, lam) * total
         power_sums.append(_monomial_to_elementary(SymPolyInBasis("m", coeffs), n))
     sigmas = [MPoly.one(evt)]
     for r in range(1, r_max + 1):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from redchern.chern import (
-    ChernVector,
     reduced_chern_formula,
     reduced_chern_roots,
     sym_power_det_inverse_chern,
@@ -105,32 +104,28 @@ class TestClosedFormula:
 
 class TestTwist:
     def test_rank_one(self):
-        cv = ChernVector.free(1)
-        tw = twist(cv)
-        target = tw.table
-        assert tw.classes[0] == MPoly.variable(target, "c1") + MPoly.variable(
-            target, "t"
-        )
+        tw = twist(1)
+        target = tw[0].table
+        assert target.names == ("c1", "t")
+        assert tw == (MPoly.variable(target, "c1") + MPoly.variable(target, "t"),)
 
     def test_rank_two_second_class(self):
-        tw = twist(ChernVector.free(2))
-        target = tw.table
+        tw = twist(2)
+        target = tw[1].table
         c1, c2, t = (MPoly.variable(target, v) for v in ("c1", "c2", "t"))
-        assert tw.classes[1] == c2 + c1 * t + t**2
+        assert tw[1] == c2 + c1 * t + t**2
 
     def test_t_zero_specializes_back(self):
         for n in (2, 3, 4):
-            cv = ChernVector.free(n)
-            tw = twist(cv)
             back = {f"c{i}": cvar(n, i) for i in range(1, n + 1)}
             back["t"] = MPoly.zero(c_vars(n))
-            for orig, twisted in zip(cv.classes, tw.classes):
-                assert twisted.substitute(back) == orig
+            for i, twisted in enumerate(twist(n), start=1):
+                assert twisted.substitute(back) == cvar(n, i)
 
     def test_det_of_twist(self):
         for n in (1, 2, 3):
-            tw = twist(ChernVector.free(n))
-            target = tw.table
+            tw = twist(n)
+            target = tw[0].table
             expected = MPoly.variable(target, "c1") + n * MPoly.variable(target, "t")
             assert det_class(tw) == expected
 
@@ -145,20 +140,16 @@ class TestTwist:
             f"c{i}": elementary_symmetric(i, n).embed(table) for i in range(1, n + 1)
         }
         sigmas["t"] = MPoly.variable(table, "t")
-        twisted = twist(ChernVector.free(n)).classes
+        twisted = twist(n)
         for k in range(1, n + 1):
             assert twisted[k - 1].substitute(sigmas) == chain.graded_component(k)
-
-    def test_fresh_variable_required(self):
-        tw = twist(ChernVector.free(2))
-        with pytest.raises(ValueError):
-            twist(tw)
 
 
 class TestDetClass:
     def test_free_vector(self):
         for n in (1, 3):
-            assert det_class(ChernVector.free(n)) == cvar(n, 1)
+            classes = tuple(cvar(n, i) for i in range(1, n + 1))
+            assert det_class(classes) == cvar(n, 1)
 
 
 class TestSymPower:

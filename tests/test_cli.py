@@ -87,6 +87,15 @@ class TestUniversal:
     def test_range(self, runner):
         assert runner.invoke(main, ["universal", "-n", "9"]).exit_code == 2
 
+    def test_rank_seven_bytes_pinned(self, runner):
+        # stdout of `redchern universal -n 7 --allow-large-rank`, the digest
+        # the universal-r7 benchmark workload gates on
+        result = runner.invoke(main, ["universal", "-n", "7", "--allow-large-rank"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "10e7e18ac03135a8e47e7625c4b42ef0b23f69c6b9d07cd7776f41ff8bac84ae"
+        )
+
     def test_rank_twelve_bytes_pinned(self, runner):
         # stdout of `redchern universal -n 12 --allow-large-rank`, recorded
         # when s_1..s_12 still came from listing the 1 352 078 forms

@@ -273,6 +273,11 @@ class TestRandomBundle:
         with pytest.raises(ValueError):
             random_bundle(make_toy_ring(P2_SPEC), 1, seed=0)
 
+    def test_negative_seed_rejected(self):
+        # random.Random reads -5 as 5, which would repeat seed 5's bundle
+        with pytest.raises(ValueError):
+            random_bundle(make_toy_ring(RICH_SPEC), 3, seed=-5)
+
     def test_homogeneity_enforced(self):
         ring = make_toy_ring(CURVES_SPEC)
         with pytest.raises(ValueError):

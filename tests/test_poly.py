@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from redchern.kernels import mul_trunc
 from redchern.oracle import ToyRing
-from redchern.symfun import Partition
+from redchern.symfun import SymPolyInBasis
 from redchern.poly import (
     MPoly,
     VarTable,
@@ -173,7 +173,9 @@ X1_JSON = '{"vars":[{"name":"x1","degree":1}],"terms":[%s]}'
         lambda: MPoly.loads(X1_JSON % '{"coeff":"1","exps":[2.7]}'),
         lambda: MPoly.loads(X1_JSON % '{"coeff":"1","exps":[true]}'),
         lambda: VarTable([("x", 1.9)]),
-        lambda: Partition([2.5, 1]),
+        lambda: SymPolyInBasis.from_json_obj(
+            {"basis": "m", "coeffs": [{"partition": [2.5, 1], "coeff": "1"}]}
+        ),
         lambda: MPoly.loads(
             X1_JSON % '{"coeff":"1","exps":[2]},{"coeff":"3","exps":[2]}'
         ),
@@ -251,6 +253,7 @@ def test_substitute_agrees_with_naive_evaluation():
 
 Y2 = VarTable([("y1", 1), ("y2", 2)])
 Z1 = VarTable([("z", 1)])
+Q = VarTable(())  # rational numbers are its constants
 TOY = ToyRing("toy", [("a", 1), ("b", 2)], [{"a": 4}, {"a": 1, "b": 2}], 7)
 DENOMINATORS = (1, 2, 3, 4, 6, 9)
 
@@ -328,8 +331,9 @@ class TestEvaluate:
         got = p.evaluate({"c1": v1, "c2": v2}, MPoly.one(Y2))
         assert got.terms == naive.nevaluate(p, [v1.terms, v2.terms], 2)
         q1, q2 = data.draw(coefficients()), data.draw(coefficients())
-        got = p.evaluate({"c1": q1, "c2": q2}, Fraction(1))
-        assert got == naive.nevaluate(p, [{(): q1}, {(): q2}], 0).get((), 0)
+        values = {"c1": MPoly.constant(Q, q1), "c2": MPoly.constant(Q, q2)}
+        got = p.evaluate(values, MPoly.one(Q))
+        assert got.terms == naive.nevaluate(p, [{(): q1}, {(): q2}], 0)
 
     def test_cancellation_leaves_no_stored_zero(self):
         p = MPoly(X2, {(2, 0): Fraction(1, 2), (0, 1): Fraction(-1, 3), (1, 0): 1})
@@ -341,7 +345,8 @@ class TestEvaluate:
         h = TOY.gen("a") * 2 + TOY.gen("b")
         got = p.evaluate({"x1": h, "x2": h * h * Fraction(3, 2) + h * 3}, TOY.one())
         assert got.terms == {}
-        assert p.evaluate({"x1": Fraction(2), "x2": Fraction(12)}, Fraction(1)) == 0
+        values = {"x1": MPoly.constant(Q, 2), "x2": MPoly.constant(Q, 12)}
+        assert p.evaluate(values, MPoly.one(Q)).is_zero()
 
     def test_numerators_follow_a_replaced_terms_dict(self):
         # the integer numerators are kept per polynomial, never past its terms

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from redchern.chern import shifted_root_sigma, sym_power_det_inverse_chern
 from redchern.poly import MPoly, c_vars, e_vars, x_vars
 from redchern.symfun import (
-    Partition,
     SymPolyInBasis,
     _power_sums_in_elementary,
     compare_order,
     composition_series,
+    conjugate,
     elementary_from_power_sums,
     elementary_to_monomial,
     partitions_of,
@@ -37,36 +37,45 @@ from .naive import (
 
 
 def P(*parts):
-    return Partition(parts)
+    return parts
 
 
 partition_strategy = st.lists(
     st.integers(min_value=1, max_value=5), max_size=5
-).map(lambda parts: Partition(sorted(parts, reverse=True)))
+).map(lambda parts: tuple(sorted(parts, reverse=True)))
+
+
+def coords_json(*parts):
+    return {"basis": "m", "coeffs": [{"partition": list(parts), "coeff": "1"}]}
 
 
 class TestPartition:
     def test_validation(self):
-        assert P().parts == ()
-        assert P(3, 1).weight == 4
-        with pytest.raises(ValueError):
-            P(1, 2)
-        with pytest.raises(ValueError):
-            P(2, 0)
+        # a partition is validated where it enters: from JSON, and as the
+        # e_lambda whose m-coordinates are asked for
+        for parts in ((1, 2), (2, 0), (2.0, 1), (True,), ("2", "1")):
+            with pytest.raises(ValueError):
+                SymPolyInBasis.from_json_obj(coords_json(*parts))
+            with pytest.raises(ValueError):
+                elementary_to_monomial(parts, 3)
+        assert elementary_to_monomial([1], 1).coeffs == {P(1): 1}
 
     def test_conjugate_examples(self):
-        assert P(3).conjugate() == P(1, 1, 1)
-        assert P(2, 1).conjugate() == P(2, 1)
-        assert P(1, 1, 1, 1).conjugate() == P(4)
+        assert conjugate(P()) == P()
+        assert conjugate(P(3)) == P(1, 1, 1)
+        assert conjugate(P(2, 1)) == P(2, 1)
+        assert conjugate(P(1, 1, 1, 1)) == P(4)
+        assert conjugate(P(4, 2, 1)) == P(3, 2, 1, 1)
 
     @given(partition_strategy)
     def test_conjugate_involution(self, lam):
-        assert lam.conjugate().conjugate() == lam
-        assert lam.conjugate().weight == lam.weight
+        assert conjugate(conjugate(lam)) == lam
+        assert sum(conjugate(lam)) == sum(lam)
 
     def test_json(self):
-        assert P(2, 1).to_json_obj() == [2, 1]
-        assert Partition.from_json_obj([2, 1]) == P(2, 1)
+        coords = SymPolyInBasis.from_json_obj(coords_json(2, 1))
+        assert coords.coeffs == {P(2, 1): 1}
+        assert coords.to_json_obj() == coords_json(2, 1)
 
 
 class TestCompareOrder:
@@ -171,7 +180,7 @@ class TestElementaryToMonomial:
             n = d
             for lam in partitions_of(d, n):
                 coords = elementary_to_monomial(lam, n)
-                conj = lam.conjugate()
+                conj = conjugate(lam)
                 assert coords.coefficient(conj) == 1
                 for mu in coords.coeffs:
                     if mu != conj:
@@ -193,12 +202,10 @@ class TestElementaryToMonomial:
                 e_basis = [
                     lam
                     for lam in partitions_of(d, max(d, 1))
-                    if not lam.parts or lam.parts[0] <= n
+                    if not lam or lam[0] <= n
                 ]
                 assert len(m_basis) == len(e_basis)
-                assert sorted(lam.conjugate().parts for lam in e_basis) == sorted(
-                    lam.parts for lam in m_basis
-                )
+                assert sorted(map(conjugate, e_basis)) == sorted(m_basis)
 
 
 class TestSymmetryCheck:

@@ -9,7 +9,7 @@ import pytest
 from redchern import oracle
 from redchern.chern import reduced_chern_roots, sym_power_det_inverse_chern
 from redchern.poly import MPoly, c_vars, e_vars, s_vars, u_vars, x_vars
-from redchern.symfun import Partition, partitions_of
+from redchern.symfun import partitions_of
 from redchern.universal import (
     brauer_reduced,
     compute_phi,
@@ -99,17 +99,19 @@ class TestSolvePsi:
         assert ups.psi[0] == Fraction(1, 3) * s1
         assert ups.psi[1] == Fraction(1, 4) * s2 - Fraction(1, 18) * s1**2
         assert ups.lead == (Fraction(3), Fraction(4))
-        assert ups.d == {(2, Partition((1, 1))): Fraction(2)}
+        e1, e2 = (MPoly.variable(e_vars(2), v) for v in ("e1", "e2"))
+        assert ups.s == (3 * e1, 4 * e2 + 2 * e1**2)
 
     def test_rank_three_pinned(self):
         # coefficients confirmed by subset-sum expansion of the ten forms
         ups = solve_psi(3)
         assert ups.lead == (Fraction(10), Fraction(15), Fraction(27))
-        assert ups.d == {
-            (2, Partition((1, 1))): Fraction(40),
-            (3, Partition((2, 1))): Fraction(111),
-            (3, Partition((1, 1, 1))): Fraction(82),
-        }
+        e1, e2, e3 = (MPoly.variable(e_vars(3), v) for v in ("e1", "e2", "e3"))
+        assert ups.s == (
+            10 * e1,
+            15 * e2 + 40 * e1**2,
+            27 * e3 + 111 * e2 * e1 + 82 * e1**3,
+        )
 
     def test_rank_three_against_naive_subsets(self):
         forms = [naive.nlinear(3, m) for m in y_roots(3).compositions]
@@ -143,8 +145,9 @@ class TestSolvePsi:
             ups = solve_psi(n)
             assert all(c > 0 for c in ups.lead)
             assert ups.lead[0] == ups.count
-            for (r, lam) in ups.d:
-                assert lam.weight == r and len(lam) >= 2
+            for r, s_r in enumerate(ups.s, start=1):
+                assert s_r == s_r.graded_component(r)
+                assert s_r.coefficient(e_vars(n).unit(r - 1)) == ups.lead[r - 1]
 
     def test_positivity_of_s(self):
         for n in (2, 3, 4):
@@ -200,10 +203,11 @@ class TestLargeRank:
         compute_phi.cache_clear()
         sym_power_det_inverse_chern.cache_clear()
         chern.shifted_root_sigma.cache_clear()
+        chern.twist.cache_clear()
         compute_phi(7)
         sym_power_det_inverse_chern(6)
         chern.shifted_root_sigma(7)
-        chern.twist(chern.ChernVector.free(7))
+        chern.twist(7)
         library = [m for name, m in sys.modules.items() if name.startswith("redchern")]
         assert not any(hasattr(m, "expand_linear_chain") for m in library)
 

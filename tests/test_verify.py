@@ -7,7 +7,6 @@ import pytest
 
 from redchern import chern, kernels, oracle, symfun, universal, verify
 from redchern.poly import MPoly, c_vars, e_vars, x_vars
-from redchern.symfun import Partition
 
 from . import naive
 
@@ -34,6 +33,12 @@ def test_toy_suite_seed_offsets():
     results = verify.run_suite("toy-rings", max_rank=2, seed=100)
     seeds = {r.seed for r in results}
     assert seeds == set(range(100, 100 + verify.TOY_SEED_COUNT))
+
+
+def test_toy_suite_rejects_a_negative_seed():
+    # seeds -5..-1 of the block would draw the bundles of seeds 5..1 again
+    with pytest.raises(ValueError):
+        verify.run_suite("toy-rings", max_rank=2, seed=-5)
 
 
 def test_failures_serialize_with_witness(monkeypatch):
@@ -153,7 +158,7 @@ def test_positivity_catches_a_negative_m_coordinate(monkeypatch, fresh_phi):
     results = verify.run_suite("positivity", max_rank=4)
     failed = [r for r in results if not r.passed]
     assert {r.rank for r in failed} == {2, 3, 4}
-    assert all(r.witness.coeffs == {Partition((1, 1)): -1} for r in failed)
+    assert all(r.witness.coeffs == {(1, 1): -1} for r in failed)
     line = json.dumps(failed[0].to_json_obj(), separators=(",", ":"))
     assert line == (
         '{"identity":"positivity","ring":"symbolic","rank":2,"seed":0,'
@@ -189,9 +194,10 @@ def test_triangularity_catches_a_negative_lead(monkeypatch, fresh_phi):
 
 
 def test_triangularity_catches_a_term_of_the_wrong_weight(monkeypatch, fresh_phi):
-    # an e_1 term in s_2 becomes the d entry (2, (1,)), of weight 1
+    # an e_1 term in s_2 has weight 1, so s_2 is not homogeneous of weight 2
     corrupt_s2(monkeypatch, lambda evt: MPoly.variable(evt, "e1"))
-    assert (2, Partition((1,))) in universal.compute_phi(3).d
+    s2 = universal.compute_phi(3).s[1]
+    assert s2.coefficient(e_vars(3).unit(0)) == 1
     results = verify.suite_triangularity(max_rank=4)
     failed = {r.rank for r in results if not r.passed}
     assert failed == {2, 3, 4}
@@ -218,11 +224,11 @@ def test_triangularity_catches_a_corrupted_e_to_m_row(monkeypatch, lam, extra):
 
     def corrupted(mu, n):
         coords = honest(mu, n)
-        if mu.parts != lam:
+        if mu != lam:
             return coords
         coeffs = dict(coords.coeffs)
         for parts, c in extra.items():
-            coeffs[Partition(parts)] = coords.coefficient(Partition(parts)) + c
+            coeffs[parts] = coords.coefficient(parts) + c
         return symfun.SymPolyInBasis("m", coeffs)
 
     monkeypatch.setattr(symfun, "elementary_to_monomial", corrupted)
@@ -251,8 +257,27 @@ def test_formula_agreement_catches_a_corrupted_formula(monkeypatch):
     assert sum(not r.passed for r in results) == 3
 
 
+def test_run_all_computes_each_twist_once():
+    # suite_twist and the toy-ring theory share one twist per rank
+    chern.twist.cache_clear()
+    oracle.rank_theory.cache_clear()
+    assert all(r.passed for r in verify.run_all(max_rank=4))
+    info = chern.twist.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+
+
+@pytest.fixture
+def fresh_twist():
+    # a cached honest twist would hide the corruption
+    for cached in (chern.twist, oracle.rank_theory):
+        cached.cache_clear()
+    yield
+    for cached in (chern.twist, oracle.rank_theory):
+        cached.cache_clear()
+
+
 @pytest.mark.parametrize("k, i", ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1)))
-def test_twist_catches_one_binomial_coefficient_off(monkeypatch, k, i):
+def test_twist_catches_one_binomial_coefficient_off(monkeypatch, fresh_twist, k, i):
     # adds one to C(n - i, k - i), the coefficient of c_i t^(k - i) in c_k
     honest = chern._twisted_class
 
