@@ -7,8 +7,8 @@ Subpackage map:
                to e-coordinates
     chern      reduced classes, twists, symmetric powers as cached class
                tuples, no root variables
-    universal  s_1..s_n in e-coordinates, the triangular solve, psi/phi,
-               the pushforward recipe
+    universal  s_1..s_n in e-coordinates, phi by the slice solve, psi by
+               two twists, the pushforward recipe
     oracle     toy graded rings and identity specialization
     verify     named verification suites
     cli        command-line entry points

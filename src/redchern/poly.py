@@ -192,16 +192,6 @@ class MPoly:
     def coefficient(self, exps: Exponents) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.table), Fraction(0))
-
-    def weighted_degree(self) -> int | None:
-        """Maximum weighted term degree; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        wdeg = self.table.wdeg
-        return max(wdeg(e) for e in self.terms)
-
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in canonical order: (weighted degree, exponents) ascending."""
         wdeg = self.table.wdeg
@@ -257,11 +247,6 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
@@ -299,14 +284,6 @@ class MPoly:
         p = MPoly.__new__(MPoly)
         p.table = self.table
         p.terms = raw
-        return p
-
-    def truncate(self, cap: int) -> "MPoly":
-        """Drop every term of weighted degree > cap."""
-        wdeg = self.table.wdeg
-        p = MPoly.__new__(MPoly)
-        p.table = self.table
-        p.terms = {e: c for e, c in self.terms.items() if wdeg(e) <= cap}
         return p
 
     def graded_component(self, d: int) -> "MPoly":

@@ -1,31 +1,34 @@
 """Universal polynomials tying reduced classes to symmetric-power classes.
 
-For rank n, the C(2n-1, n) linear forms m_1 x_1 + ... + m_n x_n (over all
-compositions m of n) have elementary symmetric polynomials s_1, s_2, ...
+For rank n, the N = C(2n-1, n) linear forms m_1 x_1 + ... + m_n x_n (over
+all compositions m of n) have elementary symmetric polynomials s_1, s_2, ...
 whose first n members generate the ring of symmetric polynomials: each s_r
-is lead_r * e_r plus a combination of products of lower e's with lead_r > 0,
-and back-substituting through that triangular system solves e_i as a
-rational polynomial psi_i in s_1..s_n.  The s_r come from the closed
-power-sum series h_n(exp(t x_1), ..., exp(t x_n)) of the forms
-(symfun.composition_series); no form is listed and no polynomial in root
-variables is built.
+is lead_r * e_r plus a combination of products of lower e's with lead_r > 0.
+The s_r come from the closed power-sum series h_n(exp(t x_1), ...,
+exp(t x_n)) of the forms (symfun.composition_series); no form is listed and
+no polynomial in root variables is built.
 
-Setting s_1 to zero in psi_i gives phi_i(u_2..u_n); evaluated at the classes
-of the twisted symmetric power of a bundle, phi_i returns the bundle's
-reduced classes, which is what makes the recipe applicable to any
-projective-space bundle through its pushforward classes.
+The reduced classes live on the slice c_1 = 0, where s_1 = N e_1 vanishes.
+Back-substituting the triangular system restricted to that slice solves e_i
+as a rational polynomial phi_i(u_2..u_n) in u_j = s_j; evaluated at the
+classes of the twisted symmetric power of a bundle, phi_i returns the
+bundle's reduced classes, which is what makes the recipe applicable to any
+projective-space bundle through its pushforward classes.  psi_i, which
+solves e_i in s_1..s_n and equals phi_i at s_1 = 0, follows from phi by two
+twists of the binomial formula (chern._twisted_class): one to the classes
+of the forms of the shifted roots x_i - e_1/n, one back by e_1/n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Sequence
 
 from redchern import symfun
-from redchern.chern import ensure_rank
+from redchern.chern import _twisted_class, ensure_rank
 from redchern.poly import MPoly, e_vars, format_rational, s_vars, u_vars
 
 
@@ -43,9 +46,10 @@ def s_in_elementary(n: int) -> list[MPoly]:
 class UniversalPolys:
     """The solved system at one rank.
 
-    s[r-1] is s_r in e1..en, the system that was solved; psi[i-1] expresses
-    e_i in s_1..s_n; phi[i-2] is psi_i with s_1 = 0 and s_j renamed u_j;
-    lead[r-1] is the (positive) coefficient of e_r in s_r.
+    s[r-1] is s_r in e1..en, the system that was solved; phi[i-2] expresses
+    e_i on the slice e_1 = 0 in u_j = s_j, and equals psi_i with s_1 = 0;
+    psi[i-1] expresses e_i in s_1..s_n; lead[r-1] is the (positive)
+    coefficient of e_r in s_r.
     """
 
     rank: int
@@ -66,60 +70,68 @@ class UniversalPolys:
 
 
 def solve_psi(n: int) -> UniversalPolys:
-    """Back-substitute the triangular system e_r = (s_r - lower terms)/lead_r.
+    """Solve phi on the slice e_1 = 0, then get psi from phi by two twists.
 
-    The round trip psi_i(s(e)) = e_i is verified exactly before returning.
+    On e_1 = 0 each s_r is lead_r e_r plus terms in e_2..e_{r-1}, so
+    back-substituting e_r = (u_r - lower terms)/lead_r gives phi_r in
+    u_j = s_j.  Shifting every root by c = e_1/n = s_1/(nN) shifts each of
+    the N forms by s_1/N: the shifted roots have e_1 = 0, their forms have
+    the classes sigma_j of s twisted by -s_1/N (sigma_1 = 0), and their e_i
+    is phi_i(sigma).  Twisting those back by c gives psi_r.  The round trip
+    psi_i(s(e)) = e_i is verified exactly before returning.
     """
     s_list = s_in_elementary(n)
-    evt = e_vars(n)
-    svt = s_vars(n)
-    solved: list[MPoly] = []
-    leads: list[Fraction] = []
-    for r in range(1, n + 1):
-        s_e = s_list[r - 1]
-        unit = evt.unit(r - 1)
-        lead = s_e.coefficient(unit)
+    count = comb(2 * n - 1, n)
+    evt, svt, uvt = e_vars(n), s_vars(n), u_vars(n)
+    leads = []
+    for r, s_r in enumerate(s_list, start=1):
+        lead = s_r.coefficient(evt.unit(r - 1))
         if lead == 0:
             raise InternalInconsistencyError(
                 f"s_{r} at rank {n} has no e_{r} component"
             )
         leads.append(lead)
-        rest = s_e - MPoly.monomial(evt, unit, lead)
-        if rest.is_zero():
-            rest_s = MPoly.zero(svt)
-        else:
-            rest_s = rest.substitute(
-                {f"e{i}": solved[i - 1] for i in range(1, r)}
-            )
-        psi_r = (MPoly.variable(svt, f"s{r}") - rest_s) * (Fraction(1) / lead)
-        solved.append(psi_r)
-    substitution = {f"s{i}": s_list[i - 1] for i in range(1, n + 1)}
+    slice_values: dict[str, MPoly] = {}
+    slice_monomials: dict = {}
+    for r in range(2, n + 1):
+        unit = evt.unit(r - 1)
+        rest = MPoly(
+            evt,
+            {e: c for e, c in s_list[r - 1].terms.items() if e[0] == 0 and e != unit},
+        )
+        rest_u = rest.evaluate(slice_values, MPoly.one(uvt), slice_monomials)
+        slice_values[f"e{r}"] = (MPoly.variable(uvt, f"u{r}") - rest_u) * (
+            Fraction(1) / leads[r - 1]
+        )
+    phi = tuple(slice_values.values())
+    s = [MPoly.variable(svt, f"s{j}") for j in range(1, n + 1)]
+    sigma = {
+        f"u{j}": _twisted_class(s, count, j, s[0] * Fraction(-1, count))
+        for j in range(2, n + 1)
+    }
+    sigma_monomials: dict = {}
+    shifted = [MPoly.zero(svt)] + [
+        p.evaluate(sigma, MPoly.one(svt), sigma_monomials) for p in phi
+    ]
+    c = s[0] * Fraction(1, n * count)
+    psi = tuple(_twisted_class(shifted, n, r, c) for r in range(1, n + 1))
+    at_s = {f"s{i}": s_list[i - 1] for i in range(1, n + 1)}
+    monomials: dict = {}
     for r in range(1, n + 1):
-        back = solved[r - 1].substitute(substitution)
+        back = psi[r - 1].evaluate(at_s, MPoly.one(evt), monomials)
         if back != MPoly.variable(evt, f"e{r}"):
             raise InternalInconsistencyError(
                 f"psi_{r} at rank {n} fails the round trip through s(e)"
             )
     return UniversalPolys(
-        rank=n,
-        count=comb(2 * n - 1, n),
-        s=tuple(s_list),
-        psi=tuple(solved),
-        phi=(),
-        lead=tuple(leads),
+        rank=n, count=count, s=tuple(s_list), psi=psi, phi=phi, lead=tuple(leads)
     )
 
 
 @lru_cache(maxsize=None)
 def compute_phi(n: int) -> UniversalPolys:
-    """Complete the solved system with phi_i = psi_i(0, u_2, ..., u_n)."""
-    ups = solve_psi(n)
-    uvt = u_vars(n)
-    assignment = {"s1": MPoly.zero(uvt)}
-    for j in range(2, n + 1):
-        assignment[f"s{j}"] = MPoly.variable(uvt, f"u{j}")
-    phi = tuple(ups.psi[i - 1].substitute(assignment) for i in range(2, n + 1))
-    return replace(ups, phi=phi)
+    """The solved system at rank n, computed once per process."""
+    return solve_psi(n)
 
 
 def brauer_reduced(n: int, pushforward_classes: Sequence) -> list:

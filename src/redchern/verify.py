@@ -147,7 +147,7 @@ def suite_triangularity(max_rank: int, seed: int = 0) -> list[CheckResult]:
     results = []
     for n in range(2, max_rank + 1):
         ups = universal.compute_phi(n)
-        ok = all(c > 0 for c in ups.lead) and ups.lead[0] == ups.count
+        ok = all(c > 0 for c in ups.lead)
         ok = ok and all(
             s_r == s_r.graded_component(r) for r, s_r in enumerate(ups.s, start=1)
         )
@@ -202,7 +202,3 @@ def run_suite(name: str, max_rank: int = 4, seed: int = 0) -> list[CheckResult]:
     results = [r for suite in names for r in _SUITES[suite](max_rank, seed)]
     results.sort(key=lambda r: (r.identity, r.ring, r.rank, r.seed))
     return results
-
-
-def run_all(max_rank: int = 4, seed: int = 0) -> list[CheckResult]:
-    return run_suite("all", max_rank, seed)

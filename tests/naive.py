@@ -5,14 +5,15 @@ to Fractions, quadratic-time multiplication, elementary symmetric
 polynomials summed over explicit subsets, expanded products of linear
 forms, and term-by-term evaluation.  Slow but obviously correct, so test
 expectations derived here are independent of the package's kernels.
-The exceptions are the last three sections, built on the package: two
-maps on c-space polynomials; the root-space side of symmetric functions
-(polynomials in x1..xn, their symmetry check, their m-coordinates and
-their rewrite in e1..en); and the forms route to e_r of a permutation-
-invariant family of integer linear forms (list every form, sum its power
-sums in the m-basis, rewrite them in e1..en, apply Newton's identities),
-the reference for the library's power-sum series.  Only the tests use
-them.
+The exceptions are the last four sections, built on the package: weighted
+truncation and two maps on c-space polynomials; the root-space side of
+symmetric functions (polynomials in x1..xn, their symmetry check, their
+m-coordinates and their rewrite in e1..en); the forms route to e_r of a
+permutation-invariant family of integer linear forms (list every form, sum
+its power sums in the m-basis, rewrite them in e1..en, apply Newton's
+identities), the reference for the library's power-sum series; and the
+full back-substitution of the triangular system, the reference for the
+library's slice solve and twists.  Only the tests use them.
 """
 
 from collections import Counter
@@ -23,7 +24,7 @@ from itertools import combinations, permutations
 from math import comb, prod
 
 from redchern.chern import ensure_rank, shifted_root_sigma
-from redchern.poly import MPoly, c_vars, e_vars, x_vars
+from redchern.poly import MPoly, c_vars, e_vars, s_vars, u_vars, x_vars
 from redchern.symfun import (
     SymPolyInBasis,
     _e_to_m_table,
@@ -188,7 +189,12 @@ def nprojective_mul(a, b, classes, reduce):
     return raw[:n]
 
 
-# ---- maps on c-space polynomials, built on the package ----
+# ---- maps on package polynomials, built on the package ----
+
+
+def truncate(p, cap):
+    """p with every term of weighted degree above cap dropped."""
+    return MPoly(p.table, ntruncate(p.terms, p.table.degrees, (), cap))
 
 
 def det_class(classes):
@@ -470,3 +476,33 @@ def root_compositions(n: int) -> tuple[tuple[int, ...], ...]:
     result = tuple(extremes) + tuple(rest)
     assert len(result) == comb(2 * n - 1, n)
     return result
+
+
+# ---- the full triangular solve, built on the package ----
+
+
+def back_substitute(s_list):
+    """psi, phi and lead of the triangular system s_1..s_n in e1..en.
+
+    Back-substitutes e_r = (s_r - lower terms)/lead_r over every partition,
+    so psi_r is a polynomial in s_1..s_r, then sets s_1 = 0 in each psi_i
+    and renames s_j to u_j for phi_i.
+    """
+    n = len(s_list)
+    evt, svt, uvt = e_vars(n), s_vars(n), u_vars(n)
+    psi, leads = [], []
+    for r, s_e in enumerate(s_list, start=1):
+        unit = evt.unit(r - 1)
+        lead = s_e.coefficient(unit)
+        leads.append(lead)
+        rest = s_e - MPoly.monomial(evt, unit, lead)
+        if rest.is_zero():
+            rest_s = MPoly.zero(svt)
+        else:
+            rest_s = rest.substitute({f"e{i}": psi[i - 1] for i in range(1, r)})
+        psi.append((MPoly.variable(svt, f"s{r}") - rest_s) * (Fraction(1) / lead))
+    at_slice = {"s1": MPoly.zero(uvt)}
+    for j in range(2, n + 1):
+        at_slice[f"s{j}"] = MPoly.variable(uvt, f"u{j}")
+    phi = [p.substitute(at_slice) for p in psi[1:]]
+    return psi, phi, leads

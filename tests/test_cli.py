@@ -105,6 +105,18 @@ class TestUniversal:
             "79a9d1e732ee7381552a86c2f83514898ca5385094fc31842cb40cded69bfcfb"
         )
 
+    def test_rank_fourteen_json_bytes_pinned(self, runner):
+        # stdout of `redchern universal -n 14 --allow-large-rank --format
+        # json`, recorded when psi still came from back-substituting the
+        # full triangular system and phi from substituting s_1 = 0 into it
+        result = runner.invoke(
+            main, ["universal", "-n", "14", "--allow-large-rank", "--format", "json"]
+        )
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "92c20398c0150f49f882e0217be06b039d64c928d978f1f75397d739c7023aa2"
+        )
+
 
 # the three seed blocks of the toy-sweep benchmark workload
 TOY_BLOCK_SHA = {

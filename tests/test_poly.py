@@ -20,6 +20,7 @@ from redchern.poly import (
 )
 
 from . import naive
+from .naive import truncate
 from .strategies import coefficients, exponent_tuples, mpolys
 
 X2 = x_vars(2)
@@ -68,7 +69,7 @@ class TestMulTruncated:
         p = (1 + xp("x1")) ** 3
         q = (2 - xp("x2")) ** 2
         for cap in range(6):
-            assert p.mul_truncated(q, cap) == (p * q).truncate(cap)
+            assert p.mul_truncated(q, cap) == truncate(p * q, cap)
 
     def test_mismatched_tables(self):
         with pytest.raises(ValueError):
@@ -116,7 +117,7 @@ class TestGradedComponent:
     def test_components_sum_back(self):
         p = (1 + xp("c1", C2) + xp("c2", C2)) ** 2
         total = MPoly.zero(C2)
-        for d in range(p.weighted_degree() + 1):
+        for d in range(5):
             total = total + p.graded_component(d)
         assert total == p
 
@@ -139,7 +140,7 @@ def test_ring_axioms(p, q, r):
 def test_truncated_equals_truncation_of_full(p, q):
     full = p * q
     for cap in (0, 1, 2, 3, 5, 8):
-        assert p.mul_truncated(q, cap) == full.truncate(cap)
+        assert p.mul_truncated(q, cap) == truncate(full, cap)
 
 
 @settings(max_examples=40)

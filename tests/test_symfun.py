@@ -33,6 +33,7 @@ from .naive import (
     monomial_symmetric,
     root_compositions,
     symmetry_witness,
+    truncate,
 )
 
 
@@ -263,7 +264,7 @@ class TestExpressInElementary:
                 max_size=4,
             )
         )
-        q = MPoly(evt, terms).truncate(8)
+        q = truncate(MPoly(evt, terms), 8)
         expanded = q.substitute(
             {f"e{i}": elementary_symmetric(i, n) for i in range(1, n + 1)}
         )

@@ -159,6 +159,16 @@ class TestSolvePsi:
                 coords = monomial_coefficients(product.graded_component(i))
                 assert all(c >= 0 for c in coords.coeffs.values())
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_the_full_back_substitution(self, n):
+        # the library solves on the slice e_1 = 0 and twists; the naive route
+        # back-substitutes the whole system and then sets s_1 = 0
+        psi, phi, lead = naive.back_substitute(s_in_elementary(n))
+        ups = compute_phi(n)
+        assert ups.psi == tuple(psi)
+        assert ups.phi == tuple(phi)
+        assert ups.lead == tuple(lead)
+
     def test_zero_lead_is_an_internal_error(self, monkeypatch):
         # a vanishing leading coefficient would falsify the whole solve; the
         # guard must trip rather than divide by zero or return garbage
@@ -230,7 +240,7 @@ class TestComputePhi:
     def test_no_constant_term(self):
         for n in (2, 3, 4):
             for phi in compute_phi(n).phi:
-                assert phi.constant_term() == 0
+                assert phi.coefficient((0,) * (n - 1)) == 0
                 zero = {f"u{j}": MPoly.zero(u_vars(n)) for j in range(2, n + 1)}
                 assert phi.substitute(zero).is_zero()
 

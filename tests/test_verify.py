@@ -2,6 +2,8 @@
 
 import json
 import sys
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -17,7 +19,7 @@ def test_unknown_suite_rejected():
 
 
 def test_run_all_rank_two_passes_and_sorts():
-    results = verify.run_all(max_rank=2, seed=1)
+    results = verify.run_suite("all", max_rank=2, seed=1)
     assert results and all(r.passed for r in results)
     keys = [(r.identity, r.ring, r.rank, r.seed) for r in results]
     assert keys == sorted(keys)
@@ -72,7 +74,7 @@ def test_run_all_expands_no_chain():
         oracle.rank_theory,
     ):
         cached.cache_clear()
-    assert all(r.passed for r in verify.run_all(max_rank=4))
+    assert all(r.passed for r in verify.run_suite("all", max_rank=4))
     library = [m for name, m in sys.modules.items() if name.startswith("redchern")]
     assert kernels in library and verify in library
     assert not any(hasattr(m, "expand_linear_chain") for m in library)
@@ -103,34 +105,68 @@ def fresh_phi():
     universal.compute_phi.cache_clear()
 
 
-def corrupt_s2(monkeypatch, extra):
+def corrupt_s(monkeypatch, change):
     honest = universal.s_in_elementary
+    monkeypatch.setattr(universal, "s_in_elementary", lambda n: change(honest(n)))
 
+
+def add_to_s2(extra):
+    return lambda s: [s[0], s[1] + extra(s[1].table)] + s[2:]
+
+
+def corrupt_series(monkeypatch, delta):
+    # adds exp(t p_1) delta(n) (p_2 - p_1^2/n)/2 to the composition series,
+    # to t^n: p_2 - p_1^2/n is p_2 of the shifted roots x_i - p_1/n, and
+    # exp(t p_1) shifts every form by p_1 = s_1/N, so the corrupted s_r are
+    # still the classes of a family shifted by s_1/N and pass the solve
     def corrupted(n):
-        s_list = honest(n)
-        return [s_list[0], s_list[1] + extra(e_vars(n))] + s_list[2:]
+        series = symfun.composition_series(n)
+        table = series.table
+        p1, p2 = MPoly.variable(table, "p1"), MPoly.variable(table, "p2")
+        exp_p1 = MPoly(
+            table,
+            {(j,) + (0,) * (n - 1): Fraction(1, factorial(j)) for j in range(n + 1)},
+        )
+        extra = exp_p1.mul_truncated((p2 - p1**2 * Fraction(1, n)) * delta(n), n)
+        return symfun.elementary_from_power_sums(series + extra * Fraction(1, 2), n)
 
     monkeypatch.setattr(universal, "s_in_elementary", corrupted)
+
+
+@pytest.mark.parametrize(
+    "change",
+    (
+        pytest.param(add_to_s2(lambda evt: MPoly.variable(evt, "e2")), id="s2-plus-e2"),
+        # phi is solved on e_1 = 0, so adding a multiple of e_1 to s_2
+        # leaves every phi unchanged, and no suite that reads phi sees it;
+        # only the round trip through psi does
+        pytest.param(
+            add_to_s2(lambda evt: MPoly.variable(evt, "e1") ** 2),
+            id="s2-plus-e1-squared",
+        ),
+        pytest.param(add_to_s2(lambda evt: MPoly.variable(evt, "e1")), id="s2-plus-e1"),
+        # doubling s_1 makes lead_1 twice the form count
+        pytest.param(lambda s: [2 * s[0]] + s[1:], id="twice-s1"),
+        pytest.param(lambda s: [s[0], -s[1]] + s[2:], id="minus-s2"),
+    ),
+)
+def test_solve_rejects_an_s_without_the_twist_structure(monkeypatch, fresh_phi, change):
+    # psi comes from phi by the twist s_j -> sigma_j, which holds only for
+    # the classes of a family of N forms shifted together, so the round trip
+    # psi(s(e)) = e fails for these ad-hoc corruptions
+    corrupt_s(monkeypatch, change)
+    with pytest.raises(universal.InternalInconsistencyError):
+        universal.compute_phi(3)
 
 
 def test_phi_roundtrip_catches_a_corrupted_s(monkeypatch, fresh_phi):
     # s and the symmetric-power classes share the composition series and
     # elementary_from_power_sums, so the cross-check must still fail when s
     # alone is wrong
-    corrupt_s2(monkeypatch, lambda evt: MPoly.variable(evt, "e2"))
-    results = verify.suite_phi_roundtrip(max_rank=3)
-    assert any(not r.passed and r.identity == "phi-roundtrip" for r in results)
-
-
-def test_phi_cannot_see_corruption_in_the_e1_ideal(monkeypatch, fresh_phi):
-    # phi_i = psi_i(0, u_2, ..., u_n) and e_1 = s_1 / N, so adding a multiple
-    # of e_1 to s_2 leaves every phi unchanged; only a check of s itself,
-    # such as the differential test against the chain, can tell
-    honest_psi = universal.solve_psi(3).psi
-    corrupt_s2(monkeypatch, lambda evt: MPoly.variable(evt, "e1") ** 2)
-    results = verify.suite_phi_roundtrip(max_rank=3)
-    assert all(r.passed for r in results)
-    assert universal.compute_phi(3).psi != honest_psi
+    corrupt_series(monkeypatch, lambda n: 1)
+    results = verify.suite_phi_roundtrip(max_rank=4)
+    assert failing_ranks(results, "phi-roundtrip") == {2, 3, 4}
+    assert all(r.passed for r in results if r.identity != "phi-roundtrip")
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
@@ -144,21 +180,23 @@ def test_positivity_reads_the_chains_m_coordinates(n):
 
 
 def test_positivity_catches_a_negative_m_coordinate(monkeypatch, fresh_phi):
-    # s_2 = lead_2 e_2 + d e_1^2 has m_11 coordinate lead_2 + 2d, and e_2 = m_11,
-    # so subtracting (lead_2 + 2d + 1) e_2 leaves m_11 = -1
+    # the corruption adds delta/n to the m_11 coordinate of s_2, so
+    # delta = -n (m_11 + 1) leaves m_11 = -1
     honest = universal.s_in_elementary
 
-    def minus_e2(evt):
-        s2 = honest(len(evt))[1]
-        lead = s2.coefficient(evt.unit(1))
-        d = s2.coefficient((2,) + (0,) * (len(evt) - 1))
-        return MPoly.variable(evt, "e2") * -(lead + 2 * d + 1)
+    def delta(n):
+        s2 = honest(n)[1]
+        lead = s2.coefficient(e_vars(n).unit(1))
+        d = s2.coefficient((2,) + (0,) * (n - 1))
+        return -n * (lead + 2 * d + 1)
 
-    corrupt_s2(monkeypatch, minus_e2)
+    corrupt_series(monkeypatch, delta)
     results = verify.run_suite("positivity", max_rank=4)
     failed = [r for r in results if not r.passed]
     assert {r.rank for r in failed} == {2, 3, 4}
-    assert all(r.witness.coeffs == {(1, 1): -1} for r in failed)
+    for n in (2, 3, 4):
+        s2_result = [r for r in results if r.rank == n][1]
+        assert s2_result.witness.coeffs == {(1, 1): -1}
     line = json.dumps(failed[0].to_json_obj(), separators=(",", ":"))
     assert line == (
         '{"identity":"positivity","ring":"symbolic","rank":2,"seed":0,'
@@ -167,26 +205,10 @@ def test_positivity_catches_a_negative_m_coordinate(monkeypatch, fresh_phi):
     )
 
 
-def test_triangularity_catches_a_corrupted_lead(monkeypatch, fresh_phi):
-    # doubling s_1 makes lead_1 twice the form count
-    honest = universal.s_in_elementary
-    monkeypatch.setattr(
-        universal, "s_in_elementary", lambda n: [2 * honest(n)[0]] + honest(n)[1:]
-    )
-    results = verify.suite_triangularity(max_rank=4)
-    failed = {r.rank for r in results if not r.passed}
-    assert failed == {2, 3, 4}
-    assert all(r.identity == "triangularity" for r in results if not r.passed)
-
-
 def test_triangularity_catches_a_negative_lead(monkeypatch, fresh_phi):
-    honest = universal.s_in_elementary
-
-    def negated_s2(n):
-        s_list = honest(n)
-        return [s_list[0], -s_list[1]] + s_list[2:]
-
-    monkeypatch.setattr(universal, "s_in_elementary", negated_s2)
+    # the corruption adds delta to lead_2
+    corrupt_series(monkeypatch, lambda n: -100)
+    assert universal.compute_phi(4).lead[1] < 0
     results = verify.suite_triangularity(max_rank=4)
     failed = {r.rank for r in results if not r.passed}
     assert failed == {2, 3, 4}
@@ -194,14 +216,13 @@ def test_triangularity_catches_a_negative_lead(monkeypatch, fresh_phi):
 
 
 def test_triangularity_catches_a_term_of_the_wrong_weight(monkeypatch, fresh_phi):
-    # an e_1 term in s_2 has weight 1, so s_2 is not homogeneous of weight 2
-    corrupt_s2(monkeypatch, lambda evt: MPoly.variable(evt, "e1"))
-    s2 = universal.compute_phi(3).s[1]
-    assert s2.coefficient(e_vars(3).unit(0)) == 1
-    results = verify.suite_triangularity(max_rank=4)
-    failed = {r.rank for r in results if not r.passed}
-    assert failed == {2, 3, 4}
-    assert all(r.identity == "triangularity" for r in results if not r.passed)
+    # a constant term in s_2 has weight 0, so s_2 is not homogeneous of
+    # weight 2; at rank 2 it passes the solve
+    corrupt_s(monkeypatch, add_to_s2(MPoly.one))
+    s2 = universal.compute_phi(2).s[1]
+    assert s2.coefficient((0, 0)) == 1
+    results = verify.suite_triangularity(max_rank=2)
+    assert [r.identity for r in results if not r.passed] == ["triangularity"]
 
 
 def test_positivity_builds_one_e_to_m_table_per_partition():
@@ -261,7 +282,7 @@ def test_run_all_computes_each_twist_once():
     # suite_twist and the toy-ring theory share one twist per rank
     chern.twist.cache_clear()
     oracle.rank_theory.cache_clear()
-    assert all(r.passed for r in verify.run_all(max_rank=4))
+    assert all(r.passed for r in verify.run_suite("all", max_rank=4))
     info = chern.twist.cache_info()
     assert (info.misses, info.hits) == (3, 3)
 
