@@ -2,7 +2,7 @@
 
 Subpackage map:
     kernels    term-dict sums; truncated products of MPoly values
-    poly       sparse exact polynomials, truncation, substitution, JSON
+    poly       sparse exact polynomials, substitution, evaluation, JSON output
     symfun     partitions as part tuples, e-to-m table, power-sum series
                to e-coordinates
     chern      reduced classes, twists, symmetric powers as cached class

@@ -19,6 +19,17 @@ from redchern.poly import format_rational, render_latex, render_text
 
 RANK_CAP = 6
 
+_allow_large_rank_option = click.option(
+    "--allow-large-rank", is_flag=True, help=f"Permit ranks above {RANK_CAP}."
+)
+_format_option = click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(["text", "latex", "json"]),
+    default="text",
+    show_default=True,
+)
+
 
 def _resolve_out(out: str | None) -> Path | None:
     if out is None:
@@ -30,9 +41,9 @@ def _resolve_out(out: str | None) -> Path | None:
     return path
 
 
-def _check_rank(n: int, allow_large: bool, floor: int = 2) -> None:
-    if n < floor:
-        raise click.UsageError(f"rank must be >= {floor}")
+def _check_rank(n: int, allow_large: bool) -> None:
+    if n < 2:
+        raise click.UsageError("rank must be >= 2")
     if n > RANK_CAP and not allow_large:
         raise click.UsageError(
             f"rank {n} exceeds {RANK_CAP}; pass --allow-large-rank to acknowledge"
@@ -60,15 +71,9 @@ def main():
 @main.command()
 @click.option("--rank", "-n", type=int, required=True, help="Bundle rank n.")
 @click.option("--index", "-r", type=int, required=True, help="Class index r.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "latex", "json"]),
-    default="text",
-    show_default=True,
-)
+@_format_option
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
-@click.option("--allow-large-rank", is_flag=True, help="Permit ranks above 6.")
+@_allow_large_rank_option
 def formula(rank, index, fmt, out, allow_large_rank):
     """Emit the reduced class of one rank and index."""
     _check_rank(rank, allow_large_rank)
@@ -99,15 +104,9 @@ def _universal_text(ups, latex: bool) -> str:
 
 @main.command("universal")
 @click.option("--rank", "-n", type=int, required=True, help="Bundle rank n.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "latex", "json"]),
-    default="text",
-    show_default=True,
-)
+@_format_option
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
-@click.option("--allow-large-rank", is_flag=True, help="Permit ranks above 6.")
+@_allow_large_rank_option
 def universal_cmd(rank, fmt, out, allow_large_rank):
     """Emit psi, phi, the leading coefficients and the root count."""
     _check_rank(rank, allow_large_rank)
@@ -154,7 +153,7 @@ def reproduce_command(result) -> str:
 @click.option("--max-rank", type=int, default=4, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=str, default=None, help="Report path (default stdout).")
-@click.option("--allow-large-rank", is_flag=True, help="Permit ranks above 6.")
+@_allow_large_rank_option
 def verify_cmd(suite, max_rank, seed, out, allow_large_rank):
     """Run a verification suite; exit 1 on any identity failure.
 
@@ -197,7 +196,7 @@ def table_json_obj(max_rank: int) -> dict:
 @main.command()
 @click.option("--max-rank", type=int, default=4, show_default=True)
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
-@click.option("--allow-large-rank", is_flag=True, help="Permit ranks above 6.")
+@_allow_large_rank_option
 def table(max_rank, out, allow_large_rank):
     """Write the regression table of classes and universal polynomials."""
     _check_rank(max_rank, allow_large_rank)

@@ -29,7 +29,7 @@ class xi has degree 1 (no topological doubling).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 from redchern import chern, universal
 from redchern.kernels import add_terms
-from redchern.poly import MPoly, VarTable, as_rational
+from redchern.poly import MPoly, VarTable
 
 
 def _power(x, k: int):
@@ -121,26 +121,6 @@ class ToyRing:
                     table[ea][eb] = e
         return table
 
-    def normalize(self, terms: Mapping) -> dict:
-        """Validate exponent keys and coefficients, then reduce to normal form."""
-        nv = len(self.table)
-        out = {}
-        for exps, coeff in terms.items():
-            exps = tuple(exps)
-            if len(exps) != nv or not all(type(e) is int and e >= 0 for e in exps):
-                raise ValueError(f"exponent tuple {exps} is not {nv} nonnegative ints")
-            if not (type(coeff) is int or isinstance(coeff, Fraction)):
-                coeff = as_rational(coeff)
-            if not coeff or exps not in self._products:
-                continue
-            prev = out.get(exps)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                out[exps] = total
-            elif prev is not None:
-                del out[exps]
-        return out
-
     def multiply_into(self, out: dict, a: Mapping, b: Mapping) -> dict:
         """Add the product of the normal-form term dicts a and b into out.
 
@@ -157,18 +137,12 @@ class ToyRing:
 
     # ---- elements ----
 
-    def element(self, terms: Mapping) -> "ToyElement":
-        return ToyElement(self, self.normalize(terms))
-
     def zero(self) -> "ToyElement":
         return ToyElement(self, {})
 
     def one(self) -> "ToyElement":
         # relations have positive powers, so the constant term never dies
         return ToyElement(self, {(0,) * len(self.table): 1})
-
-    def gen(self, name: str) -> "ToyElement":
-        return self.element({self.table.unit(self.table.index(name)): 1})
 
     # ---- graded structure ----
 
@@ -183,7 +157,11 @@ class ToyRing:
 
 
 class ToyElement:
-    """Normal-formed element of a ToyRing; immutable by convention."""
+    """Element of a ToyRing, immutable by convention.
+
+    Its terms are in normal form: only surviving monomials, no zero
+    coefficient.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -324,40 +302,6 @@ def rank_theory(n: int) -> RankTheory:
         f_classes=chern.sym_power_det_inverse_chern(n),
         phi=universal.compute_phi(n).phi,
     )
-
-
-def _bump_coefficient(p: MPoly, delta=1) -> MPoly:
-    """Add delta to the first canonical coefficient (or constant if zero)."""
-    if p.is_zero():
-        return p + delta
-    exps, _ = p.sorted_terms()[0]
-    return p + MPoly.monomial(p.table, exps, Fraction(delta))
-
-
-def _mutate(theory: RankTheory, field: str, k: int, delta) -> RankTheory:
-    polys = list(getattr(theory, field))
-    polys[k] = _bump_coefficient(polys[k], delta)
-    return replace(theory, **{field: tuple(polys)})
-
-
-def mutate_phi(theory: RankTheory, i: int, delta=1) -> RankTheory:
-    """A corrupted theory with one coefficient of phi_i perturbed."""
-    return _mutate(theory, "phi", i - 2, delta)
-
-
-def mutate_reduced(theory: RankTheory, r: int, delta=1) -> RankTheory:
-    """A corrupted theory with one coefficient of the degree-r class perturbed."""
-    return _mutate(theory, "reduced", r - 1, delta)
-
-
-def mutate_twisted(theory: RankTheory, k: int, delta=1) -> RankTheory:
-    """A corrupted theory with one coefficient of the twisted class c_k perturbed."""
-    return _mutate(theory, "twisted", k - 1, delta)
-
-
-def mutate_f_classes(theory: RankTheory, k: int, delta=1) -> RankTheory:
-    """A corrupted theory with one coefficient of the class c_k(F) perturbed."""
-    return _mutate(theory, "f_classes", k - 1, delta)
 
 
 # ---- identity checks ----

@@ -13,12 +13,11 @@ equal (canonical form: zero coefficients are never stored).  The canonical
 term order, used for serialization and rendering, is ascending weighted
 degree, then ascending lexicographic on exponent tuples.
 
-The JSON form is
+The JSON output form is
     {"vars": [{"name": "c1", "degree": 1}, ...],
      "terms": [{"coeff": "p/q", "exps": [a1, ...]}, ...]}
 with terms in canonical order and coefficients as lowest-terms strings
-("3", "-1/4"); a denominator of 1 is omitted on output but accepted on
-input.
+("3", "-1/4"); a denominator of 1 is omitted.
 """
 
 from __future__ import annotations
@@ -49,11 +48,6 @@ def as_rational(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"float coefficient {value!r}; pass an int or Fraction")
     return Fraction(value)
-
-
-def parse_rational(s: str) -> Fraction:
-    """Parse a "p" or "p/q" string; Fraction normalizes to lowest terms."""
-    return Fraction(s)
 
 
 class VarTable:
@@ -179,10 +173,6 @@ class MPoly:
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "MPoly":
         return cls(table, {table.unit(table.index(name)): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, table: VarTable, exps: Exponents, coeff=1) -> "MPoly":
-        return cls(table, {tuple(exps): coeff})
 
     # ---- basic queries ----
 
@@ -428,23 +418,8 @@ class MPoly:
             ],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "MPoly":
-        table = VarTable((v["name"], v["degree"]) for v in obj["vars"])
-        terms = {}
-        for t in obj["terms"]:
-            exps = tuple(t["exps"])
-            if exps in terms:
-                raise ValueError(f"duplicate exponents {exps} in the term list")
-            terms[exps] = parse_rational(t["coeff"])
-        return cls(table, terms)
-
     def dumps(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-    @classmethod
-    def loads(cls, s: str) -> "MPoly":
-        return cls.from_json_obj(json.loads(s))
 
     def __repr__(self) -> str:
         return f"MPoly({render_text(self)})"

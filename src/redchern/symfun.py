@@ -9,11 +9,11 @@ and Newton's identities again give e_r of the family.  No form is listed
 and no product of forms is expanded.
 
 A partition is a tuple of weakly decreasing positive ints, () the empty
-one.  It is validated where it enters from outside: in
-SymPolyInBasis.from_json_obj and elementary_to_monomial.  Partitions are
-ordered only within a fixed weight, by lexicographic comparison of part
-sequences, largest part first.  That is the order under which the e-to-m
-change of basis is unitriangular.
+one.  It is validated where it enters from outside, in
+elementary_to_monomial.  Partitions are ordered only within a fixed
+weight, by lexicographic comparison of part sequences, largest part
+first.  That is the order under which the e-to-m change of basis is
+unitriangular.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from redchern.poly import MPoly, VarTable, e_vars, format_rational, parse_rational
+from redchern.poly import MPoly, VarTable, e_vars, format_rational
 
 
 def _check_partition(parts) -> tuple[int, ...]:
@@ -107,16 +107,6 @@ class SymPolyInBasis:
                 for lam, c in self.sorted_items()
             ],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "SymPolyInBasis":
-        return cls(
-            obj["basis"],
-            {
-                _check_partition(item["partition"]): parse_rational(item["coeff"])
-                for item in obj["coeffs"]
-            },
-        )
 
 
 @lru_cache(maxsize=None)

@@ -142,11 +142,11 @@ def brauer_reduced(n: int, pushforward_classes: Sequence) -> list:
     classes of the twisted symmetric power of a bundle, the output is that
     bundle's reduced classes.
     """
-    ups = compute_phi(n)
     if len(pushforward_classes) != n - 1:
         raise ValueError(
             f"rank {n} needs {n - 1} classes, got {len(pushforward_classes)}"
         )
+    ups = compute_phi(n)
     values = {f"u{j}": pushforward_classes[j - 2] for j in range(2, n + 1)}
     one = pushforward_classes[0].ring_one()
     return [ups.phi[i - 2].evaluate(values, one) for i in range(2, n + 1)]

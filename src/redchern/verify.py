@@ -42,9 +42,9 @@ TOY_RING_SPECS = (
 TOY_SEED_COUNT = 20
 
 
-def _result(identity, rank, ok, witness=None, ring=SYMBOLIC, seed=0) -> CheckResult:
+def _result(identity, rank, ok, witness=None) -> CheckResult:
     return CheckResult(
-        identity, ring, rank, seed, "pass" if ok else "fail", witness
+        identity, SYMBOLIC, rank, 0, "pass" if ok else "fail", witness
     )
 
 

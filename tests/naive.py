@@ -495,7 +495,7 @@ def back_substitute(s_list):
         unit = evt.unit(r - 1)
         lead = s_e.coefficient(unit)
         leads.append(lead)
-        rest = s_e - MPoly.monomial(evt, unit, lead)
+        rest = s_e - MPoly(evt, {unit: lead})
         if rest.is_zero():
             rest_s = MPoly.zero(svt)
         else:

@@ -29,7 +29,7 @@ from redchern.universal import brauer_reduced, compute_phi, s_in_elementary, sol
 from . import naive
 from .naive import monomial_coefficients, reduce_hom, y_roots
 from .test_chern import random_cpoly
-from .test_oracle import check_identity
+from .test_oracle import check_identity, corrupt
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -177,12 +177,12 @@ def test_criterion_6_toy_ring_transfer():
         # mutation sensitivity: a single perturbed coefficient must be caught
         ring = oracle.make_toy_ring(verify.TOY_RING_SPECS[1])
         for n in range(2, 5):
-            bad_phi = oracle.mutate_phi(oracle.rank_theory(n), i=2)
+            bad_phi = corrupt(oracle.rank_theory(n), "phi", 0)
             assert any(
                 not check_identity("phi-roundtrip", ring, n, seed, theory=bad_phi).passed
                 for seed in range(20)
             )
-            bad_reduced = oracle.mutate_reduced(oracle.rank_theory(n), r=2)
+            bad_reduced = corrupt(oracle.rank_theory(n), "reduced", 1)
             assert any(
                 not check_identity("c1-zero", ring, n, seed, theory=bad_reduced).passed
                 for seed in range(20)

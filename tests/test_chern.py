@@ -199,7 +199,7 @@ def random_cpoly(n, rng, max_wdeg=4, terms=4):
             i = rng.randint(1, min(n, budget))
             exps[i - 1] += 1
             budget -= i
-        out = out + MPoly.monomial(table, tuple(exps), rng.randint(-4, 4))
+        out = out + MPoly(table, {tuple(exps): rng.randint(-4, 4)})
     return out
 
 

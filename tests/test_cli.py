@@ -8,9 +8,12 @@ import pytest
 from click.testing import CliRunner
 
 from redchern import oracle
-from redchern.cli import main, reproduce_command
+from redchern.chern import reduced_chern_formula
+from redchern.cli import RANK_CAP, main, reproduce_command
 from redchern.poly import MPoly
 from redchern.universal import compute_phi
+
+from .test_oracle import corrupt
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -36,7 +39,7 @@ class TestFormula:
         assert result.exit_code == 0
         obj = json.loads(result.output)
         assert [t["coeff"] for t in obj["terms"]] == ["1", "-1/4"]
-        assert MPoly.from_json_obj(obj) == MPoly.loads(result.output)
+        assert obj == reduced_chern_formula(2, 2).to_json_obj()
 
     def test_bad_range_exits_2(self, runner):
         assert runner.invoke(main, ["formula", "-n", "3", "-r", "5"]).exit_code == 2
@@ -52,10 +55,14 @@ class TestFormula:
 
     def test_formats_agree(self, runner):
         js = runner.invoke(main, ["formula", "-n", "4", "-r", "3", "--format", "json"])
-        fromjson = MPoly.loads(js.output)
-        from redchern.chern import reduced_chern_formula
+        assert json.loads(js.output) == reduced_chern_formula(4, 3).to_json_obj()
 
-        assert fromjson == reduced_chern_formula(4, 3)
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_help_names_the_rank_cap(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    assert f"Permit ranks above {RANK_CAP}." in result.output
 
 
 class TestUniversal:
@@ -65,10 +72,8 @@ class TestUniversal:
         obj = json.loads(result.output)
         assert obj["N"] == 3
         assert obj["lead"] == ["3", "4"]
-        psi1 = MPoly.from_json_obj(obj["psi"][0])
-        assert psi1 == compute_phi(2).psi[0]
-        phi2 = MPoly.from_json_obj(obj["phi"][0])
-        assert phi2 == compute_phi(2).phi[0]
+        assert obj["psi"][0] == compute_phi(2).psi[0].to_json_obj()
+        assert obj["phi"][0] == compute_phi(2).phi[0].to_json_obj()
 
     def test_rank_three_count(self, runner):
         result = runner.invoke(main, ["universal", "-n", "3", "--format", "json"])
@@ -208,7 +213,7 @@ class TestVerify:
         )
 
     def test_corrupted_build_exits_1(self, runner, monkeypatch):
-        bad = oracle.mutate_phi(oracle.rank_theory(2), i=2)
+        bad = corrupt(oracle.rank_theory(2), "phi", 0)
         monkeypatch.setattr(oracle, "rank_theory", lambda n: bad)
         result = runner.invoke(
             main, ["verify", "--suite", "toy-rings", "--max-rank", "2"]
@@ -221,7 +226,7 @@ class TestVerify:
         )
 
     def test_failing_checks_reproduce_on_stderr(self, runner, monkeypatch):
-        bad = oracle.mutate_phi(oracle.rank_theory(2), i=2)
+        bad = corrupt(oracle.rank_theory(2), "phi", 0)
         monkeypatch.setattr(oracle, "rank_theory", lambda n: bad)
         result = runner.invoke(
             main, ["verify", "--suite", "toy-rings", "--max-rank", "2"]
@@ -299,14 +304,13 @@ class TestTable:
         result = runner.invoke(main, ["table", "--max-rank", "3"])
         obj = json.loads(result.output)
         entry = next(e for e in obj["ranks"] if e["n"] == 3)
-        degree_two = MPoly.from_json_obj(entry["reduced"][1])
         from fractions import Fraction
 
         from redchern.poly import c_vars
 
         c1 = MPoly.variable(c_vars(3), "c1")
         c2 = MPoly.variable(c_vars(3), "c2")
-        assert degree_two == c2 - Fraction(1, 3) * c1**2
+        assert entry["reduced"][1] == (c2 - Fraction(1, 3) * c1**2).to_json_obj()
 
     def test_io_failure_exits_3(self, runner):
         result = runner.invoke(

@@ -52,11 +52,9 @@ def coords_json(*parts):
 
 class TestPartition:
     def test_validation(self):
-        # a partition is validated where it enters: from JSON, and as the
-        # e_lambda whose m-coordinates are asked for
+        # a partition is validated where it enters: as the e_lambda whose
+        # m-coordinates are asked for
         for parts in ((1, 2), (2, 0), (2.0, 1), (True,), ("2", "1")):
-            with pytest.raises(ValueError):
-                SymPolyInBasis.from_json_obj(coords_json(*parts))
             with pytest.raises(ValueError):
                 elementary_to_monomial(parts, 3)
         assert elementary_to_monomial([1], 1).coeffs == {P(1): 1}
@@ -74,8 +72,7 @@ class TestPartition:
         assert sum(conjugate(lam)) == sum(lam)
 
     def test_json(self):
-        coords = SymPolyInBasis.from_json_obj(coords_json(2, 1))
-        assert coords.coeffs == {P(2, 1): 1}
+        coords = SymPolyInBasis("m", {P(2, 1): 1})
         assert coords.to_json_obj() == coords_json(2, 1)
 
 
@@ -395,7 +392,8 @@ class TestSymPolyInBasis:
         )
         obj = coords.to_json_obj()
         assert [item["partition"] for item in obj["coeffs"]] == [[1], [2], [1, 1]]
-        assert SymPolyInBasis.from_json_obj(obj) == coords
+        read = {tuple(i["partition"]): Fraction(i["coeff"]) for i in obj["coeffs"]}
+        assert read == coords.coeffs
 
     def test_rejects_unknown_basis(self):
         with pytest.raises(ValueError):

@@ -256,7 +256,12 @@ class TestComputePhi:
         assert set(obj) == {"n", "N", "psi", "phi", "lead"}
         assert obj["n"] == 2 and obj["N"] == 3
         assert obj["lead"] == ["3", "4"]
-        assert MPoly.from_json_obj(obj["phi"][0]) == compute_phi(2).phi[0]
+        assert obj["phi"] == [
+            {
+                "vars": [{"name": "u2", "degree": 2}],
+                "terms": [{"coeff": "1/4", "exps": [1]}],
+            }
+        ]
 
 
 class TestBrauerReduced:
@@ -274,6 +279,13 @@ class TestBrauerReduced:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             brauer_reduced(3, [MPoly.zero(u_vars(3))])
+
+    def test_rank_mismatch_raises_before_solving(self):
+        # compute_phi is neither computed nor read from its cache
+        before = compute_phi.cache_info()
+        with pytest.raises(ValueError):
+            brauer_reduced(9, [])
+        assert compute_phi.cache_info() == before
 
     def test_toy_ring_comparison(self):
         # 3-fold comparison in a concrete ring: phi applied to toy F-classes

@@ -11,6 +11,7 @@ from redchern import chern, kernels, oracle, symfun, universal, verify
 from redchern.poly import MPoly, c_vars, e_vars, x_vars
 
 from . import naive
+from .test_oracle import corrupt
 
 
 def test_unknown_suite_rejected():
@@ -44,7 +45,7 @@ def test_toy_suite_rejects_a_negative_seed():
 
 
 def test_failures_serialize_with_witness(monkeypatch):
-    bad = oracle.mutate_phi(oracle.rank_theory(2), i=2)
+    bad = corrupt(oracle.rank_theory(2), "phi", 0)
     monkeypatch.setattr(oracle, "rank_theory", lambda n: bad)
     results = verify.run_suite("toy-rings", max_rank=2)
     failing = [r for r in results if not r.passed]
