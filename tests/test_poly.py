@@ -167,12 +167,15 @@ def test_float_coefficients_rejected():
     "build",
     (
         lambda: MPoly(X2, {(1.5, 0): 1}),
+        # exponents decoded from JSON, as test_json_round_trip rebuilds them
+        lambda: MPoly(X2, {tuple(json.loads("[2.7, 0]")): 1}),
         lambda: MPoly(X2, {(True, 0): 1}),
         lambda: VarTable([("x", 1.9)]),
         lambda: elementary_to_monomial((2.5, 1), 3),
     ),
     ids=(
         "float-exponent",
+        "json-float-exponent",
         "bool-exponent",
         "float-degree",
         "float-part",
