@@ -1,10 +1,10 @@
 """Exact reduced Chern class calculus over the rationals.
 
 Subpackage map:
-    kernels    term-dict sums; truncated products of MPoly values
+    kernels    term-dict sums and full products
     poly       sparse exact polynomials, substitution, evaluation, JSON output
-    symfun     partitions as part tuples, e-to-m table, power-sum series
-               to e-coordinates
+    symfun     partitions as part tuples, e-to-m table, closed power-sum
+               series of the root families and their e-coordinates
     chern      reduced classes, twists, symmetric powers as cached class
                tuples, no root variables
     universal  s_1..s_n in e-coordinates, phi by the slice solve, psi by

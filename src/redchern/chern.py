@@ -7,8 +7,8 @@ their elementary symmetric polynomials are the reduced classes.  They come
 from the closed power-sum series of the integer forms n*x_i - (x1+...+xn)
 (symfun.elementary_from_power_sums), rescaled by 1/n^r in degree r.  The
 roots of the rank-n symmetric power twisted by the inverse determinant are
-the forms sum_i (m_i - 1) x_i, whose series is the composition series times
-exp(-t p_1).  No form is listed and no product of forms is expanded.
+the forms sum_i (m_i - 1) x_i, whose series is symfun.forms_series(n, 1).
+No form is listed and no product of forms or of series is expanded.
 
 Twisting by a line bundle of class t has the closed form
 c_k(E (x) L) = sum_i C(n-i, k-i) c_i(E) t^(k-i) (Fulton, Intersection
@@ -35,11 +35,10 @@ def ensure_rank(n: int, floor: int = 2) -> None:
 def shifted_root_sigma(n: int) -> tuple[MPoly, ...]:
     """sigma_r(f1..fn) for r = 1..n: the reduced classes, in c1..cn.
 
-    The power-sum series of the forms n x_i - p_1 is
-    exp(-t p_1) sum_i exp(n t x_i).
+    The forms n x_i - p_1 have the series symfun.shifted_root_series(n).
     """
     ensure_rank(n)
-    series = symfun.exp_minus_p1(n).mul_truncated(symfun.exp_power_sum(n, n), n)
+    series = symfun.shifted_root_series(n)
     return tuple(
         p.with_table(c_vars(n)) * Fraction(1, n**r)
         for r, p in enumerate(symfun.elementary_from_power_sums(series, n), start=1)
@@ -92,12 +91,11 @@ def sym_power_det_inverse_chern(n: int) -> tuple[MPoly, ...]:
     """Classes 1..n of the rank-n symmetric power twisted by det inverse.
 
     The roots of that bundle are the integer forms sum_i (m_i - 1) x_i =
-    m.x - p_1 over compositions m of n, so their power-sum series is
-    exp(-t p_1) times the composition series; the first class vanishes
-    identically.
+    m.x - p_1 over compositions m of n, whose power-sum series is
+    symfun.forms_series(n, 1); the first class vanishes identically.
     """
     ensure_rank(n)
-    series = symfun.exp_minus_p1(n).mul_truncated(symfun.composition_series(n), n)
+    series = symfun.forms_series(n, 1)
     return tuple(
         p.with_table(c_vars(n)) for p in symfun.elementary_from_power_sums(series, n)
     )

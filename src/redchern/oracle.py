@@ -105,6 +105,11 @@ class ToyRing:
         return tuple(map(tuple, bases))
 
     @cached_property
+    def _live(self) -> frozenset:
+        """The surviving monomials, which element terms are checked against."""
+        return frozenset(e for basis in self._bases for e in basis)
+
+    @cached_property
     def _products(self) -> dict:
         """The multiplication table, built once, on first use.
 
@@ -160,12 +165,15 @@ class ToyElement:
     """Element of a ToyRing, immutable by convention.
 
     Its terms are in normal form: only surviving monomials, no zero
-    coefficient.
+    coefficient.  A key that is no surviving monomial raises ValueError.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: ToyRing, terms: dict):
+        if not terms.keys() <= ring._live:
+            dead = [e for e in terms if e not in ring._live]
+            raise ValueError(f"monomials {dead} do not survive in {ring!r}")
         self.ring = ring
         self.terms = terms
 

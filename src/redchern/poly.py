@@ -3,8 +3,8 @@
 An MPoly is a dict from exponent tuples to nonzero Fraction coefficients,
 keyed to an ordered VarTable of (name, degree) pairs.  Degrees are weights:
 a Chern-class variable c_i has degree i, so the weighted degree of a term is
-the dot product of its exponent tuple with the variable degrees, and all
-truncation bounds are weighted.  Coefficients are fractions.Fraction, which
+the dot product of its exponent tuple with the variable degrees.  Products
+are full; nothing is truncated.  Coefficients are fractions.Fraction, which
 already guarantees lowest terms, a positive denominator and arbitrary
 precision; there is no floating point anywhere in this package.
 
@@ -174,6 +174,13 @@ class MPoly:
     def variable(cls, table: VarTable, name: str) -> "MPoly":
         return cls(table, {table.unit(table.index(name)): Fraction(1)})
 
+    @classmethod
+    def _wrap(cls, table: VarTable, terms: dict) -> "MPoly":
+        """An MPoly over table holding terms, already canonical, unchecked."""
+        p = cls.__new__(cls)
+        p.table, p.terms = table, terms
+        return p
+
     # ---- basic queries ----
 
     def is_zero(self) -> bool:
@@ -201,18 +208,12 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check_table(other)
-        p = MPoly.__new__(MPoly)
-        p.table = self.table
-        p.terms = add_terms(self.terms, other.terms)
-        return p
+        return MPoly._wrap(self.table, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = MPoly.__new__(MPoly)
-        p.table = self.table
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return MPoly._wrap(self.table, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -227,13 +228,12 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            p = MPoly.__new__(MPoly)
-            p.table = self.table
-            p.terms = {e: c * q for e, c in self.terms.items()} if q else {}
-            return p
+            terms = {e: c * q for e, c in self.terms.items()} if q else {}
+            return MPoly._wrap(self.table, terms)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.mul_truncated(other, None)
+        self._check_table(other)
+        return MPoly._wrap(self.table, mul_trunc(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -258,33 +258,13 @@ class MPoly:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def mul_truncated(self, other: "MPoly", cap: int | None) -> "MPoly":
-        """Product with every term of weighted degree > cap discarded.
-
-        cap=None means the full product.
-        """
-        if not isinstance(other, MPoly):
-            raise ValueError("mul_truncated expects an MPoly")
-        self._check_table(other)
-        if cap is not None and cap < 0:
-            raise ValueError("cap must be None or >= 0")
-        raw = mul_trunc(
-            self.terms, other.terms, self.table.degrees, -1 if cap is None else cap
-        )
-        p = MPoly.__new__(MPoly)
-        p.table = self.table
-        p.terms = raw
-        return p
-
     def graded_component(self, d: int) -> "MPoly":
         """Sum of the terms of weighted degree exactly d."""
         if d < 0:
             raise ValueError("degree must be >= 0")
         wdeg = self.table.wdeg
-        p = MPoly.__new__(MPoly)
-        p.table = self.table
-        p.terms = {e: c for e, c in self.terms.items() if wdeg(e) == d}
-        return p
+        terms = {e: c for e, c in self.terms.items() if wdeg(e) == d}
+        return MPoly._wrap(self.table, terms)
 
     # ---- substitution and evaluation ----
 
@@ -339,7 +319,7 @@ class MPoly:
         if isinstance(one, MPoly):
             def times(a, f):
                 one._check_table(f)
-                return mul_trunc(a, f.terms, one.table.degrees, -1)
+                return mul_trunc(a, f.terms)
         else:
             multiply_into, unit = one.ring.multiply_into, one.terms
             def times(a, f):
@@ -375,10 +355,7 @@ class MPoly:
         terms = {e: Fraction(c, den) if den > 1 else c for e, c in acc.items() if c}
         if not isinstance(one, MPoly):
             return type(one)(one.ring, terms)
-        total = MPoly.__new__(MPoly)
-        total.table = one.table
-        total.terms = terms
-        return total
+        return MPoly._wrap(one.table, terms)
 
     def ring_one(self) -> "MPoly":
         """The identity of this value's ring (cf. toy-ring elements)."""
@@ -402,10 +379,7 @@ class MPoly:
             for p, e in zip(pos, exps):
                 big[p] = e
             out[tuple(big)] = coeff
-        p = MPoly.__new__(MPoly)
-        p.table = table
-        p.terms = out
-        return p
+        return MPoly._wrap(table, out)
 
     # ---- serialization ----
 

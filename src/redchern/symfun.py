@@ -4,9 +4,9 @@ Symmetric polynomials live in partition coordinates and never in root
 variables.  The unitriangular e-to-m table (counts of 0-1 matrices) maps
 e-coordinates to m-coordinates.  The elementary symmetric functions of a
 family of root values come from the family's exponential power-sum series
-in p_1, p_2, ...: each p_a is rewritten in e1..en by Newton's identities,
-and Newton's identities again give e_r of the family.  No form is listed
-and no product of forms is expanded.
+in p_1, p_2, ..., read off in closed form: each p_a is rewritten in e1..en
+by Newton's identities, and Newton's identities again give e_r of the
+family.  No form is listed and no product of forms or of series is expanded.
 
 A partition is a tuple of weakly decreasing positive ints, () the empty
 one.  It is validated where it enters from outside, in
@@ -158,42 +158,52 @@ def _power_sum_vars(n: int) -> VarTable:
     return VarTable((f"p{a}", a) for a in range(1, n + 1))
 
 
-def exp_power_sum(n: int, scale: int) -> MPoly:
-    """sum_i exp(scale t x_i) over n roots, to t^n, in p_1..p_n.
+def forms_series(n: int, shift: int) -> MPoly:
+    """sum over compositions m of n of exp(t (m.x - shift p_1)), to t^n, in p_1..p_n.
 
-    The t-degree of a term is its weighted degree, so the series is
-    n + sum_a scale^a p_a / a!.
+    At shift 0 that is h_n(exp(t x_1), ..., exp(t x_n)), the z^n coefficient
+    of (1-z)^(-n) prod_a exp(t^a p_a B_a(z) / a!), B_a(z) = sum_j j^(a-1) z^j
+    (Macdonald, Symmetric Functions, Ch. I Sec. 2), and exp(-shift t p_1)
+    joins the a = 1 factor.  So prod_a p_a^k_a has the coefficient [z^n] of
+    (1-z)^(-n) (B_1 - shift)^k_1 prod_{a>1} B_a^k_a over prod_a a!^k_a k_a!.
+    A depth-first walk over the partitions of weight <= n adds one part a per
+    step, which is one integer z-series product.
     """
-    table = _power_sum_vars(n)
-    terms = {(0,) * n: n}
-    for a in range(1, n + 1):
-        terms[table.unit(a - 1)] = Fraction(scale**a, factorial(a))
-    return MPoly(table, terms)
+    factors = {
+        a: [-shift * (a == 1)] + [j ** (a - 1) for j in range(1, n + 1)]
+        for a in range(1, n + 1)
+    }
+    terms = {}
 
+    def walk(z, exps, weight, last, den):
+        terms[tuple(exps)] = Fraction(z[n], den)
+        for a in range(min(last, n - weight), 0, -1):
+            f = factors[a]
+            exps[a - 1] += 1
+            nxt = [sum(z[i] * f[k - i] for i in range(k + 1)) for k in range(n + 1)]
+            walk(nxt, exps, weight + a, a, den * factorial(a) * exps[a - 1])
+            exps[a - 1] -= 1
 
-def exp_minus_p1(n: int) -> MPoly:
-    """exp(-t p_1) = prod_i exp(-t x_i), to t^n, in p_1..p_n."""
-    zeros = (0,) * (n - 1)
-    terms = {(j,) + zeros: Fraction((-1) ** j, factorial(j)) for j in range(n + 1)}
+    walk([comb(n - 1 + j, j) for j in range(n + 1)], [0] * n, 0, n, 1)
     return MPoly(_power_sum_vars(n), terms)
 
 
-@lru_cache(maxsize=None)
-def composition_series(n: int) -> MPoly:
-    """sum over compositions m of n of exp(t m.x), to t^n, in p_1..p_n.
+def shifted_root_series(n: int) -> MPoly:
+    """sum_i exp(t (n x_i - p_1)), to t^n, in p_1..p_n.
 
-    That sum is h_n(exp(t x_1), ..., exp(t x_n)), and Newton's identity
-    m h_m = sum_j P_j h_{m-j} with P_j = sum_i exp(j t x_i) builds it
-    (Macdonald, Symmetric Functions, Ch. I Sec. 2).
+    That is exp(-t p_1) sum_a n^a t^a p_a / a! with p_0 = n, so p_1^j p_a
+    has the coefficient (-1)^j n^a / (j! a!).
     """
-    powers = [exp_power_sum(n, j) for j in range(1, n + 1)]
-    h = [MPoly.one(_power_sum_vars(n))]
-    for m in range(1, n + 1):
-        acc = MPoly.zero(h[0].table)
-        for j in range(1, m + 1):
-            acc = acc + powers[j - 1].mul_truncated(h[m - j], n)
-        h.append(acc * Fraction(1, m))
-    return h[n]
+    # p_1^j p_1 and p_1^(j+1) p_0 share a key; MPoly sums repeated keys
+    terms = [
+        (
+            tuple(j * (i == 0) + (i + 1 == a) for i in range(n)),
+            Fraction((-1) ** j * (n**a if a else n), factorial(j) * factorial(a)),
+        )
+        for a in range(n + 1)
+        for j in range(n + 1 - a)
+    ]
+    return MPoly(_power_sum_vars(n), terms)
 
 
 @lru_cache(maxsize=None)

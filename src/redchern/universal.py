@@ -4,9 +4,9 @@ For rank n, the N = C(2n-1, n) linear forms m_1 x_1 + ... + m_n x_n (over
 all compositions m of n) have elementary symmetric polynomials s_1, s_2, ...
 whose first n members generate the ring of symmetric polynomials: each s_r
 is lead_r * e_r plus a combination of products of lower e's with lead_r > 0.
-The s_r come from the closed power-sum series h_n(exp(t x_1), ...,
-exp(t x_n)) of the forms (symfun.composition_series); no form is listed and
-no polynomial in root variables is built.
+The s_r come from the power-sum series h_n(exp(t x_1), ..., exp(t x_n)) of
+the forms, read off in closed form (symfun.forms_series); no form is listed
+and no polynomial in root variables is built.
 
 The reduced classes live on the slice c_1 = 0, where s_1 = N e_1 vanishes.
 Back-substituting the triangular system restricted to that slice solves e_i
@@ -37,9 +37,9 @@ class InternalInconsistencyError(RuntimeError):
 
 
 def s_in_elementary(n: int) -> list[MPoly]:
-    """s_1..s_n in the elementary basis, from the composition series."""
+    """s_1..s_n in the elementary basis, from the forms' power-sum series."""
     ensure_rank(n)
-    return symfun.elementary_from_power_sums(symfun.composition_series(n), n)
+    return symfun.elementary_from_power_sums(symfun.forms_series(n, 0), n)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ symmetric functions (polynomials in x1..xn, their symmetry check, their
 m-coordinates and their rewrite in e1..en); the forms route to e_r of a
 permutation-invariant family of integer linear forms (list every form, sum
 its power sums in the m-basis, rewrite them in e1..en, apply Newton's
-identities), the reference for the library's power-sum series; and the
+identities) and Newton's recurrence for the forms' exponential power-sum
+series, the references for the library's power-sum series; and the
 full back-substitution of the triangular system, the reference for the
 library's slice solve and twists.  Only the tests use them.
 """
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, prod
+from math import comb, factorial, prod
 
 from redchern.chern import ensure_rank, shifted_root_sigma
-from redchern.poly import MPoly, c_vars, e_vars, s_vars, u_vars, x_vars
+from redchern.poly import MPoly, VarTable, c_vars, e_vars, s_vars, u_vars, x_vars
 from redchern.symfun import (
     SymPolyInBasis,
     _e_to_m_table,
@@ -476,6 +477,43 @@ def root_compositions(n: int) -> tuple[tuple[int, ...], ...]:
     result = tuple(extremes) + tuple(rest)
     assert len(result) == comb(2 * n - 1, n)
     return result
+
+
+def p_vars(n: int) -> VarTable:
+    """Power-sum variables p1..pn with deg p_a = a: t-degree is weighted degree."""
+    return VarTable((f"p{a}", a) for a in range(1, n + 1))
+
+
+def exp_p1(n: int, sign: int) -> MPoly:
+    """exp(sign t p_1) = prod_i exp(sign t x_i), to t^n, in p_1..p_n."""
+    zeros = (0,) * (n - 1)
+    terms = {(j,) + zeros: Fraction(sign**j, factorial(j)) for j in range(n + 1)}
+    return MPoly(p_vars(n), terms)
+
+
+def exp_power_sum(n: int, scale: int) -> MPoly:
+    """sum_i exp(scale t x_i) over n roots, to t^n: n + sum_a scale^a p_a / a!."""
+    table = p_vars(n)
+    terms = {(0,) * n: n}
+    for a in range(1, n + 1):
+        terms[table.unit(a - 1)] = Fraction(scale**a, factorial(a))
+    return MPoly(table, terms)
+
+
+def composition_series(n: int) -> MPoly:
+    """sum over compositions m of n of exp(t m.x), to t^n, in p_1..p_n.
+
+    That sum is h_n(exp(t x_1), ..., exp(t x_n)), built by Newton's identity
+    m h_m = sum_j P_j h_{m-j} with P_j = sum_i exp(j t x_i) (Macdonald,
+    Symmetric Functions, Ch. I Sec. 2), each product truncated at t^n.
+    """
+    h = [MPoly.one(p_vars(n))]
+    for m in range(1, n + 1):
+        acc = MPoly.zero(p_vars(n))
+        for j in range(1, m + 1):
+            acc = acc + truncate(exp_power_sum(n, j) * h[m - j], n)
+        h.append(acc * Fraction(1, m))
+    return h[n]
 
 
 # ---- the full triangular solve, built on the package ----

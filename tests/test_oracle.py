@@ -130,6 +130,13 @@ class TestToyElements:
         assert (a + 1) * (b + 1) == a * b + a + b + 1
         assert Fraction(1, 2) * (a + a) == a
 
+    def test_rejects_a_dead_monomial(self):
+        # h1^2 = 0, so h1^2 is no element and neither h1 * h1^2 nor h1^2 * h1
+        # can be formed
+        ring = make_toy_ring(CURVES_SPEC)
+        with pytest.raises(ValueError, match=r"\(2, 0\)"):
+            ToyElement(ring, {(1, 0): 1, (2, 0): 1})
+
     def test_graded_pieces(self):
         ring = make_toy_ring(RICH_SPEC)
         a, b = ToyElement(ring, {(1, 0): 1}), ToyElement(ring, {(0, 1): 1})
@@ -239,7 +246,9 @@ class TestCappedProduct:
 class TestExponentValidation:
     @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (), (-1, 2), (0, -3), (1.0, 0)])
     def test_bad_keys_rejected(self, exps):
-        # an element is written out, as a witness, through MPoly's checks
+        # a key that is no surviving monomial is rejected when the element is
+        # built; (1.0, 0) equals the live (1, 0), and MPoly's checks reject it
+        # when the element is written out
         ring = make_toy_ring(CURVES_SPEC)
         with pytest.raises(ValueError):
             ToyElement(ring, {exps: 1}).to_json_obj()

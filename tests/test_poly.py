@@ -21,7 +21,6 @@ from redchern.poly import (
 )
 
 from . import naive
-from .naive import truncate
 from .strategies import coefficients, exponent_tuples, mpolys
 
 X2 = x_vars(2)
@@ -51,34 +50,17 @@ class TestVarTable:
 
 
 class TestMulTruncated:
-    def test_degree_two_discarded(self):
-        one_plus_x = 1 + xp("x1")
-        assert one_plus_x.mul_truncated(one_plus_x, 1) == 1 + 2 * xp("x1")
+    """MPoly products through kernels.mul_trunc, which truncates nothing."""
 
     def test_identity_factor(self):
         p = 1 + 3 * xp("x1") * xp("x2") - xp("x2") ** 2
-        assert p.mul_truncated(MPoly.one(X2), None) == p
         assert p * MPoly.one(X2) == p
-
-    def test_weighted_grading_forces_truncation(self):
-        p = 1 + xp("c1", C2)
-        q = 1 + xp("c2", C2)
-        # c1*c2 has weighted degree 3, so it falls outside cap 2
-        assert p.mul_truncated(q, 2) == 1 + xp("c1", C2) + xp("c2", C2)
-
-    def test_matches_truncated_full_product(self):
-        p = (1 + xp("x1")) ** 3
-        q = (2 - xp("x2")) ** 2
-        for cap in range(6):
-            assert p.mul_truncated(q, cap) == truncate(p * q, cap)
+        # c1 c2 has weighted degree 3 and is kept
+        assert ((1 + xp("c1", C2)) * xp("c2", C2)).terms == {(0, 1): 1, (1, 1): 1}
 
     def test_mismatched_tables(self):
         with pytest.raises(ValueError):
             MPoly.one(X2) * MPoly.one(C2)
-        with pytest.raises(ValueError):
-            MPoly.one(X2).mul_truncated(MPoly.one(C2), 1)
-        with pytest.raises(ValueError):
-            MPoly.one(X2).mul_truncated(MPoly.one(X2), -1)
 
 
 class TestSubstitute:
@@ -137,14 +119,6 @@ def test_ring_axioms(p, q, r):
 
 
 @settings(max_examples=40)
-@given(mpolys(C2), mpolys(C2))
-def test_truncated_equals_truncation_of_full(p, q):
-    full = p * q
-    for cap in (0, 1, 2, 3, 5, 8):
-        assert p.mul_truncated(q, cap) == truncate(full, cap)
-
-
-@settings(max_examples=40)
 @given(mpolys(X2, max_terms=4, max_exp=2), mpolys(X2, max_terms=4, max_exp=2))
 def test_substitution_is_a_homomorphism(p, q):
     images = {
@@ -192,12 +166,10 @@ def test_chain_against_repeated_mul():
     rng = random.Random(2024)
     for _ in range(20):
         nvars = rng.randint(1, 4)
-        cap = rng.choice([-1, 1, 2, 4])
         forms = [
             tuple(rng.randint(-3, 3) for _ in range(nvars))
             for _ in range(rng.randint(1, 6))
         ]
-        wdegs = (1,) * nvars
         acc = {(0,) * nvars: 1}
         for form in forms:
             factor = {(0,) * nvars: 1}
@@ -205,14 +177,8 @@ def test_chain_against_repeated_mul():
                 if m:
                     e = tuple(1 if j == i else 0 for j in range(nvars))
                     factor[e] = m
-            acc = mul_trunc(acc, factor, wdegs, cap)
-        assert naive.expand_linear_chain(forms, nvars, cap) == acc
-
-
-def test_mul_trunc_cap_zero_keeps_constants():
-    pa = {(0, 0): Fraction(2), (1, 0): Fraction(1)}
-    pb = {(0, 0): Fraction(3), (0, 1): Fraction(5)}
-    assert mul_trunc(pa, pb, (1, 1), 0) == {(0, 0): Fraction(6)}
+            acc = mul_trunc(acc, factor)
+        assert naive.expand_linear_chain(forms, nvars, -1) == acc
 
 
 @settings(max_examples=60)

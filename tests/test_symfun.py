@@ -13,11 +13,12 @@ from redchern.symfun import (
     SymPolyInBasis,
     _power_sums_in_elementary,
     compare_order,
-    composition_series,
     conjugate,
     elementary_from_power_sums,
     elementary_to_monomial,
+    forms_series,
     partitions_of,
+    shifted_root_series,
 )
 from redchern.universal import s_in_elementary
 
@@ -332,9 +333,20 @@ class TestPowerSumSeries:
     def test_rejects_a_series_shorter_than_r_max(self):
         # the series must be in p1..pn, so neither a shorter nor a longer one
         with pytest.raises(ValueError, match="p1..p3"):
-            elementary_from_power_sums(composition_series(2), 3)
+            elementary_from_power_sums(forms_series(2, 0), 3)
         with pytest.raises(ValueError, match="p1..p2"):
-            elementary_from_power_sums(composition_series(3), 2)
+            elementary_from_power_sums(forms_series(3, 0), 2)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_forms_series_against_newtons_recurrence(self, n):
+        h = naive.composition_series(n)
+        assert forms_series(n, 0) == h
+        assert forms_series(n, 1) == truncate(naive.exp_p1(n, -1) * h, n)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_shifted_root_series_against_the_product(self, n):
+        product = naive.exp_p1(n, -1) * naive.exp_power_sum(n, n)
+        assert shifted_root_series(n) == truncate(product, n)
 
 
 class TestMonomialCoefficients:

@@ -154,7 +154,7 @@ class TestSolvePsi:
             roots = y_roots(n)
             product = MPoly.one(x_vars(n))
             for form in roots.forms():
-                product = product.mul_truncated(1 + form, n)
+                product = naive.truncate(product * (1 + form), n)
             for i in range(1, n + 1):
                 coords = monomial_coefficients(product.graded_component(i))
                 assert all(c >= 0 for c in coords.coeffs.values())

@@ -3,7 +3,6 @@
 import json
 import sys
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
@@ -116,19 +115,15 @@ def add_to_s2(extra):
 
 
 def corrupt_series(monkeypatch, delta):
-    # adds exp(t p_1) delta(n) (p_2 - p_1^2/n)/2 to the composition series,
-    # to t^n: p_2 - p_1^2/n is p_2 of the shifted roots x_i - p_1/n, and
+    # adds exp(t p_1) delta(n) (p_2 - p_1^2/n)/2 to the forms' series, to
+    # t^n: p_2 - p_1^2/n is p_2 of the shifted roots x_i - p_1/n, and
     # exp(t p_1) shifts every form by p_1 = s_1/N, so the corrupted s_r are
     # still the classes of a family shifted by s_1/N and pass the solve
     def corrupted(n):
-        series = symfun.composition_series(n)
-        table = series.table
-        p1, p2 = MPoly.variable(table, "p1"), MPoly.variable(table, "p2")
-        exp_p1 = MPoly(
-            table,
-            {(j,) + (0,) * (n - 1): Fraction(1, factorial(j)) for j in range(n + 1)},
-        )
-        extra = exp_p1.mul_truncated((p2 - p1**2 * Fraction(1, n)) * delta(n), n)
+        series = symfun.forms_series(n, 0)
+        p1, p2 = MPoly.variable(series.table, "p1"), MPoly.variable(series.table, "p2")
+        shape = (p2 - p1**2 * Fraction(1, n)) * delta(n)
+        extra = naive.truncate(naive.exp_p1(n, 1) * shape, n)
         return symfun.elementary_from_power_sums(series + extra * Fraction(1, 2), n)
 
     monkeypatch.setattr(universal, "s_in_elementary", corrupted)
