@@ -9,7 +9,8 @@ Subpackage map:
                tuples, no root variables
     universal  s_1..s_n in e-coordinates, phi by the slice solve, psi by
                two twists, the pushforward recipe
-    oracle     toy graded rings and identity specialization
+    oracle     toy graded rings, identity specialization with one
+               evaluation per ring and rank over stacked seeds
     verify     named verification suites
     cli        command-line entry points
 """

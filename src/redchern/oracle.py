@@ -12,15 +12,20 @@ holds its coefficients as base term dicts, and its products, with their
 reduction by the relation, accumulate the same way.  The symbolic
 identities proved in the c-variables are universal, so specializing them
 to random bundles over random toy rings can only fail if the symbolic
-side is wrong; that is what check_bundle tests, evaluating both sides of
+side is wrong; that is what check_bundles tests, evaluating both sides of
 each identity independently in the ring with MPoly.evaluate, which
 multiplies term dicts through the ring's multiply_into and wraps only the
-values it returns.  It draws each bundle once, checks every identity tag
-on it, and keeps one monomial table per evaluation point, so a monomial
-such as c1^2 is built once for all the polynomials evaluated there; the
-c1 = 0 point starts from the bundle's monomials free of c1.  Random
+values it returns.  It draws each seed's bundle once and stacks the
+bundles of all its seeds into one element of R (x) Q^k, whose
+coefficients are SeedVectors with one slot per seed, so each polynomial
+is evaluated once per ring and rank for every seed; each identity is
+then compared slot by slot, and only a failing slot is taken apart to
+find its witness.  It keeps one monomial table per evaluation point, so
+a monomial such as c1^2 is built once for all the polynomials evaluated
+there; the c1 = 0 point starts from the monomials free of c1.  Random
 classes have integer coefficients, and they stay ints for as long as the
-polynomials evaluated at them have integral coefficients.
+polynomials evaluated at them have integral coefficients or the sums
+divide exactly.  The projective-bundle tag is checked seed by seed.
 
 Gradings are algebraic throughout: deg c_i = i and the projective-bundle
 class xi has degree 1 (no topological doubling).
@@ -32,13 +37,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
-from operator import add
-from typing import Mapping, Sequence
+from itertools import chain, product, repeat
+from operator import add, mul, neg
+from typing import Iterable, Mapping, Sequence
 
 from redchern import chern, universal
 from redchern.kernels import add_terms
-from redchern.poly import MPoly, VarTable
+from redchern.poly import MPoly, VarTable, exact_quotient
 
 
 def _power(x, k: int):
@@ -165,15 +170,19 @@ class ToyElement:
     """Element of a ToyRing, immutable by convention.
 
     Its terms are in normal form: only surviving monomials, no zero
-    coefficient.  A key that is no surviving monomial raises ValueError.
+    coefficient.  A key that is no surviving monomial, or that has an
+    exponent other than a Python int (1.0 and True equal 1), raises
+    ValueError.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: ToyRing, terms: dict):
-        if not terms.keys() <= ring._live:
-            dead = [e for e in terms if e not in ring._live]
-            raise ValueError(f"monomials {dead} do not survive in {ring!r}")
+        live = ring._live
+        exponent_types = set(map(type, chain.from_iterable(terms)))
+        if not (terms.keys() <= live and exponent_types <= {int}):
+            bad = [e for e in terms if e not in live or not set(map(type, e)) <= {int}]
+            raise ValueError(f"keys {bad} are no surviving monomials of {ring!r}")
         self.ring = ring
         self.terms = terms
 
@@ -343,21 +352,76 @@ class CheckResult:
         }
 
 
-def _class_values(bundle: ToyBundle) -> dict:
-    return {f"c{i}": bundle.classes[i - 1] for i in range(1, bundle.rank + 1)}
+class SeedVector(tuple):
+    """A coefficient of k stacked bundles: one slot per seed, in Q^k.
+
+    Term dicts with these coefficients are elements of R (x) Q^k, the k
+    bundles' classes side by side, so one evaluation serves every seed.
+    Sums, products and negation act slot by slot, an int acts on every
+    slot, division by an int is exact in each slot, and a vector is true
+    when any slot is nonzero.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if type(other) is SeedVector:
+            return SeedVector(map(add, self, other))
+        return SeedVector(map(add, self, repeat(other))) if other else self
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if type(other) is SeedVector:
+            return SeedVector(map(mul, self, other))
+        return SeedVector(map(mul, self, repeat(other)))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return SeedVector(map(neg, self))
+
+    def __truediv__(self, den: int):
+        return SeedVector(map(exact_quotient, self, repeat(den)))
+
+    def __bool__(self) -> bool:
+        return any(self)
 
 
-def _first_difference(lhs, rhs):
-    return None if lhs == rhs else (lhs - rhs).min_degree_component()
+def _stack(ring: ToyRing, elements: Sequence[ToyElement]) -> ToyElement:
+    """The elements side by side, slot s holding elements[s]."""
+    keys = dict.fromkeys(e for x in elements for e in x.terms)
+    return ToyElement(
+        ring, {e: SeedVector([x.terms.get(e, 0) for x in elements]) for e in keys}
+    )
 
 
-def _first_failure(pairs):
-    """The witness of the first (lhs, rhs) pair that differs, else None."""
+def _slot(x: ToyElement, s: int) -> ToyElement:
+    """The scalar element in slot s of a stacked element."""
+    return ToyElement(x.ring, {e: c[s] for e, c in x.terms.items() if c[s]})
+
+
+def _first_failures(pairs: Iterable[tuple], k: int) -> list:
+    """Per slot, the witness of the first stacked (lhs, rhs) pair differing there.
+
+    The witness is the lowest nonzero graded piece of lhs - rhs in that
+    slot; only a slot that differs is taken apart into scalar elements.
+    """
+    witnesses = [None] * k
+    zero = (0,) * k
     for lhs, rhs in pairs:
-        witness = _first_difference(lhs, rhs)
-        if witness is not None:
-            return witness
-    return None
+        a, b = lhs.terms, rhs.terms
+        if a == b:
+            continue
+        slots = set()
+        for e in a.keys() | b.keys():
+            x, y = a.get(e, zero), b.get(e, zero)
+            if x != y:
+                slots.update(s for s in range(k) if x[s] != y[s])
+        for s in slots:
+            if witnesses[s] is None:
+                witnesses[s] = (_slot(lhs, s) - _slot(rhs, s)).min_degree_component()
+    return witnesses
 
 
 def _projective_witness(ring: ToyRing, bundle: ToyBundle, seed: int):
@@ -379,68 +443,81 @@ def _projective_witness(ring: ToyRing, bundle: ToyBundle, seed: int):
     return None if uv * w == u * (v * w) and uv == v * u else one
 
 
-def check_bundle(
+def check_bundles(
     ring: ToyRing,
     n: int,
-    seed: int,
+    seeds: Iterable[int],
     theory: RankTheory | None = None,
 ) -> tuple[CheckResult, ...]:
-    """Specialize every universal identity to one seeded random bundle.
+    """Specialize every universal identity to seeded random bundles.
 
-    Returns one result per tag, in IDENTITY_TAGS order.  The bundle is drawn
-    once; the twist line and the projective sample draw from their own
-    seeds.  Both sides of each identity are evaluated independently in the
-    ring, and a failure reports the first differing graded component as
-    witness.  Each evaluation point keeps one monomial table for all the
-    polynomials evaluated there, so the reduced classes at the bundle are
-    computed once for the twist and the phi round trip, and the c1 = 0
-    point reuses the bundle's monomials that do not contain c1.  Passing a
-    corrupted theory is how the suite's mutation sensitivity is exercised.
+    Returns one result per seed and tag, seed by seed in the order given
+    and tags in IDENTITY_TAGS order, so k seeds give the results of k
+    one-seed calls in turn.  Each seed's bundle is drawn and validated
+    once; its twist line and its projective sample draw from their own
+    seeds.  The k bundles' classes are stacked into elements of
+    R (x) Q^k with SeedVector coefficients, and both sides of each
+    identity are evaluated once for all seeds, independently, in the
+    ring, with one monomial table per evaluation point.  Each identity
+    is compared slot by slot, and a failing seed reports the first
+    differing graded component of its own slot as witness.  The
+    projective-bundle tag is checked on each seed's own bundle.  Passing
+    a corrupted theory is how the suite's mutation sensitivity is
+    exercised.
     """
     if theory is None:
         theory = rank_theory(n)
-    one = ring.one()
-    bundle = random_bundle(ring, n, seed)
-    values = _class_values(bundle)
+    seeds = tuple(seeds)
+    k = len(seeds)
+    bundles = [random_bundle(ring, n, seed) for seed in seeds]
+    values = {
+        f"c{i}": _stack(ring, [b.classes[i - 1] for b in bundles])
+        for i in range(1, n + 1)
+    }
+    one = _stack(ring, [ring.one()] * k)
     at_c = {}
     reduced = [p.evaluate(values, one, at_c) for p in theory.reduced]
     f_values = [p.evaluate(values, one, at_c) for p in theory.f_classes]
 
-    tv = dict(values, t=ring.random_element(1, random.Random((seed + 1) << 4)))
+    lines = [ring.random_element(1, random.Random((seed + 1) << 4)) for seed in seeds]
+    tv = dict(values, t=_stack(ring, lines))
     at_ct = {}
     twisted = {
-        f"c{k}": p.evaluate(tv, one, at_ct) for k, p in enumerate(theory.twisted, 1)
+        f"c{i}": p.evaluate(tv, one, at_ct) for i, p in enumerate(theory.twisted, 1)
     }
     at_twisted = {}
-    twist = _first_failure(
-        (p.evaluate(twisted, one, at_twisted), rhs)
-        for p, rhs in zip(theory.reduced, reduced)
+    twist = _first_failures(
+        zip([p.evaluate(twisted, one, at_twisted) for p in theory.reduced], reduced), k
     )
 
+    # at c1 = 0 the reduced classes must give the point's own 0, c2, ..., cn
     flat = dict(values, c1=ring.zero())
     at_flat = {e: v for e, v in at_c.items() if not e[0]}
-    c1_zero = _first_failure(
-        (p.evaluate(flat, one, at_flat), flat[f"c{r}"])
-        for r, p in enumerate(theory.reduced, 1)
+    c1_zero = _first_failures(
+        zip([p.evaluate(flat, one, at_flat) for p in theory.reduced], flat.values()), k
     )
 
-    u = {f"u{k}": f_values[k - 1] for k in range(2, n + 1)}
+    u = {f"u{i}": f_values[i - 1] for i in range(2, n + 1)}
     at_u = {}
-    phi_roundtrip = _first_failure(
-        (p.evaluate(u, one, at_u), rhs) for p, rhs in zip(theory.phi, reduced[1:])
+    phi_roundtrip = _first_failures(
+        zip([p.evaluate(u, one, at_u) for p in theory.phi], reduced[1:]), k
     )
+    c1f_zero = _first_failures([(f_values[0], ring.zero())], k)
 
-    witnesses = (
-        twist,
-        c1_zero,
-        phi_roundtrip,
-        _first_difference(f_values[0], ring.zero()),
-        _projective_witness(ring, bundle, seed),
-    )
-    return tuple(
-        CheckResult(tag, ring.id, n, seed, "pass" if w is None else "fail", w)
-        for tag, w in zip(IDENTITY_TAGS, witnesses)
-    )
+    results = []
+    for s, (seed, bundle) in enumerate(zip(seeds, bundles)):
+        witnesses = (
+            twist[s],
+            c1_zero[s],
+            phi_roundtrip[s],
+            c1f_zero[s],
+            _projective_witness(ring, bundle, seed),
+        )
+        results.extend(
+            CheckResult(tag, ring.id, n, seed, "pass" if w is None else "fail", w)
+            for tag, w in zip(IDENTITY_TAGS, witnesses)
+        )
+    return tuple(results)
 
 
 # ---- projective-bundle extension ----

@@ -39,6 +39,18 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def exact_quotient(c, den: int):
+    """c / den with no float: an int when den divides the int c.
+
+    A Fraction divides as a Fraction; any other coefficient type, such as
+    the toy-ring checks' per-seed vectors, by its own `/`.
+    """
+    if type(c) is int:
+        q, r = divmod(c, den)
+        return Fraction(c, den) if r else q
+    return c / den
+
+
 def as_rational(value) -> Fraction:
     """Convert an exact coefficient (int, Fraction or "p/q") to a Fraction.
 
@@ -301,13 +313,17 @@ class MPoly:
         `ring` and `terms`, are built as type(one)(ring, terms), and whose
         ring.multiply_into(out, a, b) adds a product of term dicts into out.
         All work is on term dicts, multiplied by mul_trunc or multiply_into;
-        only the value returned is wrapped.
+        only the value returned is wrapped.  A point's coefficients may be
+        ints, Fractions, or any type with +, *, unary - and a truth value
+        that divides itself exactly by an int, such as the per-seed vectors
+        of oracle.check_bundles; no float is ever formed.
         Each distinct monomial is built once, as a smaller monomial times
         one variable.  The coefficients are read once per polynomial as
         integers over their common denominator; every integer times its
         monomial's terms is added into one dict, and each sum is divided by
-        the denominator once, so a polynomial with integral coefficients
-        keeps a point's int coefficients as ints.
+        the denominator once with exact_quotient, so an int sum that the
+        denominator divides stays an int and a polynomial with integral
+        coefficients keeps a point's int coefficients as ints.
 
         monomials is the memo of monomial term dicts, keyed by exponent
         tuple; its dicts are shared, never modified.  By default it lives
@@ -352,7 +368,9 @@ class MPoly:
                 value = monomials[mono] = times(value, factor)
             for e, c in value.items():
                 acc[e] = acc.get(e, 0) + k * c
-        terms = {e: Fraction(c, den) if den > 1 else c for e, c in acc.items() if c}
+        terms = {
+            e: exact_quotient(c, den) if den > 1 else c for e, c in acc.items() if c
+        }
         if not isinstance(one, MPoly):
             return type(one)(one.ring, terms)
         return MPoly._wrap(one.table, terms)

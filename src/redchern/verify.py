@@ -169,13 +169,16 @@ def suite_triangularity(max_rank: int, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_toy_rings(max_rank: int, seed: int = 0) -> list[CheckResult]:
-    """Specialize every universal identity over the toy-ring catalog."""
+    """Specialize every universal identity over the toy-ring catalog.
+
+    Each ring and rank is one check_bundles call over the block's seeds.
+    """
     results = []
+    seeds = range(seed, seed + TOY_SEED_COUNT)
     for spec in TOY_RING_SPECS:
         ring = oracle.make_toy_ring(spec)
         for n in range(2, max_rank + 1):
-            for k in range(TOY_SEED_COUNT):
-                results.extend(oracle.check_bundle(ring, n, seed + k))
+            results.extend(oracle.check_bundles(ring, n, seeds))
     return results
 
 

@@ -178,6 +178,18 @@ class TestVerify:
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == TOY_BLOCK_SHA[seed]
 
+    def test_toy_rings_rank_six_held_out_seed_bytes_pinned(self, runner):
+        # stdout of `redchern verify --suite toy-rings --max-rank 6 --seed 1000`,
+        # recorded while the suite evaluated one seed at a time
+        result = runner.invoke(
+            main,
+            ["verify", "--suite", "toy-rings", "--max-rank", "6", "--seed", "1000"],
+        )
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "f00bfb4f778179ad1a30df794962b6be4bb29c1abb14aa69c5d41d997346811a"
+        )
+
     def test_all_suites_report_bytes_pinned(self, runner):
         # stdout of `redchern verify --suite all --max-rank 5 --seed 0`
         result = runner.invoke(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redchern import verify
+from redchern import oracle, verify
 from redchern.oracle import (
     IDENTITY_TAGS,
     ProjectiveBundleRing,
@@ -18,16 +18,18 @@ from redchern.oracle import (
     ToyBundle,
     ToyElement,
     ToyRing,
-    check_bundle,
+    SeedVector,
+    _stack,
+    check_bundles,
     make_toy_ring,
     projective_bundle_ring,
     random_bundle,
     rank_theory,
 )
-from redchern.poly import MPoly
+from redchern.poly import MPoly, c_vars
 
 from . import naive
-from .strategies import coefficients
+from .strategies import coefficients, exponent_tuples
 
 P2_SPEC = {
     "id": "p2-even",
@@ -51,9 +53,13 @@ RICH_SPEC = {
 }
 
 
+# the toy-rings suite's catalog and the rings of these tests
+ALL_SPECS = (*verify.TOY_RING_SPECS, RICH_SPEC, CURVES_SPEC, P2_SPEC)
+
+
 def check_identity(tag, ring, rank, seed, theory=None):
-    """The result of one identity tag, picked from check_bundle's results."""
-    return check_bundle(ring, rank, seed, theory)[IDENTITY_TAGS.index(tag)]
+    """The result of one identity tag, picked from a one-seed check_bundles."""
+    return check_bundles(ring, rank, [seed], theory)[IDENTITY_TAGS.index(tag)]
 
 
 def corrupt(theory, field, k):
@@ -244,14 +250,15 @@ class TestCappedProduct:
 
 
 class TestExponentValidation:
-    @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (), (-1, 2), (0, -3), (1.0, 0)])
+    @pytest.mark.parametrize(
+        "exps", [(1,), (1, 0, 0), (), (-1, 2), (0, -3), (1.0, 0), (True, 0)]
+    )
     def test_bad_keys_rejected(self, exps):
         # a key that is no surviving monomial is rejected when the element is
-        # built; (1.0, 0) equals the live (1, 0), and MPoly's checks reject it
-        # when the element is written out
+        # built; so are (1.0, 0) and (True, 0), which equal the live (1, 0)
         ring = make_toy_ring(CURVES_SPEC)
         with pytest.raises(ValueError):
-            ToyElement(ring, {exps: 1}).to_json_obj()
+            ToyElement(ring, {exps: 1})
 
 
 class TestRandomBundle:
@@ -368,14 +375,32 @@ class TestCheckIdentity:
         }
 
 
-# base-ring products of check_bundle on two-lines at rank 5, seed 7
+# base-ring products of check_bundles on two-lines at rank 5: seed 7
+# alone, and the toy-rings suite's block of seeds 0..19
 PRODUCTS_AT_RANK_FIVE = 72
+PRODUCTS_OF_A_BLOCK_AT_RANK_FIVE = 862
+
+
+class ProductCountingRing(ToyRing):
+    """A toy ring that counts the base-ring products multiplied in it."""
+
+    products = 0
+
+    def multiply_into(self, out, a, b):
+        self.products += 1
+        return ToyRing.multiply_into(self, out, a, b)
+
+
+def product_counting_ring(spec):
+    return ProductCountingRing(
+        spec["id"], spec["generators"], spec["relations"], spec["top_degree"]
+    )
 
 
 class TestCheckBundle:
     def test_one_result_per_tag_in_order(self):
         ring = make_toy_ring(RICH_SPEC)
-        results = check_bundle(ring, 3, 7)
+        results = check_bundles(ring, 3, [7])
         assert tuple(r.identity for r in results) == IDENTITY_TAGS
         assert all(r.passed for r in results)
         assert {(r.ring, r.rank, r.seed) for r in results} == {("rich", 3, 7)}
@@ -383,17 +408,7 @@ class TestCheckBundle:
     def test_products_counted_and_c1_free_monomials_reused(self, monkeypatch):
         # one fixed rank-5 bundle: every base-ring product is counted, and
         # the c1 = 0 point takes its monomials free of c1 from the c point
-        class CountingRing(ToyRing):
-            products = 0
-
-            def multiply_into(self, out, a, b):
-                self.products += 1
-                return ToyRing.multiply_into(self, out, a, b)
-
-        spec = verify.TOY_RING_SPECS[1]
-        ring = CountingRing(
-            spec["id"], spec["generators"], spec["relations"], spec["top_degree"]
-        )
+        ring = product_counting_ring(verify.TOY_RING_SPECS[1])
         rank_theory(5)
         memos = []  # (values, memo, the memo's keys when first passed)
         honest = MPoly.evaluate
@@ -404,13 +419,33 @@ class TestCheckBundle:
             return honest(self, values, one, monomials)
 
         monkeypatch.setattr(MPoly, "evaluate", spy)
-        assert all(r.passed for r in check_bundle(ring, 5, 7))
+        assert all(r.passed for r in check_bundles(ring, 5, [7]))
         assert ring.products == PRODUCTS_AT_RANK_FIVE
         flat = [(m, keys) for v, m, keys in memos if "c1" in v and v["c1"].is_zero()]
         assert len(flat) == 1
         memo, seeded = flat[0]
         built = set(memo) - seeded
         assert built and all(e[0] > 0 for e in built)
+
+    def test_a_block_of_seeds_is_evaluated_once(self, monkeypatch):
+        # the suite checks each ring and rank in one call over its 20 seeds,
+        # which share every evaluation; only the projective-bundle tag
+        # multiplies seed by seed
+        blocks = {}  # (ring, rank) -> (seeds, products) of its last call
+        honest = oracle.check_bundles
+
+        def spy(ring, n, seeds, theory=None):
+            before = ring.products
+            results = honest(ring, n, seeds, theory)
+            blocks[ring.id, n] = (list(seeds), ring.products - before)
+            return results
+
+        monkeypatch.setattr(oracle, "make_toy_ring", product_counting_ring)
+        monkeypatch.setattr(oracle, "check_bundles", spy)
+        assert all(r.passed for r in verify.suite_toy_rings(5, 0))
+        assert len(blocks) == 12
+        assert all(seeds == list(range(20)) for seeds, _ in blocks.values())
+        assert blocks["two-lines", 5][1] == PRODUCTS_OF_A_BLOCK_AT_RANK_FIVE
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -440,7 +475,8 @@ class TestCheckBundle:
         # Every failing (mutation, rank, seed, tag) with its witness, pinned
         # from the per-tag route in which each tag drew its own bundle and
         # evaluated the reduced classes itself.  Sharing the bundle and its
-        # evaluations across tags must hide no mutation from any tag.
+        # evaluations across tags, and stacking the suite's 20 seeds into
+        # one evaluation, must hide no mutation from any tag and seed.
         ring = make_toy_ring(verify.TOY_RING_SPECS[1])
         # each field with the degree of its first entry
         fields = (("phi", 2), ("reduced", 1), ("twisted", 1), ("f_classes", 1))
@@ -449,12 +485,11 @@ class TestCheckBundle:
             for n in range(2, 5):
                 for k in range(first, n + 1):
                     bad = corrupt(rank_theory(n), name, k - first)
-                    for seed in range(20):
-                        for r in check_bundle(ring, n, seed, theory=bad):
-                            if not r.passed:
-                                witness = r.witness.to_json_obj()
-                                records.append([name, k, n, seed, r.identity, witness])
-                                failing_tags.setdefault(name, set()).add(r.identity)
+                    for r in check_bundles(ring, n, range(20), theory=bad):
+                        if not r.passed:
+                            witness = r.witness.to_json_obj()
+                            records.append([name, k, n, r.seed, r.identity, witness])
+                            failing_tags.setdefault(name, set()).add(r.identity)
         assert failing_tags == {
             "phi": {"phi-roundtrip"},
             "reduced": {"twist", "c1-zero", "phi-roundtrip"},
@@ -466,6 +501,70 @@ class TestCheckBundle:
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "428aed094154c5dc8d844bdf3a153f4ba13c7b5f6b9ed5c860c8b643407cf9a0"
         )
+
+
+def report(results):
+    """Each result's seed, tag, status and witness JSON, in order."""
+    return [
+        (r.seed, r.identity, r.status, r.to_json_obj()["witness"])
+        for r in results
+    ]
+
+
+class TestStackedSeeds:
+    @pytest.mark.parametrize("field", (None, "phi", "reduced", "twisted", "f_classes"))
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec["id"])
+    def test_a_block_equals_its_one_seed_calls(self, spec, field):
+        # stacking seeds 0..19 into one evaluation changes no seed's report,
+        # for the honest theory and one corrupted entry per field
+        ring = make_toy_ring(spec)
+        failed = 0
+        for n in range(2, 6):
+            theory = rank_theory(n)
+            if field is not None:
+                theory = corrupt(theory, field, 0)
+            block = check_bundles(ring, n, range(20), theory)
+            alone = [r for s in range(20) for r in check_bundles(ring, n, [s], theory)]
+            assert report(block) == report(alone)
+            failed += sum(not r.passed for r in block)
+        # p2-even has no odd degree, so a corrupted degree-1 term of the
+        # twisted c1 vanishes there
+        vanishes = (spec, field) == (P2_SPEC, "twisted")
+        assert (failed > 0) == (field is not None and not vanishes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_each_slot_evaluates_exactly_as_its_own_bundle(self, data):
+        ring, degrees, patterns, top = data.draw(random_rings())
+        n = data.draw(st.integers(min_value=2, max_value=4))
+        seeds = data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=5))
+        k = len(seeds)
+        scales = data.draw(st.lists(coefficients(), min_size=k, max_size=k))
+        table = c_vars(n)
+        mixed = st.builds(
+            Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6, 9))
+        )
+        terms = st.dictionaries(exponent_tuples(table), mixed, max_size=6)
+        p = MPoly(table, data.draw(terms))
+        # slot s holds bundle s with its classes scaled by scales[s]
+        images = [
+            [(c * q).terms for c in random_bundle(ring, n, seed).classes]
+            for seed, q in zip(seeds, scales)
+        ]
+        values = {
+            f"c{i}": _stack(ring, [ToyElement(ring, t[i - 1]) for t in images])
+            for i in range(1, n + 1)
+        }
+        got = p.evaluate(values, _stack(ring, [ring.one()] * k))
+
+        def reduce(t):
+            return naive.ntruncate(t, degrees, patterns, top)
+
+        for s, classes in enumerate(images):
+            slot = {e: c[s] for e, c in got.terms.items() if c[s]}
+            assert slot == naive.nevaluate(p, classes, len(degrees), reduce)
+        assert all(type(c) is SeedVector for c in got.terms.values())
+        assert all(type(x) in (int, Fraction) for c in got.terms.values() for x in c)
 
 
 class TestProjectiveBundleRing:

@@ -331,6 +331,11 @@ class TestEvaluate:
         halved = (p * Fraction(1, 2)).evaluate(values, TOY.one())
         assert halved * 2 == got
         assert any(isinstance(c, Fraction) for c in halved.terms.values())
+        # a sum that the common denominator divides comes back as an int
+        q = MPoly(C2, {(2, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
+        got = q.evaluate({"c1": a * 2, "c2": b * 3}, TOY.one())
+        assert got.terms == {(2, 0): 2, (0, 1): 1}
+        assert all(type(c) is int for c in got.terms.values())
 
     def test_high_degree(self):
         p = MPoly(X2, {(41, 0): 1, (20, 22): Fraction(-3, 2), (0, 45): 2, (3, 3): 5})
