@@ -9,8 +9,9 @@ Subpackage map:
                tuples, no root variables
     universal  s_1..s_n in e-coordinates, phi by the slice solve, psi by
                two twists, the pushforward recipe
-    oracle     toy graded rings, identity specialization with one
-               evaluation per ring and rank over stacked seeds
+    oracle     toy graded rings and their projective-bundle extensions,
+               one element type for both, identity specialization with
+               one evaluation per ring and rank over stacked seeds
     verify     named verification suites
     cli        command-line entry points
 """

@@ -7,12 +7,15 @@ a monomial basis.  Elements are term dicts over the surviving monomials.
 Each ring enumerates them once and, on its first product, builds one
 multiplication table from each pair of them to their product where that
 survives; a product multiplies and accumulates over the table into one
-dict, so no dead monomial is ever formed.  A projective-bundle element
-holds its coefficients as base term dicts, and its products, with their
-reduction by the relation, accumulate the same way.  The symbolic
-identities proved in the c-variables are universal, so specializing them
-to random bundles over random toy rings can only fail if the symbolic
-side is wrong; that is what check_bundles tests, evaluating both sides of
+dict, so no dead monomial is ever formed.  The projective bundle P(E) of
+a bundle over a toy ring is a ring of the same kind: its elements are
+ToyElements over the base monomials each followed by a power of xi
+below the rank, and a product is convolved through the base ring,
+reduced by the relation and accumulated the same way, so MPoly.evaluate
+takes P(E) points as it takes toy-ring points.  The symbolic identities
+proved in the c-variables are universal, so specializing them to random
+bundles over random toy rings can only fail if the symbolic side is
+wrong; that is what check_bundles tests, evaluating both sides of
 each identity independently in the ring with MPoly.evaluate, which
 multiplies term dicts through the ring's multiply_into and wraps only the
 values it returns.  It draws each seed's bundle once and stacks the
@@ -44,16 +47,6 @@ from typing import Iterable, Mapping, Sequence
 from redchern import chern, universal
 from redchern.kernels import add_terms
 from redchern.poly import MPoly, VarTable, exact_quotient
-
-
-def _power(x, k: int):
-    """x ** k by repeated multiplication, for toy and projective elements."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    result = x.ring_one()
-    for _ in range(k):
-        result = result * x
-    return result
 
 
 class ToyRing:
@@ -167,17 +160,18 @@ class ToyRing:
 
 
 class ToyElement:
-    """Element of a ToyRing, immutable by convention.
+    """Element of a ToyRing or a ProjectiveBundleRing, immutable by convention.
 
-    Its terms are in normal form: only surviving monomials, no zero
-    coefficient.  A key that is no surviving monomial, or that has an
-    exponent other than a Python int (1.0 and True equal 1), raises
-    ValueError.
+    Its ring provides `table`, `_live` (the surviving monomials), `one`,
+    `zero` and `multiply_into(out, a, b)`.  Its terms are in normal form:
+    only surviving monomials, no zero coefficient.  A key that is no
+    surviving monomial, or that has an exponent other than a Python int
+    (1.0 and True equal 1), raises ValueError.
     """
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: ToyRing, terms: dict):
+    def __init__(self, ring: "ToyRing | ProjectiveBundleRing", terms: dict):
         live = ring._live
         exponent_types = set(map(type, chain.from_iterable(terms)))
         if not (terms.keys() <= live and exponent_types <= {int}):
@@ -223,7 +217,12 @@ class ToyElement:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        return _power(self, k)
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result = self.ring.one()
+        for _ in range(k):
+            result = result * self
+        return result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -427,20 +426,20 @@ def _first_failures(pairs: Iterable[tuple], k: int) -> list:
 def _projective_witness(ring: ToyRing, bundle: ToyBundle, seed: int):
     """None if the projective extension of the bundle behaves, else a witness."""
     n = bundle.rank
-    ext = projective_bundle_ring(ring, bundle)
-    for coeff in ext.relation_residue().coefficients:
+    ext = ProjectiveBundleRing(ring, bundle)
+    for coeff in ext.coefficients(ext.relation_residue()):
         if not coeff.is_zero():
             return coeff.min_degree_component()
     rng = random.Random((seed + 3) << 4)
-    zero, one = ring.zero(), ring.one()
+    zero = ring.zero()
     sample = []
     for _ in range(3):
-        base = ext.inject(ring.random_element(rng.randint(0, 2), rng))
-        # xi^k written down directly, reduced at most once
-        sample.append(base * ext.element([zero] * rng.randint(0, n) + [one]))
+        base = ring.random_element(rng.randint(0, 2), rng)
+        # base xi^k written down directly, reduced at most once
+        sample.append(ext.element([zero] * rng.randint(0, n) + [base]))
     u, v, w = sample
     uv = u * v
-    return None if uv * w == u * (v * w) and uv == v * u else one
+    return None if uv * w == u * (v * w) and uv == v * u else ring.one()
 
 
 def check_bundles(
@@ -524,37 +523,41 @@ def check_bundles(
 
 
 class ProjectiveBundleRing:
-    """The base ring with a degree-1 class xi adjoined.
+    """The base ring with a degree-1 class xi adjoined, a ring of ToyElements.
 
-    Elements are vectors (a_0..a_{n-1}) of base elements standing for
-    sum a_i xi^i; the defining relation
+    An element is a term dict over the base's surviving monomials each
+    followed by a power of xi below n, standing for sum a_j xi^j; the
+    defining relation
         xi^n + c_1 xi^{n-1} + ... + c_n = 0
     rewrites every higher power of xi back into that basis, so the
     extension is by construction a free module of rank n over the base.
     """
 
     def __init__(self, base: ToyRing, bundle: ToyBundle):
+        if bundle.rank < 1:
+            raise ValueError("rank must be >= 1")
         self.base = base
         self.bundle = bundle
         self.rank = bundle.rank
 
-    def element(self, coefficients: Sequence) -> "ProjectiveElement":
-        return self._reduce([dict(a.terms) for a in coefficients])
+    @cached_property
+    def table(self) -> VarTable:
+        return self.base.table.extend([("xi", 1)])
 
-    def zero(self) -> "ProjectiveElement":
-        return self.element([])
+    @cached_property
+    def _live(self) -> frozenset:
+        """Each surviving base monomial followed by a power of xi below n."""
+        return frozenset(e + (j,) for e in self.base._live for j in range(self.rank))
 
-    def one(self) -> "ProjectiveElement":
-        return self.element([self.base.one()])
+    def _split(self, terms: Mapping) -> list:
+        """The base term dicts a_0..a_{n-1} of sum a_j xi^j."""
+        parts = [{} for _ in range(self.rank)]
+        for e, c in terms.items():
+            parts[e[-1]][e[:-1]] = c
+        return parts
 
-    def inject(self, a) -> "ProjectiveElement":
-        return self.element([a])
-
-    def xi(self) -> "ProjectiveElement":
-        return self.element([self.base.zero(), self.base.one()])
-
-    def _reduce(self, raw: list) -> "ProjectiveElement":
-        """The element sum raw[k] xi^k, for base term dicts raw[k] it may modify.
+    def _reduce(self, raw: list) -> list:
+        """The coefficients of sum raw[k] xi^k below xi^n; raw is modified.
 
         From the top power down, xi^k for k >= n is rewritten by
         xi^n = -(c_1 xi^{n-1} + ... + c_n), accumulating into raw[k-n..k-1].
@@ -566,84 +569,50 @@ class ProjectiveBundleRing:
             if head:
                 for i, c_i in enumerate(self.bundle.classes, 1):
                     multiply_into(raw[k - i], c_i.terms, head)
-        raw += [{}] * (n - len(raw))
-        coeffs = tuple({e: c for e, c in t.items() if c} for t in raw[:n])
-        return ProjectiveElement(self, coeffs)
+        return raw[:n]
 
-    def relation_residue(self) -> "ProjectiveElement":
+    def multiply_into(self, out: dict, a: Mapping, b: Mapping) -> dict:
+        """Add the product of the normal-form term dicts a and b into out.
+
+        Both are split by their power of xi, convolved through the base
+        ring, and reduced by the relation; returns out.
+        """
+        multiply_into = self.base.multiply_into
+        raw = [{} for _ in range(2 * self.rank - 1)]
+        rhs = [(j, t) for j, t in enumerate(self._split(b)) if t]
+        for i, s in enumerate(self._split(a)):
+            if s:
+                for j, t in rhs:
+                    multiply_into(raw[i + j], s, t)
+        for j, t in enumerate(self._reduce(raw)):
+            for e, c in t.items():
+                key = e + (j,)
+                out[key] = out.get(key, 0) + c
+        return out
+
+    def element(self, coefficients: Sequence[ToyElement]) -> ToyElement:
+        """sum coefficients[k] xi^k, reduced."""
+        raw = self._reduce([dict(a.terms) for a in coefficients])
+        return ToyElement(
+            self, {e + (j,): c for j, t in enumerate(raw) for e, c in t.items() if c}
+        )
+
+    def zero(self) -> ToyElement:
+        return ToyElement(self, {})
+
+    def one(self) -> ToyElement:
+        return self.element([self.base.one()])
+
+    def inject(self, a: ToyElement) -> ToyElement:
+        return self.element([a])
+
+    def xi(self) -> ToyElement:
+        return self.element([self.base.zero(), self.base.one()])
+
+    def coefficients(self, x: ToyElement) -> tuple[ToyElement, ...]:
+        """The base elements a_0..a_{n-1} of x = sum a_j xi^j."""
+        return tuple(ToyElement(self.base, t) for t in self._split(x.terms))
+
+    def relation_residue(self) -> ToyElement:
         """xi^n + c_1 xi^{n-1} + ... + c_n, reduced; zero by construction."""
         return self.element([*reversed(self.bundle.classes), self.base.one()])
-
-
-class ProjectiveElement:
-    """sum a_i xi^i over i < n, each a_i held as a base-ring term dict."""
-
-    __slots__ = ("ext", "terms")
-
-    def __init__(self, ext: ProjectiveBundleRing, terms: tuple):
-        self.ext = ext
-        self.terms = terms
-
-    @property
-    def coefficients(self) -> tuple:
-        """The a_i as base-ring elements, built on each read."""
-        return tuple(ToyElement(self.ext.base, t) for t in self.terms)
-
-    def is_zero(self) -> bool:
-        return not any(self.terms)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ext.inject(self.ext.base.one() * other)
-        if not isinstance(other, ProjectiveElement):
-            return NotImplemented
-        sums = [add_terms(a, b) for a, b in zip(self.terms, other.terms)]
-        return self.ext._reduce(sums)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self.ext._reduce([{e: -c for e, c in t.items()} for t in self.terms])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            scaled = [{e: c * other for e, c in t.items()} for t in self.terms]
-            return self.ext._reduce(scaled)
-        if not isinstance(other, ProjectiveElement):
-            return NotImplemented
-        multiply_into = self.ext.base.multiply_into
-        raw = [{} for _ in range(2 * self.ext.rank - 1)]
-        rhs = [(j, b) for j, b in enumerate(other.terms) if b]
-        for i, a in enumerate(self.terms):
-            if a:
-                for j, b in rhs:
-                    multiply_into(raw[i + j], a, b)
-        return self.ext._reduce(raw)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return _power(self, k)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjectiveElement):
-            return NotImplemented
-        return self.ext is other.ext and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def ring_one(self) -> "ProjectiveElement":
-        return self.ext.one()
-
-    def __repr__(self) -> str:
-        return f"ProjectiveElement({self.coefficients!r})"
-
-
-def projective_bundle_ring(ring: ToyRing, bundle: ToyBundle) -> ProjectiveBundleRing:
-    """Adjoin the class xi of the bundle's projectivization to the base ring."""
-    if bundle.rank < 1:
-        raise ValueError("rank must be >= 1")
-    return ProjectiveBundleRing(ring, bundle)

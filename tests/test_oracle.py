@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redchern import oracle, verify
+from redchern import chern, oracle, verify
 from redchern.oracle import (
     IDENTITY_TAGS,
     ProjectiveBundleRing,
-    ProjectiveElement,
     ToyBundle,
     ToyElement,
     ToyRing,
@@ -22,7 +21,6 @@ from redchern.oracle import (
     _stack,
     check_bundles,
     make_toy_ring,
-    projective_bundle_ring,
     random_bundle,
     rank_theory,
 )
@@ -377,8 +375,8 @@ class TestCheckIdentity:
 
 # base-ring products of check_bundles on two-lines at rank 5: seed 7
 # alone, and the toy-rings suite's block of seeds 0..19
-PRODUCTS_AT_RANK_FIVE = 72
-PRODUCTS_OF_A_BLOCK_AT_RANK_FIVE = 862
+PRODUCTS_AT_RANK_FIVE = 69
+PRODUCTS_OF_A_BLOCK_AT_RANK_FIVE = 764
 
 
 class ProductCountingRing(ToyRing):
@@ -572,11 +570,11 @@ class TestProjectiveBundleRing:
         ring = make_toy_ring({"id": "point", "generators": [], "top_degree": 6})
         for n in (2, 3, 4):
             bundle = ToyBundle(n, tuple(ring.zero() for _ in range(n)))
-            ext = projective_bundle_ring(ring, bundle)
+            ext = ProjectiveBundleRing(ring, bundle)
             # the extension is then plainly the truncated polynomial ring on xi
             for k in range(n):
                 expected = [{(): 1} if i == k else {} for i in range(n)]
-                assert [a.terms for a in (ext.xi() ** k).coefficients] == expected
+                assert [a.terms for a in ext.coefficients(ext.xi() ** k)] == expected
             assert (ext.xi() ** n).is_zero()
             assert not (ext.xi() ** (n - 1)).is_zero()
 
@@ -590,7 +588,7 @@ class TestProjectiveBundleRing:
             }
         )
         bundle = random_bundle(ring, 2, seed=4)
-        ext = projective_bundle_ring(ring, bundle)
+        ext = ProjectiveBundleRing(ring, bundle)
         # b xi^i over base monomials b and i < 2 stay distinct unit vectors,
         # so the degree-d piece has the dimension of the base's d and d - 1
         xi = ext.xi()
@@ -598,13 +596,13 @@ class TestProjectiveBundleRing:
             for e in (e for d in range(9) for e in ring.graded_basis(d)):
                 image = ext.inject(ToyElement(ring, {e: 1})) * xi**i
                 expected = [{e: 1} if j == i else {} for j in range(2)]
-                assert [a.terms for a in image.coefficients] == expected
+                assert [a.terms for a in ext.coefficients(image)] == expected
 
     def test_relation_residue_reduces_to_zero(self):
         ring = make_toy_ring(RICH_SPEC)
         for seed in range(5):
             bundle = random_bundle(ring, 3, seed=seed)
-            ext = projective_bundle_ring(ring, bundle)
+            ext = ProjectiveBundleRing(ring, bundle)
             assert ext.relation_residue().is_zero()
 
     @settings(max_examples=80, deadline=None)
@@ -613,7 +611,7 @@ class TestProjectiveBundleRing:
         ring, degrees, patterns, top = data.draw(random_rings(multivariable=True))
         n = data.draw(st.integers(min_value=2, max_value=6))
         bundle = random_bundle(ring, n, data.draw(st.integers(0, 10**6)))
-        ext = projective_bundle_ring(ring, bundle)
+        ext = ProjectiveBundleRing(ring, bundle)
 
         def reduce(t):
             return naive.ntruncate(t, degrees, patterns, top)
@@ -631,16 +629,44 @@ class TestProjectiveBundleRing:
         a, b = (ext.element([ToyElement(ring, t) for t in v]) for v in vectors)
         classes = [c.terms for c in bundle.classes]
         expected = naive.nprojective_mul(*vectors, classes, reduce)
-        assert [c.terms for c in (a * b).coefficients] == expected
+        assert [c.terms for c in ext.coefficients(a * b)] == expected
 
     def test_multiplication_respects_the_relation(self):
         ring = make_toy_ring(CURVES_SPEC)
         bundle = random_bundle(ring, 2, seed=11)
-        ext = projective_bundle_ring(ring, bundle)
+        ext = ProjectiveBundleRing(ring, bundle)
         xi = ext.xi()
         c1 = ext.inject(bundle.classes[0])
         c2 = ext.inject(bundle.classes[1])
         assert xi * xi == -(c1 * xi) - c2
+
+
+def relations_at_projective_points():
+    """c_n(E (x) L) at t = xi over P(E): the catalog, ranks 2..5, seeds 0..4.
+
+    With c_i -> c_i and t -> xi the twisted top class is
+    xi^n + c_1 xi^(n-1) + ... + c_n, the relation that defines P(E).
+    """
+    for spec in verify.TOY_RING_SPECS:
+        ring = make_toy_ring(spec)
+        for n in range(2, 6):
+            for seed in range(5):
+                bundle = random_bundle(ring, n, seed)
+                ext = ProjectiveBundleRing(ring, bundle)
+                values = {f"c{i}": ext.inject(c) for i, c in enumerate(bundle.classes, 1)}
+                values["t"] = ext.xi()
+                yield chern.twist(n)[n - 1].evaluate(values, ext.one())
+
+
+def test_evaluate_at_projective_points_gives_the_relation():
+    values = list(relations_at_projective_points())
+    assert len(values) == 60
+    assert all(type(v) is ToyElement and v.is_zero() for v in values)
+
+
+def test_evaluate_at_projective_points_sees_a_sign_flipped_relation(monkeypatch):
+    flip_the_relation(monkeypatch)
+    assert not any(v.is_zero() for v in relations_at_projective_points())
 
 
 def projective_results():
@@ -649,18 +675,21 @@ def projective_results():
     return [r for r in results if r.identity == "projective-bundle"]
 
 
-def test_projective_bundle_catches_a_sign_flipped_relation(monkeypatch):
-    # reducing by xi^n = +(c_1 xi^(n-1) + ... + c_n) still gives an
-    # associative, commutative ring, so only the relation residue sees it
+def flip_the_relation(monkeypatch):
+    """Make every projective extension reduce by xi^n = +(c_1 xi^(n-1) + ... + c_n)."""
     honest = ProjectiveBundleRing._reduce
 
     def flipped(self, raw):
         negated = ToyBundle(self.rank, tuple(-c for c in self.bundle.classes))
-        return ProjectiveElement(
-            self, honest(ProjectiveBundleRing(self.base, negated), raw).terms
-        )
+        return honest(ProjectiveBundleRing(self.base, negated), raw)
 
     monkeypatch.setattr(ProjectiveBundleRing, "_reduce", flipped)
+
+
+def test_projective_bundle_catches_a_sign_flipped_relation(monkeypatch):
+    # the flipped relation still gives an associative, commutative ring, so
+    # only the relation residue sees it
+    flip_the_relation(monkeypatch)
     results = projective_results()
     assert len(results) == 240
     assert not any(r.passed for r in results)
@@ -675,10 +704,15 @@ def test_projective_bundle_catches_a_sign_flipped_relation(monkeypatch):
 def test_projective_bundle_catches_a_noncommutative_product(monkeypatch):
     # a product with a stray left factor keeps the relation residue zero,
     # which never multiplies, but breaks commutativity of the sample
-    honest = ProjectiveElement.__mul__
-    monkeypatch.setattr(
-        ProjectiveElement, "__mul__", lambda a, b: honest(a, b) + a
-    )
+    honest = ProjectiveBundleRing.multiply_into
+
+    def stray(self, out, a, b):
+        honest(self, out, a, b)
+        for e, c in a.items():
+            out[e] = out.get(e, 0) + c
+        return out
+
+    monkeypatch.setattr(ProjectiveBundleRing, "multiply_into", stray)
     failed = [r for r in projective_results() if not r.passed]
     assert len(failed) == 233
     assert all(r.witness == r.witness.ring_one() for r in failed)

@@ -230,13 +230,17 @@ def test_positivity_builds_one_e_to_m_table_per_partition():
 
 
 @pytest.mark.parametrize(
-    "lam, extra",
+    "lam, extra, max_rank, ranks",
     (
-        ((2, 1), {(2, 1): 1}),  # the conj entry of e_21 becomes 2
-        ((2,), {(2,): 1}),  # e_2 gains m_2, above its conj (1, 1)
+        ((2, 1), {(2, 1): 1}, 4, {2, 3, 4}),  # the conj entry of e_21 becomes 2
+        ((2,), {(2,): 1}, 4, {2, 3, 4}),  # e_2 gains m_2, above its conj (1, 1)
+        # a weight-7 row, checked from rank 6 (weight n + 1) on
+        ((4, 3), {(4, 3): 1}, 7, {6, 7}),
     ),
 )
-def test_triangularity_catches_a_corrupted_e_to_m_row(monkeypatch, lam, extra):
+def test_triangularity_catches_a_corrupted_e_to_m_row(
+    monkeypatch, lam, extra, max_rank, ranks
+):
     honest = symfun.elementary_to_monomial
 
     def corrupted(mu, n):
@@ -249,9 +253,9 @@ def test_triangularity_catches_a_corrupted_e_to_m_row(monkeypatch, lam, extra):
         return symfun.SymPolyInBasis("m", coeffs)
 
     monkeypatch.setattr(symfun, "elementary_to_monomial", corrupted)
-    results = verify.suite_triangularity(max_rank=4)
+    results = verify.suite_triangularity(max_rank=max_rank)
     failed = {r.rank for r in results if not r.passed}
-    assert failed == {2, 3, 4}
+    assert failed == ranks
     assert all(r.identity == "triangularity-e-to-m" for r in results if not r.passed)
 
 
