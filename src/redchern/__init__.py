@@ -1,8 +1,8 @@
 """Exact reduced Chern class calculus over the rationals.
 
 Subpackage map:
-    kernels    term-dict sums and full products
-    poly       sparse exact polynomials, substitution, evaluation, JSON output
+    poly       sparse exact polynomials, term-dict sums and full products,
+               substitution, evaluation in any ring, JSON output
     symfun     partitions as part tuples, e-to-m table, closed power-sum
                series of the root families and their e-coordinates
     chern      reduced classes, twists, symmetric powers as cached class

@@ -41,12 +41,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat
-from operator import add, mul, neg
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from redchern import chern, universal
-from redchern.kernels import add_terms
-from redchern.poly import MPoly, VarTable, exact_quotient
+from redchern.poly import MPoly, VarTable, add_terms, exact_quotient
 
 
 class ToyRing:
@@ -163,7 +162,9 @@ class ToyElement:
     """Element of a ToyRing or a ProjectiveBundleRing, immutable by convention.
 
     Its ring provides `table`, `_live` (the surviving monomials), `one`,
-    `zero` and `multiply_into(out, a, b)`.  Its terms are in normal form:
+    `zero` and `multiply_into(out, a, b)`, the product protocol that the
+    free ring's VarTable shares, so MPoly.evaluate multiplies in every
+    ring the same way.  Its terms are in normal form:
     only surviving monomials, no zero coefficient.  A key that is no
     surviving monomial, or that has an exponent other than a Python int
     (1.0 and True equal 1), raises ValueError.
@@ -356,9 +357,9 @@ class SeedVector(tuple):
 
     Term dicts with these coefficients are elements of R (x) Q^k, the k
     bundles' classes side by side, so one evaluation serves every seed.
-    Sums, products and negation act slot by slot, an int acts on every
-    slot, division by an int is exact in each slot, and a vector is true
-    when any slot is nonzero.
+    Sums and products act slot by slot, an int acts on every slot,
+    division by an int is exact in each slot, and a vector is true when
+    any slot is nonzero.
     """
 
     __slots__ = ()
@@ -376,9 +377,6 @@ class SeedVector(tuple):
         return SeedVector(map(mul, self, repeat(other)))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return SeedVector(map(neg, self))
 
     def __truediv__(self, den: int):
         return SeedVector(map(exact_quotient, self, repeat(den)))

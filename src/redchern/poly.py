@@ -4,7 +4,8 @@ An MPoly is a dict from exponent tuples to nonzero Fraction coefficients,
 keyed to an ordered VarTable of (name, degree) pairs.  Degrees are weights:
 a Chern-class variable c_i has degree i, so the weighted degree of a term is
 the dot product of its exponent tuple with the variable degrees.  Products
-are full; nothing is truncated.  Coefficients are fractions.Fraction, which
+are full, through VarTable.multiply_into, the product protocol that the toy
+rings share; nothing is truncated.  Coefficients are fractions.Fraction, which
 already guarantees lowest terms, a positive denominator and arbitrary
 precision; there is no floating point anywhere in this package.
 
@@ -25,9 +26,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping
-
-from redchern.kernels import add_terms, mul_trunc
 
 Exponents = tuple[int, ...]
 
@@ -49,6 +49,19 @@ def exact_quotient(c, den: int):
         q, r = divmod(c, den)
         return Fraction(c, den) if r else q
     return c / den
+
+
+def add_terms(pa, pb):
+    """Sum of two term dicts; coefficients that cancel are dropped."""
+    out = dict(pa)
+    for e, c in pb.items():
+        prev = out.get(e)
+        total = c if prev is None else prev + c
+        if total:
+            out[e] = total
+        elif prev is not None:
+            del out[e]
+    return out
 
 
 def as_rational(value) -> Fraction:
@@ -112,6 +125,20 @@ class VarTable:
     def extend(self, pairs: Iterable[tuple[str, int]]) -> "VarTable":
         return VarTable(self.pairs + tuple(pairs))
 
+    def multiply_into(self, out: dict, a: Mapping, b: Mapping) -> dict:
+        """Add the full product of the term dicts a and b into out.
+
+        Returns out, where a coefficient that cancels stays as a zero.
+        """
+        if len(b) > len(a):
+            a, b = b, a
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(map(add, ea, eb))
+                prev = out.get(e)
+                out[e] = ca * cb if prev is None else prev + ca * cb
+        return out
+
 
 def x_vars(n: int) -> VarTable:
     """Chern-root style variables x1..xn, all of degree 1."""
@@ -145,7 +172,7 @@ class MPoly:
     values, so instances can be shared freely across threads.
     """
 
-    __slots__ = ("table", "terms", "_scaled")
+    __slots__ = ("table", "terms")
 
     def __init__(self, table: VarTable, terms: Mapping[Exponents, object] = ()):
         self.table = table
@@ -208,7 +235,7 @@ class MPoly:
 
     # ---- arithmetic ----
 
-    def _check_table(self, other: "MPoly") -> None:
+    def _check(self, other: "MPoly") -> None:
         if self.table != other.table:
             raise ValueError(
                 f"mismatched variable tables: {self.table!r} vs {other.table!r}"
@@ -219,7 +246,7 @@ class MPoly:
             other = MPoly.constant(self.table, other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        self._check_table(other)
+        self._check(other)
         return MPoly._wrap(self.table, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
@@ -244,8 +271,9 @@ class MPoly:
             return MPoly._wrap(self.table, terms)
         if not isinstance(other, MPoly):
             return NotImplemented
-        self._check_table(other)
-        return MPoly._wrap(self.table, mul_trunc(self.terms, other.terms))
+        self._check(other)
+        raw = self.table.multiply_into({}, self.terms, other.terms)
+        return MPoly._wrap(self.table, {e: c for e, c in raw.items() if c})
 
     __rmul__ = __mul__
 
@@ -308,22 +336,23 @@ class MPoly:
 
         values maps occurring variable names to ring elements, and a term
         whose variable has no value raises ValueError; `one` is the ring
-        identity.  The ring is an MPoly ring (a rational number is a constant
-        over VarTable(())), or one like the toy rings, whose elements carry
-        `ring` and `terms`, are built as type(one)(ring, terms), and whose
-        ring.multiply_into(out, a, b) adds a product of term dicts into out.
-        All work is on term dicts, multiplied by mul_trunc or multiply_into;
-        only the value returned is wrapped.  A point's coefficients may be
-        ints, Fractions, or any type with +, *, unary - and a truth value
-        that divides itself exactly by an int, such as the per-seed vectors
-        of oracle.check_bundles; no float is ever formed.
+        identity.  The ring is an MPoly ring over `one.table` (a rational
+        number is a constant over VarTable(())), or one like the toy rings
+        over `one.ring`, whose elements are built as type(one)(ring, terms).
+        Either way the ring's multiply_into(out, a, b) adds a product of
+        term dicts into out, and every product of the evaluation goes
+        through it; all work is on term dicts and only the value returned
+        is wrapped.  A point's coefficients may be ints, Fractions, or any
+        type with +, * and a truth value that divides itself exactly by an
+        int, such as the per-seed vectors of oracle.check_bundles; no float
+        is ever formed.
         Each distinct monomial is built once, as a smaller monomial times
-        one variable.  The coefficients are read once per polynomial as
-        integers over their common denominator; every integer times its
-        monomial's terms is added into one dict, and each sum is divided by
-        the denominator once with exact_quotient, so an int sum that the
-        denominator divides stays an int and a polynomial with integral
-        coefficients keeps a point's int coefficients as ints.
+        one variable.  The coefficients are read as integers over their
+        common denominator; every integer times its monomial's terms is
+        added into one dict, and each sum is divided by the denominator
+        once with exact_quotient, so an int sum that the denominator
+        divides stays an int and a polynomial with integral coefficients
+        keeps a point's int coefficients as ints.
 
         monomials is the memo of monomial term dicts, keyed by exponent
         tuple; its dicts are shared, never modified.  By default it lives
@@ -333,27 +362,16 @@ class MPoly:
         """
         names = self.table.names
         if isinstance(one, MPoly):
-            def times(a, f):
-                one._check_table(f)
-                return mul_trunc(a, f.terms)
+            ring, wrap = one.table, MPoly._wrap
         else:
-            multiply_into, unit = one.ring.multiply_into, one.terms
-            def times(a, f):
-                one._check(f)
-                return f.terms if a is unit else multiply_into({}, a, f.terms)
+            ring, wrap = one.ring, type(one)
+        unit = one.terms
         if monomials is None:
             monomials = {}
-        monomials.setdefault((0,) * len(names), one.terms)
-        # integer numerators, kept with the terms dict they were read from
-        scaled = getattr(self, "_scaled", None)
-        if scaled is None or scaled[0] is not self.terms:
-            terms = self.terms
-            den = lcm(*[c.denominator for c in terms.values()])
-            ints = [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
-            scaled = self._scaled = (terms, den, ints)
-        _, den, ints = scaled
+        monomials.setdefault((0,) * len(names), unit)
+        den = lcm(*[c.denominator for c in self.terms.values()])
         acc: dict = {}
-        for exps, k in ints:
+        for exps, c in self.terms.items():
             # walk down to a known monomial, then multiply back up
             chain = []
             cur = exps
@@ -365,15 +383,19 @@ class MPoly:
                 factor = values.get(names[i])
                 if factor is None:
                     raise ValueError(f"variable {names[i]!r} has no value")
-                value = monomials[mono] = times(value, factor)
-            for e, c in value.items():
-                acc[e] = acc.get(e, 0) + k * c
+                one._check(factor)
+                value = monomials[mono] = (
+                    factor.terms
+                    if value is unit
+                    else ring.multiply_into({}, value, factor.terms)
+                )
+            k = c.numerator * (den // c.denominator)
+            for e, v in value.items():
+                acc[e] = acc.get(e, 0) + k * v
         terms = {
             e: exact_quotient(c, den) if den > 1 else c for e, c in acc.items() if c
         }
-        if not isinstance(one, MPoly):
-            return type(one)(one.ring, terms)
-        return MPoly._wrap(one.table, terms)
+        return wrap(ring, terms)
 
     def ring_one(self) -> "MPoly":
         """The identity of this value's ring (cf. toy-ring elements)."""

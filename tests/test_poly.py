@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redchern.kernels import mul_trunc
 from redchern.oracle import ToyElement, ToyRing
 from redchern.symfun import elementary_to_monomial
 from redchern.poly import (
@@ -50,7 +49,7 @@ class TestVarTable:
 
 
 class TestMulTruncated:
-    """MPoly products through kernels.mul_trunc, which truncates nothing."""
+    """MPoly products through VarTable.multiply_into, which truncates nothing."""
 
     def test_identity_factor(self):
         p = 1 + 3 * xp("x1") * xp("x2") - xp("x2") ** 2
@@ -61,6 +60,33 @@ class TestMulTruncated:
     def test_mismatched_tables(self):
         with pytest.raises(ValueError):
             MPoly.one(X2) * MPoly.one(C2)
+
+
+class TestMultiplyInto:
+    """VarTable.multiply_into, the free ring's side of the product protocol."""
+
+    def test_adds_into_a_nonempty_out(self):
+        # (2 x1 + 1)(3 x2 - 1) added to 5 x1 - 6 x1 x2 + x2^2
+        out = {(1, 0): 5, (1, 1): -6, (0, 2): 1}
+        a = {(1, 0): 2, (0, 0): 1}
+        b = {(0, 1): 3, (0, 0): -1}
+        assert X2.multiply_into(out, a, b) is out
+        # the x1 x2 coefficient cancels against out and stays as a zero
+        assert out == {(1, 0): 3, (1, 1): 0, (0, 2): 1, (0, 1): 3, (0, 0): -1}
+
+    def test_keeps_a_cancelled_coefficient_as_zero(self):
+        diff, total = xp("x1") - xp("x2"), xp("x1") + xp("x2")
+        raw = X2.multiply_into({}, diff.terms, total.terms)
+        assert raw == {(2, 0): 1, (1, 1): 0, (0, 2): -1}
+        # the product drops the zero, as ToyElement.__mul__ does
+        assert (diff * total).terms == {(2, 0): 1, (0, 2): -1}
+
+    def test_evaluate_drops_a_cancelled_coefficient(self):
+        image = (xp("x1") * xp("x2")).evaluate(
+            {"x1": xp("x1") - xp("x2"), "x2": xp("x1") + xp("x2")}, MPoly.one(X2)
+        )
+        # x1^2 - x2^2, with no zero left at x1 x2
+        assert image.terms == {(2, 0): 1, (0, 2): -1}
 
 
 class TestSubstitute:
@@ -162,23 +188,23 @@ def test_non_integer_or_duplicate_input_rejected(build):
 
 
 def test_chain_against_repeated_mul():
-    # the naive chain expansion must agree with folding mul_trunc over the factors
+    # the naive chain expansion must agree with folding MPoly products of the factors
     rng = random.Random(2024)
     for _ in range(20):
         nvars = rng.randint(1, 4)
+        table = x_vars(nvars)
         forms = [
             tuple(rng.randint(-3, 3) for _ in range(nvars))
             for _ in range(rng.randint(1, 6))
         ]
-        acc = {(0,) * nvars: 1}
+        acc = MPoly.one(table)
         for form in forms:
             factor = {(0,) * nvars: 1}
             for i, m in enumerate(form):
                 if m:
-                    e = tuple(1 if j == i else 0 for j in range(nvars))
-                    factor[e] = m
-            acc = mul_trunc(acc, factor)
-        assert naive.expand_linear_chain(forms, nvars, -1) == acc
+                    factor[table.unit(i)] = m
+            acc = acc * MPoly(table, factor)
+        assert naive.expand_linear_chain(forms, nvars, -1) == acc.terms
 
 
 @settings(max_examples=60)
