@@ -1,7 +1,8 @@
 """Exact reduced Chern class calculus over the rationals.
 
 Subpackage map:
-    poly       sparse exact polynomials, term-dict sums and full products,
+    poly       sparse exact polynomials with int or Fraction coefficients,
+               the one element type of every ring; the free ring's table,
                substitution, evaluation in any ring, JSON output
     symfun     partitions as part tuples, e-to-m table, closed power-sum
                series of the root families and their e-coordinates
@@ -9,9 +10,9 @@ Subpackage map:
                tuples, no root variables
     universal  s_1..s_n in e-coordinates, phi by the slice solve, psi by
                two twists, the pushforward recipe
-    oracle     toy graded rings and their projective-bundle extensions,
-               one element type for both, identity specialization with
-               one evaluation per ring and rank over stacked seeds
+    oracle     toy graded rings and their projective-bundle extensions as
+               VarTable presentations, identity specialization with one
+               evaluation per ring and rank over stacked seeds
     verify     named verification suites
     cli        command-line entry points
 """

@@ -3,16 +3,16 @@
 A toy ring is a quotient of a polynomial ring by monomial relations plus a
 global degree cap, so normal forms are confluent without any Groebner
 machinery, and every graded piece is a finite-dimensional vector space with
-a monomial basis.  Elements are term dicts over the surviving monomials.
-Each ring enumerates them once and, on its first product, builds one
-multiplication table from each pair of them to their product where that
-survives; a product multiplies and accumulates over the table into one
-dict, so no dead monomial is ever formed.  The projective bundle P(E) of
-a bundle over a toy ring is a ring of the same kind: its elements are
-ToyElements over the base monomials each followed by a power of xi
-below the rank, and a product is convolved through the base ring,
-reduced by the relation and accumulated the same way, so MPoly.evaluate
-takes P(E) points as it takes toy-ring points.  The symbolic identities
+a monomial basis.  Its elements are MPolys over it, term dicts over the
+surviving monomials.  Each ring enumerates them once and, on its first
+product, builds one multiplication table from each pair of them to their
+product where that survives; a product multiplies and accumulates over
+the table into one dict, so no dead monomial is ever formed.  The
+projective bundle P(E) of a bundle over a toy ring is a ring of the same
+kind: its monomials are the base's each followed by a power of xi below
+the rank, and a product is convolved through the base ring, reduced by
+the relation and accumulated the same way, so MPoly.evaluate takes P(E)
+points as it takes toy-ring points.  The symbolic identities
 proved in the c-variables are universal, so specializing them to random
 bundles over random toy rings can only fail if the symbolic side is
 wrong; that is what check_bundles tests, evaluating both sides of
@@ -40,20 +40,26 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, product, repeat
+from itertools import product, repeat
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from redchern import chern, universal
-from redchern.poly import MPoly, VarTable, add_terms, exact_quotient
+from redchern.poly import MPoly, VarTable, exact_quotient
 
 
-class ToyRing:
-    """Finitely presented truncated graded commutative ring over the rationals."""
+class ToyRing(VarTable):
+    """Finitely presented truncated graded commutative ring over the rationals.
+
+    It is the VarTable of its generators, and equals no plain VarTable.
+    Its elements are MPolys over it with only surviving monomials as keys,
+    which the MPoly constructor checks; results the ring computes are not
+    checked again.
+    """
 
     def __init__(self, ring_id, generators, relations=(), top_degree=12):
+        super().__init__(generators)
         self.id = str(ring_id)
-        self.table = VarTable(generators)
         if type(top_degree) is not int or top_degree < 0:
             raise ValueError(f"top_degree must be an int >= 0, got {top_degree!r}")
         self.top_degree = top_degree
@@ -67,7 +73,7 @@ class ToyRing:
                     raise ValueError(
                         f"relation power {power!r} for {name!r} is not an int >= 1"
                     )
-                pat[self.table.index(name)] = power
+                pat[self.index(name)] = power
             pats.append(tuple(sorted(pat.items())))
         # each relation as its (variable index, power) pairs
         self.relations = tuple(pats)
@@ -75,10 +81,12 @@ class ToyRing:
     def __eq__(self, other) -> bool:
         return other is self or (
             isinstance(other, ToyRing)
-            and self.table == other.table
+            and self.pairs == other.pairs
             and self.relations == other.relations
             and self.top_degree == other.top_degree
         )
+
+    __hash__ = VarTable.__hash__
 
     def __repr__(self) -> str:
         return f"ToyRing({self.id!r})"
@@ -89,7 +97,7 @@ class ToyRing:
     def _bases(self) -> tuple:
         """The surviving monomials grouped by weighted degree, enumerated once."""
         partial = [((), 0)]
-        for step in self.table.degrees:
+        for step in self.degrees:
             partial = [
                 (acc + (e,), w + e * step)
                 for acc, w in partial
@@ -103,8 +111,13 @@ class ToyRing:
 
     @cached_property
     def _live(self) -> frozenset:
-        """The surviving monomials, which element terms are checked against."""
+        """The surviving monomials, which the MPoly constructor checks keys against."""
         return frozenset(e for basis in self._bases for e in basis)
+
+    def check_monomials(self, terms: Mapping) -> None:
+        if not terms.keys() <= self._live:
+            bad = [e for e in terms if e not in self._live]
+            raise ValueError(f"keys {bad} are no surviving monomials of {self!r}")
 
     @cached_property
     def _products(self) -> dict:
@@ -139,12 +152,12 @@ class ToyRing:
 
     # ---- elements ----
 
-    def zero(self) -> "ToyElement":
-        return ToyElement(self, {})
+    def zero(self) -> MPoly:
+        return MPoly._wrap(self, {})
 
-    def one(self) -> "ToyElement":
+    def one(self) -> MPoly:
         # relations have positive powers, so the constant term never dies
-        return ToyElement(self, {(0,) * len(self.table): 1})
+        return MPoly._wrap(self, {(0,) * len(self): 1})
 
     # ---- graded structure ----
 
@@ -152,107 +165,10 @@ class ToyRing:
         """Monomial basis of the degree-d piece, lexicographically sorted."""
         return self._bases[d] if 0 <= d <= self.top_degree else ()
 
-    def random_element(self, d: int, rng: random.Random) -> "ToyElement":
+    def random_element(self, d: int, rng: random.Random) -> MPoly:
         """A random homogeneous degree-d element with coefficients in -3..3."""
         draws = {e: rng.randint(-3, 3) for e in self.graded_basis(d)}
-        return ToyElement(self, {e: c for e, c in draws.items() if c})
-
-
-class ToyElement:
-    """Element of a ToyRing or a ProjectiveBundleRing, immutable by convention.
-
-    Its ring provides `table`, `_live` (the surviving monomials), `one`,
-    `zero` and `multiply_into(out, a, b)`, the product protocol that the
-    free ring's VarTable shares, so MPoly.evaluate multiplies in every
-    ring the same way.  Its terms are in normal form:
-    only surviving monomials, no zero coefficient.  A key that is no
-    surviving monomial, or that has an exponent other than a Python int
-    (1.0 and True equal 1), raises ValueError.
-    """
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: "ToyRing | ProjectiveBundleRing", terms: dict):
-        live = ring._live
-        exponent_types = set(map(type, chain.from_iterable(terms)))
-        if not (terms.keys() <= live and exponent_types <= {int}):
-            bad = [e for e in terms if e not in live or not set(map(type, e)) <= {int}]
-            raise ValueError(f"keys {bad} are no surviving monomials of {ring!r}")
-        self.ring = ring
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "ToyElement") -> None:
-        if other.ring is not self.ring and other.ring != self.ring:
-            raise ValueError("elements of different toy rings")
-
-    def __add__(self, other):
-        if not isinstance(other, ToyElement):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = self.ring.one() * other
-        self._check(other)
-        return ToyElement(self.ring, add_terms(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ToyElement(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, ToyElement):
-            self._check(other)
-            raw = self.ring.multiply_into({}, self.terms, other.terms)
-            return ToyElement(self.ring, {e: c for e, c in raw.items() if c})
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if not other:
-            return self.ring.zero()
-        return ToyElement(self.ring, {e: c * other for e, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one()
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.one() * other
-        if not isinstance(other, ToyElement):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def ring_one(self) -> "ToyElement":
-        return self.ring.one()
-
-    def graded_component(self, d: int) -> "ToyElement":
-        wdeg = self.ring.table.wdeg
-        return ToyElement(self.ring, {e: c for e, c in self.terms.items() if wdeg(e) == d})
-
-    def min_degree_component(self) -> "ToyElement":
-        """The lowest-degree nonzero graded piece (zero for the zero element)."""
-        if not self.terms:
-            return self
-        wdeg = self.ring.table.wdeg
-        return self.graded_component(min(wdeg(e) for e in self.terms))
-
-    def to_json_obj(self) -> dict:
-        return MPoly(self.ring.table, self.terms).to_json_obj()
-
-    def __repr__(self) -> str:
-        return f"ToyElement({MPoly(self.ring.table, self.terms)})"
+        return MPoly._wrap(self, {e: c for e, c in draws.items() if c})
 
 
 def make_toy_ring(spec: Mapping) -> ToyRing:
@@ -385,17 +301,17 @@ class SeedVector(tuple):
         return any(self)
 
 
-def _stack(ring: ToyRing, elements: Sequence[ToyElement]) -> ToyElement:
+def _stack(ring: ToyRing, elements: Sequence[MPoly]) -> MPoly:
     """The elements side by side, slot s holding elements[s]."""
     keys = dict.fromkeys(e for x in elements for e in x.terms)
-    return ToyElement(
+    return MPoly._wrap(
         ring, {e: SeedVector([x.terms.get(e, 0) for x in elements]) for e in keys}
     )
 
 
-def _slot(x: ToyElement, s: int) -> ToyElement:
+def _slot(x: MPoly, s: int) -> MPoly:
     """The scalar element in slot s of a stacked element."""
-    return ToyElement(x.ring, {e: c[s] for e, c in x.terms.items() if c[s]})
+    return MPoly._wrap(x.table, {e: c[s] for e, c in x.terms.items() if c[s]})
 
 
 def _first_failures(pairs: Iterable[tuple], k: int) -> list:
@@ -520,12 +436,12 @@ def check_bundles(
 # ---- projective-bundle extension ----
 
 
-class ProjectiveBundleRing:
-    """The base ring with a degree-1 class xi adjoined, a ring of ToyElements.
+class ProjectiveBundleRing(VarTable):
+    """The base ring with a degree-1 class xi adjoined, equal only to itself.
 
-    An element is a term dict over the base's surviving monomials each
-    followed by a power of xi below n, standing for sum a_j xi^j; the
-    defining relation
+    Its monomials are the base's surviving ones each followed by a power
+    of xi below n, so an element stands for sum a_j xi^j; the defining
+    relation
         xi^n + c_1 xi^{n-1} + ... + c_n = 0
     rewrites every higher power of xi back into that basis, so the
     extension is by construction a free module of rank n over the base.
@@ -534,18 +450,22 @@ class ProjectiveBundleRing:
     def __init__(self, base: ToyRing, bundle: ToyBundle):
         if bundle.rank < 1:
             raise ValueError("rank must be >= 1")
+        super().__init__(base.pairs + (("xi", 1),))
         self.base = base
         self.bundle = bundle
         self.rank = bundle.rank
 
-    @cached_property
-    def table(self) -> VarTable:
-        return self.base.table.extend([("xi", 1)])
+    def __eq__(self, other) -> bool:
+        return other is self
+
+    __hash__ = object.__hash__
 
     @cached_property
     def _live(self) -> frozenset:
         """Each surviving base monomial followed by a power of xi below n."""
         return frozenset(e + (j,) for e in self.base._live for j in range(self.rank))
+
+    check_monomials = ToyRing.check_monomials
 
     def _split(self, terms: Mapping) -> list:
         """The base term dicts a_0..a_{n-1} of sum a_j xi^j."""
@@ -588,29 +508,29 @@ class ProjectiveBundleRing:
                 out[key] = out.get(key, 0) + c
         return out
 
-    def element(self, coefficients: Sequence[ToyElement]) -> ToyElement:
+    def element(self, coefficients: Sequence[MPoly]) -> MPoly:
         """sum coefficients[k] xi^k, reduced."""
         raw = self._reduce([dict(a.terms) for a in coefficients])
-        return ToyElement(
+        return MPoly._wrap(
             self, {e + (j,): c for j, t in enumerate(raw) for e, c in t.items() if c}
         )
 
-    def zero(self) -> ToyElement:
-        return ToyElement(self, {})
+    def zero(self) -> MPoly:
+        return MPoly._wrap(self, {})
 
-    def one(self) -> ToyElement:
+    def one(self) -> MPoly:
         return self.element([self.base.one()])
 
-    def inject(self, a: ToyElement) -> ToyElement:
+    def inject(self, a: MPoly) -> MPoly:
         return self.element([a])
 
-    def xi(self) -> ToyElement:
+    def xi(self) -> MPoly:
         return self.element([self.base.zero(), self.base.one()])
 
-    def coefficients(self, x: ToyElement) -> tuple[ToyElement, ...]:
+    def coefficients(self, x: MPoly) -> tuple[MPoly, ...]:
         """The base elements a_0..a_{n-1} of x = sum a_j xi^j."""
-        return tuple(ToyElement(self.base, t) for t in self._split(x.terms))
+        return tuple(MPoly._wrap(self.base, t) for t in self._split(x.terms))
 
-    def relation_residue(self) -> ToyElement:
+    def relation_residue(self) -> MPoly:
         """xi^n + c_1 xi^{n-1} + ... + c_n, reduced; zero by construction."""
         return self.element([*reversed(self.bundle.classes), self.base.one()])

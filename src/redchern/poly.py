@@ -1,13 +1,16 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-An MPoly is a dict from exponent tuples to nonzero Fraction coefficients,
-keyed to an ordered VarTable of (name, degree) pairs.  Degrees are weights:
-a Chern-class variable c_i has degree i, so the weighted degree of a term is
-the dot product of its exponent tuple with the variable degrees.  Products
-are full, through VarTable.multiply_into, the product protocol that the toy
-rings share; nothing is truncated.  Coefficients are fractions.Fraction, which
-already guarantees lowest terms, a positive denominator and arbitrary
-precision; there is no floating point anywhere in this package.
+An MPoly is a dict from exponent tuples to nonzero coefficients, each an
+int or a Fraction, keyed to an ordered VarTable of (name, degree) pairs.
+Degrees are weights: a Chern-class variable c_i has degree i, so the
+weighted degree of a term is the dot product of its exponent tuple with the
+variable degrees.  An integral coefficient is stored as an int, and
+Fraction guarantees lowest terms; there is no floating point anywhere.
+
+MPoly is the element type of every ring.  A VarTable presents the free
+ring, where products are full; a subclass presents a quotient, such as a
+toy ring, by the keys it accepts (check_monomials) and its own
+multiply_into(out, a, b), the product protocol that every ring shares.
 
 Two MPoly values over the same table are equal iff their term dicts are
 equal (canonical form: zero coefficients are never stored).  The canonical
@@ -125,6 +128,9 @@ class VarTable:
     def extend(self, pairs: Iterable[tuple[str, int]]) -> "VarTable":
         return VarTable(self.pairs + tuple(pairs))
 
+    def check_monomials(self, terms: Mapping) -> None:
+        """Raise ValueError for a key that is no monomial of this ring (none here)."""
+
     def multiply_into(self, out: dict, a: Mapping, b: Mapping) -> dict:
         """Add the full product of the term dicts a and b into out.
 
@@ -177,15 +183,18 @@ class MPoly:
     def __init__(self, table: VarTable, terms: Mapping[Exponents, object] = ()):
         self.table = table
         nv = len(table)
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, int | Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coeff in items:
+        for exps, q in items:
             exps = tuple(exps)
             if len(exps) != nv:
                 raise ValueError(f"exponent tuple {exps} does not match {table!r}")
             if not all(type(e) is int and e >= 0 for e in exps):
                 raise ValueError(f"exponents {exps} are not nonnegative ints")
-            q = coeff if isinstance(coeff, Fraction) else as_rational(coeff)
+            if type(q) is not int:
+                q = q if isinstance(q, Fraction) else as_rational(q)
+                if q.denominator == 1:
+                    q = q.numerator
             if q:
                 prev = clean.get(exps)
                 total = q if prev is None else prev + q
@@ -193,6 +202,7 @@ class MPoly:
                     clean[exps] = total
                 elif prev is not None:
                     del clean[exps]
+        table.check_monomials(clean)
         self.terms = clean
 
     # ---- constructors ----
@@ -211,11 +221,15 @@ class MPoly:
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "MPoly":
-        return cls(table, {table.unit(table.index(name)): Fraction(1)})
+        return cls(table, {table.unit(table.index(name)): 1})
 
     @classmethod
     def _wrap(cls, table: VarTable, terms: dict) -> "MPoly":
-        """An MPoly over table holding terms, already canonical, unchecked."""
+        """An MPoly over table holding terms, already canonical, unchecked.
+
+        Results that the ring computes itself come through here; only the
+        public constructor checks its keys against the ring.
+        """
         p = cls.__new__(cls)
         p.table, p.terms = table, terms
         return p
@@ -236,7 +250,7 @@ class MPoly:
     # ---- arithmetic ----
 
     def _check(self, other: "MPoly") -> None:
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise ValueError(
                 f"mismatched variable tables: {self.table!r} vs {other.table!r}"
             )
@@ -266,7 +280,7 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+            q = other if type(other) is int else Fraction(other)
             terms = {e: c * q for e, c in self.terms.items()} if q else {}
             return MPoly._wrap(self.table, terms)
         if not isinstance(other, MPoly):
@@ -306,6 +320,12 @@ class MPoly:
         terms = {e: c for e, c in self.terms.items() if wdeg(e) == d}
         return MPoly._wrap(self.table, terms)
 
+    def min_degree_component(self) -> "MPoly":
+        """The lowest-degree nonzero graded piece (zero for the zero polynomial)."""
+        if not self.terms:
+            return self
+        return self.graded_component(min(map(self.table.wdeg, self.terms)))
+
     # ---- substitution and evaluation ----
 
     def substitute(self, assignment: Mapping[str, "MPoly"]) -> "MPoly":
@@ -336,13 +356,12 @@ class MPoly:
 
         values maps occurring variable names to ring elements, and a term
         whose variable has no value raises ValueError; `one` is the ring
-        identity.  The ring is an MPoly ring over `one.table` (a rational
-        number is a constant over VarTable(())), or one like the toy rings
-        over `one.ring`, whose elements are built as type(one)(ring, terms).
-        Either way the ring's multiply_into(out, a, b) adds a product of
-        term dicts into out, and every product of the evaluation goes
-        through it; all work is on term dicts and only the value returned
-        is wrapped.  A point's coefficients may be ints, Fractions, or any
+        identity.  The ring is `one.table`: the free ring of a VarTable (a
+        rational number is a constant over VarTable(())) or a quotient such
+        as a toy ring.  Its multiply_into(out, a, b) adds a product of term
+        dicts into out, and every product of the evaluation goes through
+        it; all work is on term dicts and only the value returned is
+        wrapped.  A point's coefficients may be ints, Fractions, or any
         type with +, * and a truth value that divides itself exactly by an
         int, such as the per-seed vectors of oracle.check_bundles; no float
         is ever formed.
@@ -361,10 +380,7 @@ class MPoly:
         and each monomial is then built once for all.
         """
         names = self.table.names
-        if isinstance(one, MPoly):
-            ring, wrap = one.table, MPoly._wrap
-        else:
-            ring, wrap = one.ring, type(one)
+        ring = one.table
         unit = one.terms
         if monomials is None:
             monomials = {}
@@ -395,10 +411,10 @@ class MPoly:
         terms = {
             e: exact_quotient(c, den) if den > 1 else c for e, c in acc.items() if c
         }
-        return wrap(ring, terms)
+        return MPoly._wrap(ring, terms)
 
     def ring_one(self) -> "MPoly":
-        """The identity of this value's ring (cf. toy-ring elements)."""
+        """The identity of this value's ring."""
         return MPoly.one(self.table)
 
     # ---- table plumbing ----

@@ -137,8 +137,8 @@ def compute_phi(n: int) -> UniversalPolys:
 def brauer_reduced(n: int, pushforward_classes: Sequence) -> list:
     """Evaluate phi_2..phi_n at the classes of a pushforward bundle.
 
-    The inputs are the degree-2..n classes, as elements of any commutative
-    coefficient ring (MPoly values or toy-ring elements); when they are the
+    The inputs are the degree-2..n classes, as MPolys over any commutative
+    coefficient ring (a VarTable's free ring or a toy ring); when they are the
     classes of the twisted symmetric power of a bundle, the output is that
     bundle's reduced classes.
     """

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import redchern
 from redchern import oracle
 from redchern.chern import reduced_chern_formula
 from redchern.cli import RANK_CAP, main, reproduce_command
@@ -334,3 +338,36 @@ class TestTable:
         monkeypatch.setenv("REDCHERN_OUT_DIR", str(tmp_path))
         runner.invoke(main, ["table", "--max-rank", "2", "--out", "sub/t.json"])
         assert (tmp_path / "sub" / "t.json").exists()
+
+
+# Run in a fresh interpreter: prints the filled lru_caches of the package's
+# modules and the number of quotient-ring presentations alive after import.
+IMPORT_PROBE = """
+import gc, json, sys
+import redchern.cli
+from redchern.poly import VarTable
+modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "redchern"]
+filled = sorted(
+    f"{module.__name__}.{name}"
+    for module in modules
+    for name, f in vars(module).items()
+    if hasattr(f, "cache_info") and f.cache_info().currsize
+)
+rings = [o for o in gc.get_objects() if isinstance(o, VarTable) and type(o) is not VarTable]
+print(json.dumps({"filled": filled, "rings": len(rings)}))
+"""
+
+
+def test_importing_the_cli_computes_nothing():
+    # the CLI's start-up time is import time: no per-rank artifact is
+    # cached and no toy ring or multiplication table is built before a command
+    src = str(Path(redchern.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(out.stdout) == {"filled": [], "rings": 0}

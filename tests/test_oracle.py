@@ -5,6 +5,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from redchern.oracle import (
     IDENTITY_TAGS,
     ProjectiveBundleRing,
     ToyBundle,
-    ToyElement,
     ToyRing,
     SeedVector,
     _stack,
@@ -24,7 +24,7 @@ from redchern.oracle import (
     random_bundle,
     rank_theory,
 )
-from redchern.poly import MPoly, c_vars
+from redchern.poly import MPoly, VarTable, c_vars
 
 from . import naive
 from .strategies import coefficients, exponent_tuples
@@ -74,7 +74,7 @@ class TestMakeToyRing:
         ring = make_toy_ring(P2_SPEC)
         assert [len(ring.graded_basis(d)) for d in (0, 2, 4)] == [1, 1, 1]
         assert [len(ring.graded_basis(d)) for d in (1, 3, 5, 6)] == [0, 0, 0, 0]
-        h = ToyElement(ring, {(1,): 1})
+        h = MPoly(ring, {(1,): 1})
         assert (h * h * h).is_zero()
         assert not (h * h).is_zero()
 
@@ -83,8 +83,8 @@ class TestMakeToyRing:
         assert len(ring.graded_basis(0)) == 1
         assert len(ring.graded_basis(1)) == 2
         assert len(ring.graded_basis(2)) == 1
-        h1, h2 = ToyElement(ring, {(1, 0): 1}), ToyElement(ring, {(0, 1): 1})
-        assert h1 * h2 == ToyElement(ring, {(1, 1): 1})
+        h1, h2 = MPoly(ring, {(1, 0): 1}), MPoly(ring, {(0, 1): 1})
+        assert h1 * h2 == MPoly(ring, {(1, 1): 1})
 
     def test_empty_spec_is_the_rationals(self):
         ring = make_toy_ring({"id": "point", "generators": [], "top_degree": 4})
@@ -119,7 +119,7 @@ class TestMakeToyRing:
         ring = make_toy_ring(
             {"id": "trunc", "generators": [["h", 1]], "top_degree": 2}
         )
-        h = ToyElement(ring, {(1,): 1})
+        h = MPoly(ring, {(1,): 1})
         assert not (h * h).is_zero()
         assert (h * h * h).is_zero()
 
@@ -127,7 +127,7 @@ class TestMakeToyRing:
 class TestToyElements:
     def test_arithmetic(self):
         ring = make_toy_ring(CURVES_SPEC)
-        a, b = ToyElement(ring, {(1, 0): 1}), ToyElement(ring, {(0, 1): 1})
+        a, b = MPoly(ring, {(1, 0): 1}), MPoly(ring, {(0, 1): 1})
         assert a + b == b + a
         assert (a + b) * (a - b) == a * a - b * b
         assert a * a == ring.zero()
@@ -139,20 +139,42 @@ class TestToyElements:
         # can be formed
         ring = make_toy_ring(CURVES_SPEC)
         with pytest.raises(ValueError, match=r"\(2, 0\)"):
-            ToyElement(ring, {(1, 0): 1, (2, 0): 1})
+            MPoly(ring, {(1, 0): 1, (2, 0): 1})
 
     def test_graded_pieces(self):
         ring = make_toy_ring(RICH_SPEC)
-        a, b = ToyElement(ring, {(1, 0): 1}), ToyElement(ring, {(0, 1): 1})
+        a, b = MPoly(ring, {(1, 0): 1}), MPoly(ring, {(0, 1): 1})
         x = a + b + 3
         assert x.graded_component(0) == ring.one() * 3
         assert x.graded_component(1) == a
         assert x.graded_component(2) == b
         assert x.min_degree_component() == ring.one() * 3
 
+    def test_rings_do_not_mix(self):
+        # a toy ring on h is no free ring on h, and two extensions of one
+        # base are different rings; elements of different rings never mix
+        free = VarTable([("h", 1)])
+        ring = ToyRing("line", [("h", 1)], [{"h": 3}], 4)
+        assert free != ring and ring != free
+        assert not (free == ring or ring == free)
+        exts = [ProjectiveBundleRing(ring, random_bundle(ring, 2, s)) for s in (1, 2)]
+        assert exts[0] != exts[1] and exts[0] == exts[0]
+        pairs = (
+            (MPoly.variable(free, "h"), MPoly(ring, {(1,): 1})),
+            (exts[0].xi(), exts[1].xi()),
+        )
+        for x, y in pairs:
+            for op in (add, sub, mul):
+                with pytest.raises(ValueError, match="mismatched"):
+                    op(x, y)
+                with pytest.raises(ValueError, match="mismatched"):
+                    op(y, x)
+            with pytest.raises(ValueError, match="mismatched"):
+                x.evaluate(dict.fromkeys(x.table.names, y), x.ring_one())
+
     def test_json_uses_mpoly_schema(self):
         ring = make_toy_ring(CURVES_SPEC)
-        obj = ToyElement(ring, {(1, 0): 2}).to_json_obj()
+        obj = MPoly(ring, {(1, 0): 2}).to_json_obj()
         assert obj["vars"] == [
             {"name": "h1", "degree": 1},
             {"name": "h2", "degree": 1},
@@ -202,18 +224,18 @@ class TestCappedProduct:
             return naive.ntruncate(t, degrees, patterns, top)
 
         expected = reduce(naive.nmul(reduce(a), reduce(b)))
-        product = ToyElement(ring, reduce(a)) * ToyElement(ring, reduce(b))
+        product = MPoly(ring, reduce(a)) * MPoly(ring, reduce(b))
         assert product.terms == expected
 
     def test_top_degree_zero_keeps_only_constants(self):
         ring = ToyRing("point", [("a", 1), ("b", 2)], [{"a": 1, "b": 1}], 0)
         assert ring.graded_basis(0) == ((0, 0),) and ring.graded_basis(1) == ()
-        x = ToyElement(ring, {(0, 0): 3})
+        x = MPoly(ring, {(0, 0): 3})
         assert (x * x).terms == {(0, 0): 9}
 
     def test_multivariable_relation(self):
         ring = ToyRing("ab", [("a", 1), ("b", 1)], [{"a": 1, "b": 2}], 6)
-        a, b = ToyElement(ring, {(1, 0): 1}), ToyElement(ring, {(0, 1): 1})
+        a, b = MPoly(ring, {(1, 0): 1}), MPoly(ring, {(0, 1): 1})
         assert (a * b).terms == {(1, 1): 1}
         assert (a * b * b).is_zero()
         assert (b**4).terms == {(0, 4): 1}
@@ -234,8 +256,8 @@ class TestCappedProduct:
                 return ToyRing._products.func(self)
 
         ring = CountingRing("ab", [("a", 1), ("b", 2)], [{"a": 2, "b": 1}, {"b": 3}], 7)
-        x = ToyElement(ring, {(0, 0): 1, (1, 0): 2, (0, 1): -1})
-        ab = ToyElement(ring, {(1, 1): 1})
+        x = MPoly(ring, {(0, 0): 1, (1, 0): 2, (0, 1): -1})
+        ab = MPoly(ring, {(1, 1): 1})
         for _ in range(4):
             x = x * x + ab
         assert builds == ["ab"]
@@ -256,7 +278,7 @@ class TestExponentValidation:
         # built; so are (1.0, 0) and (True, 0), which equal the live (1, 0)
         ring = make_toy_ring(CURVES_SPEC)
         with pytest.raises(ValueError):
-            ToyElement(ring, {exps: 1})
+            MPoly(ring, {exps: 1})
 
 
 class TestRandomBundle:
@@ -291,7 +313,7 @@ class TestRandomBundle:
     def test_homogeneity_enforced(self):
         ring = make_toy_ring(CURVES_SPEC)
         with pytest.raises(ValueError):
-            ToyBundle(2, (ring.one(), ToyElement(ring, {(1, 0): 1})))
+            ToyBundle(2, (ring.one(), MPoly(ring, {(1, 0): 1})))
 
 
 class TestCheckIdentity:
@@ -550,7 +572,7 @@ class TestStackedSeeds:
             for seed, q in zip(seeds, scales)
         ]
         values = {
-            f"c{i}": _stack(ring, [ToyElement(ring, t[i - 1]) for t in images])
+            f"c{i}": _stack(ring, [MPoly(ring, t[i - 1]) for t in images])
             for i in range(1, n + 1)
         }
         got = p.evaluate(values, _stack(ring, [ring.one()] * k))
@@ -594,7 +616,7 @@ class TestProjectiveBundleRing:
         xi = ext.xi()
         for i in range(2):
             for e in (e for d in range(9) for e in ring.graded_basis(d)):
-                image = ext.inject(ToyElement(ring, {e: 1})) * xi**i
+                image = ext.inject(MPoly(ring, {e: 1})) * xi**i
                 expected = [{e: 1} if j == i else {} for j in range(2)]
                 assert [a.terms for a in ext.coefficients(image)] == expected
 
@@ -626,7 +648,7 @@ class TestProjectiveBundleRing:
             # head of the reduction is nonzero, xi^(2n-2) down to xi^n
             for t in vectors[0] + vectors[1]:
                 t[(0,) * len(degrees)] = data.draw(st.integers(1, 3))
-        a, b = (ext.element([ToyElement(ring, t) for t in v]) for v in vectors)
+        a, b = (ext.element([MPoly(ring, t) for t in v]) for v in vectors)
         classes = [c.terms for c in bundle.classes]
         expected = naive.nprojective_mul(*vectors, classes, reduce)
         assert [c.terms for c in ext.coefficients(a * b)] == expected
@@ -642,10 +664,11 @@ class TestProjectiveBundleRing:
 
 
 def relations_at_projective_points():
-    """c_n(E (x) L) at t = xi over P(E): the catalog, ranks 2..5, seeds 0..4.
+    """Each P(E) with c_n(E (x) L) at t = xi over it.
 
-    With c_i -> c_i and t -> xi the twisted top class is
-    xi^n + c_1 xi^(n-1) + ... + c_n, the relation that defines P(E).
+    The catalog, ranks 2..5, seeds 0..4.  With c_i -> c_i and t -> xi the
+    twisted top class is xi^n + c_1 xi^(n-1) + ... + c_n, the relation
+    that defines P(E).
     """
     for spec in verify.TOY_RING_SPECS:
         ring = make_toy_ring(spec)
@@ -655,18 +678,39 @@ def relations_at_projective_points():
                 ext = ProjectiveBundleRing(ring, bundle)
                 values = {f"c{i}": ext.inject(c) for i, c in enumerate(bundle.classes, 1)}
                 values["t"] = ext.xi()
-                yield chern.twist(n)[n - 1].evaluate(values, ext.one())
+                yield ext, chern.twist(n)[n - 1].evaluate(values, ext.one())
 
 
 def test_evaluate_at_projective_points_gives_the_relation():
-    values = list(relations_at_projective_points())
-    assert len(values) == 60
-    assert all(type(v) is ToyElement and v.is_zero() for v in values)
+    pairs = list(relations_at_projective_points())
+    assert len(pairs) == 60
+    assert all(type(v) is MPoly and v.table is ext and v.is_zero() for ext, v in pairs)
 
 
 def test_evaluate_at_projective_points_sees_a_sign_flipped_relation(monkeypatch):
     flip_the_relation(monkeypatch)
-    assert not any(v.is_zero() for v in relations_at_projective_points())
+    assert not any(v.is_zero() for _, v in relations_at_projective_points())
+
+
+def test_the_toy_suite_builds_no_projective_monomial_set(monkeypatch):
+    # the extensions' elements are computed, never checked against _live
+    builds = []
+    honest = ProjectiveBundleRing._live.func
+
+    def counting(self):
+        builds.append(self.rank)
+        return honest(self)
+
+    live = cached_property(counting)
+    live.__set_name__(ProjectiveBundleRing, "_live")
+    monkeypatch.setattr(ProjectiveBundleRing, "_live", live)
+    assert all(r.passed for r in verify.suite_toy_rings(5, 0))
+    assert builds == []
+    # the count is live: a checked element builds the set once
+    ring = make_toy_ring(CURVES_SPEC)
+    ext = ProjectiveBundleRing(ring, random_bundle(ring, 2, 0))
+    assert MPoly(ext, {(0, 0, 1): 1}) == ext.xi() == MPoly(ext, {(0, 0, 1): 1})
+    assert builds == [2]
 
 
 def projective_results():

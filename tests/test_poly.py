@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redchern.oracle import ToyElement, ToyRing
+from redchern.oracle import ToyRing
 from redchern.symfun import elementary_to_monomial
 from redchern.poly import (
     MPoly,
@@ -78,7 +78,7 @@ class TestMultiplyInto:
         diff, total = xp("x1") - xp("x2"), xp("x1") + xp("x2")
         raw = X2.multiply_into({}, diff.terms, total.terms)
         assert raw == {(2, 0): 1, (1, 1): 0, (0, 2): -1}
-        # the product drops the zero, as ToyElement.__mul__ does
+        # the product drops the zero
         assert (diff * total).terms == {(2, 0): 1, (0, 2): -1}
 
     def test_evaluate_drops_a_cancelled_coefficient(self):
@@ -217,6 +217,27 @@ def test_json_round_trip(p):
     assert terms == p.sorted_terms()
 
 
+def test_integral_coefficients_are_stored_as_ints():
+    p = MPoly(C2, {(1, 0): Fraction(4, 2), (0, 1): -3, (0, 0): "6/3"})
+    assert p.terms == {(1, 0): 2, (0, 1): -3, (0, 0): 2}
+    assert all(type(c) is int for c in p.terms.values())
+    assert type(MPoly.variable(C2, "c2").terms[(0, 1)]) is int
+    assert all(type(c) is int for c in (p * 3).terms.values())
+    half = p * Fraction(1, 2)
+    assert all(type(c) is Fraction for c in half.terms.values())
+    # an int renders and serializes as the Fraction of the same value did
+    for q, text in ((p, "2 + 2 c_1 - 3 c_2"), (half, "1 + c_1 - 3/2 c_2")):
+        as_fractions = MPoly._wrap(C2, {e: Fraction(c) for e, c in q.terms.items()})
+        assert render_text(q) == render_text(as_fractions) == text
+        assert render_latex(q) == render_latex(as_fractions)
+        assert q.dumps() == as_fractions.dumps()
+    assert p.dumps() == (
+        '{"vars":[{"name":"c1","degree":1},{"name":"c2","degree":2}],'
+        '"terms":[{"coeff":"2","exps":[0,0]},{"coeff":"2","exps":[1,0]},'
+        '{"coeff":"-3","exps":[0,1]}]}'
+    )
+
+
 def test_json_canonical_form():
     p = xp("c2", C2) - Fraction(1, 4) * xp("c1", C2) ** 2
     obj = p.to_json_obj()
@@ -242,7 +263,7 @@ Y2 = VarTable([("y1", 1), ("y2", 2)])
 Z1 = VarTable([("z", 1)])
 Q = VarTable(())  # rational numbers are its constants
 TOY = ToyRing("toy", [("a", 1), ("b", 2)], [{"a": 4}, {"a": 1, "b": 2}], 7)
-TOY_A, TOY_B = ToyElement(TOY, {(1, 0): 1}), ToyElement(TOY, {(0, 1): 1})
+TOY_A, TOY_B = MPoly(TOY, {(1, 0): 1}), MPoly(TOY, {(0, 1): 1})
 DENOMINATORS = (1, 2, 3, 4, 6, 9)
 
 
@@ -252,7 +273,7 @@ def toy_reduce(terms):
 
 def toy_point(images):
     """c1 and c2 at the TOY elements with the reduced term dicts images."""
-    return {"c1": ToyElement(TOY, images[0]), "c2": ToyElement(TOY, images[1])}
+    return {"c1": MPoly(TOY, images[0]), "c2": MPoly(TOY, images[1])}
 
 
 def raw_toy_terms(coeffs=coefficients()):
