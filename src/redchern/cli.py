@@ -143,7 +143,7 @@ def reproduce_command(result) -> str:
     return " ".join(["redchern", "verify", *args])
 
 
-@main.command()
+@main.command("verify")
 @click.option(
     "--suite",
     type=click.Choice(list(verify.SUITE_NAMES) + ["all"]),
@@ -175,9 +175,6 @@ def verify_cmd(suite, max_rank, seed, out, allow_large_rank):
     )
     if failures:
         sys.exit(1)
-
-
-main.add_command(verify_cmd, name="verify")
 
 
 def table_json_obj(max_rank: int) -> dict:

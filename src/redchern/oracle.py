@@ -7,18 +7,19 @@ a monomial basis.  Its elements are MPolys over it, term dicts over the
 surviving monomials.  Each ring enumerates them once and, on its first
 product, builds one multiplication table from each pair of them to their
 product where that survives; a product multiplies and accumulates over
-the table into one dict, so no dead monomial is ever formed.  The
-projective bundle P(E) of a bundle over a toy ring is a ring of the same
-kind: its monomials are the base's each followed by a power of xi below
-the rank, and a product is convolved through the base ring, reduced by
-the relation and accumulated the same way, so MPoly.evaluate takes P(E)
-points as it takes toy-ring points.  The symbolic identities
-proved in the c-variables are universal, so specializing them to random
-bundles over random toy rings can only fail if the symbolic side is
-wrong; that is what check_bundles tests, evaluating both sides of
-each identity independently in the ring with MPoly.evaluate, which
-multiplies term dicts through the ring's multiply_into and wraps only the
-values it returns.  It draws each seed's bundle once and stacks the
+the table into one dict, so no dead monomial is ever formed.  A bundle
+over a toy ring is its class tuple c_1..c_n, c_i drawn in degree i, and
+its projective bundle P(E) is a ring of the same kind: its monomials are
+the base's each followed by a power of xi below the rank, and a product
+is convolved through the base ring, reduced by the relation and
+accumulated the same way, so MPoly.evaluate takes P(E) points as it
+takes toy-ring points.  The symbolic identities proved in the
+c-variables are universal, so specializing them to random bundles over
+random toy rings can only fail if the symbolic side is wrong; that is
+what check_bundles tests, evaluating both sides of each identity
+independently in the ring with MPoly.evaluate, which multiplies term
+dicts through the ring's multiply_into and wraps only the values it
+returns.  It draws each seed's bundle once and stacks the
 bundles of all its seeds into one element of R (x) Q^k, whose
 coefficients are SeedVectors with one slot per seed, so each polynomial
 is evaluated once per ring and rank for every seed; each identity is
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product, repeat
 from operator import add, mul
@@ -186,30 +186,15 @@ def make_toy_ring(spec: Mapping) -> ToyRing:
     )
 
 
-@dataclass(frozen=True)
-class ToyBundle:
-    """Rank plus classes in a toy ring, each homogeneous of its index degree."""
-
-    rank: int
-    classes: tuple
-
-    def __post_init__(self):
-        if len(self.classes) != self.rank:
-            raise ValueError("need exactly rank classes")
-        for i, cls in enumerate(self.classes, start=1):
-            if not cls.graded_component(i) == cls:
-                raise ValueError(f"class {i} is not homogeneous of degree {i}")
-
-
-def random_bundle(ring: ToyRing, n: int, seed) -> ToyBundle:
-    """A seeded random rank-n bundle: one draw per graded piece."""
+def random_bundle(ring: ToyRing, n: int, seed) -> tuple[MPoly, ...]:
+    """The classes c_1..c_n of a seeded random rank-n bundle, c_i drawn in degree i."""
     if n < 2:
         raise ValueError("rank must be >= 2")
     if seed < 0:
         # random.Random reads a seed by its absolute value
         raise ValueError(f"seed {seed} is negative")
     rng = random.Random(seed)
-    return ToyBundle(n, tuple(ring.random_element(i, rng) for i in range(1, n + 1)))
+    return tuple(ring.random_element(i, rng) for i in range(1, n + 1))
 
 
 # ---- the symbolic theory consumed by toy-ring checks ----
@@ -337,10 +322,9 @@ def _first_failures(pairs: Iterable[tuple], k: int) -> list:
     return witnesses
 
 
-def _projective_witness(ring: ToyRing, bundle: ToyBundle, seed: int):
+def _projective_witness(ring: ToyRing, classes: tuple, seed: int):
     """None if the projective extension of the bundle behaves, else a witness."""
-    n = bundle.rank
-    ext = ProjectiveBundleRing(ring, bundle)
+    ext = ProjectiveBundleRing(ring, classes)
     for coeff in ext.coefficients(ext.relation_residue()):
         if not coeff.is_zero():
             return coeff.min_degree_component()
@@ -350,41 +334,37 @@ def _projective_witness(ring: ToyRing, bundle: ToyBundle, seed: int):
     for _ in range(3):
         base = ring.random_element(rng.randint(0, 2), rng)
         # base xi^k written down directly, reduced at most once
-        sample.append(ext.element([zero] * rng.randint(0, n) + [base]))
+        sample.append(ext.element([zero] * rng.randint(0, ext.rank) + [base]))
     u, v, w = sample
     uv = u * v
     return None if uv * w == u * (v * w) and uv == v * u else ring.one()
 
 
 def check_bundles(
-    ring: ToyRing,
-    n: int,
-    seeds: Iterable[int],
-    theory: RankTheory | None = None,
+    ring: ToyRing, theory: RankTheory, seeds: Iterable[int]
 ) -> tuple[CheckResult, ...]:
-    """Specialize every universal identity to seeded random bundles.
+    """Specialize every universal identity of one rank to seeded random bundles.
 
     Returns one result per seed and tag, seed by seed in the order given
     and tags in IDENTITY_TAGS order, so k seeds give the results of k
-    one-seed calls in turn.  Each seed's bundle is drawn and validated
-    once; its twist line and its projective sample draw from their own
-    seeds.  The k bundles' classes are stacked into elements of
-    R (x) Q^k with SeedVector coefficients, and both sides of each
-    identity are evaluated once for all seeds, independently, in the
-    ring, with one monomial table per evaluation point.  Each identity
-    is compared slot by slot, and a failing seed reports the first
-    differing graded component of its own slot as witness.  The
-    projective-bundle tag is checked on each seed's own bundle.  Passing
-    a corrupted theory is how the suite's mutation sensitivity is
-    exercised.
+    one-seed calls in turn.  The rank is theory.rank, and each seed's
+    bundle, its class tuple, is drawn once; its twist line and its
+    projective sample draw from their own seeds.  The k bundles' classes
+    are stacked into elements of R (x) Q^k with SeedVector coefficients,
+    and both sides of each identity are evaluated once for all seeds,
+    independently, in the ring, with one monomial table per evaluation
+    point.  Each identity is compared slot by slot, and a failing seed
+    reports the first differing graded component of its own slot as
+    witness.  The projective-bundle tag is checked on each seed's own
+    bundle.  Passing a corrupted theory is how the suite's mutation
+    sensitivity is exercised.
     """
-    if theory is None:
-        theory = rank_theory(n)
+    n = theory.rank
     seeds = tuple(seeds)
     k = len(seeds)
     bundles = [random_bundle(ring, n, seed) for seed in seeds]
     values = {
-        f"c{i}": _stack(ring, [b.classes[i - 1] for b in bundles])
+        f"c{i}": _stack(ring, [classes[i - 1] for classes in bundles])
         for i in range(1, n + 1)
     }
     one = _stack(ring, [ring.one()] * k)
@@ -418,13 +398,13 @@ def check_bundles(
     c1f_zero = _first_failures([(f_values[0], ring.zero())], k)
 
     results = []
-    for s, (seed, bundle) in enumerate(zip(seeds, bundles)):
+    for s, (seed, classes) in enumerate(zip(seeds, bundles)):
         witnesses = (
             twist[s],
             c1_zero[s],
             phi_roundtrip[s],
             c1f_zero[s],
-            _projective_witness(ring, bundle, seed),
+            _projective_witness(ring, classes, seed),
         )
         results.extend(
             CheckResult(tag, ring.id, n, seed, "pass" if w is None else "fail", w)
@@ -439,21 +419,22 @@ def check_bundles(
 class ProjectiveBundleRing(VarTable):
     """The base ring with a degree-1 class xi adjoined, equal only to itself.
 
-    Its monomials are the base's surviving ones each followed by a power
-    of xi below n, so an element stands for sum a_j xi^j; the defining
-    relation
+    The bundle is its classes c_1..c_n in the base ring, and its rank n is
+    their count.  Its monomials are the base's surviving ones each followed
+    by a power of xi below n, so an element stands for sum a_j xi^j; the
+    defining relation
         xi^n + c_1 xi^{n-1} + ... + c_n = 0
     rewrites every higher power of xi back into that basis, so the
     extension is by construction a free module of rank n over the base.
     """
 
-    def __init__(self, base: ToyRing, bundle: ToyBundle):
-        if bundle.rank < 1:
-            raise ValueError("rank must be >= 1")
+    def __init__(self, base: ToyRing, classes: Sequence[MPoly]):
+        if not classes:
+            raise ValueError("a bundle needs at least one class")
         super().__init__(base.pairs + (("xi", 1),))
         self.base = base
-        self.bundle = bundle
-        self.rank = bundle.rank
+        self.classes = tuple(classes)
+        self.rank = len(self.classes)
 
     def __eq__(self, other) -> bool:
         return other is self
@@ -485,7 +466,7 @@ class ProjectiveBundleRing(VarTable):
         for k in range(len(raw) - 1, n - 1, -1):
             head = {e: -c for e, c in raw[k].items() if c}
             if head:
-                for i, c_i in enumerate(self.bundle.classes, 1):
+                for i, c_i in enumerate(self.classes, 1):
                     multiply_into(raw[k - i], c_i.terms, head)
         return raw[:n]
 
@@ -533,4 +514,4 @@ class ProjectiveBundleRing(VarTable):
 
     def relation_residue(self) -> MPoly:
         """xi^n + c_1 xi^{n-1} + ... + c_n, reduced; zero by construction."""
-        return self.element([*reversed(self.bundle.classes), self.base.one()])
+        return self.element([*reversed(self.classes), self.base.one()])

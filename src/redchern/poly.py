@@ -4,8 +4,9 @@ An MPoly is a dict from exponent tuples to nonzero coefficients, each an
 int or a Fraction, keyed to an ordered VarTable of (name, degree) pairs.
 Degrees are weights: a Chern-class variable c_i has degree i, so the
 weighted degree of a term is the dot product of its exponent tuple with the
-variable degrees.  An integral coefficient is stored as an int, and
-Fraction guarantees lowest terms; there is no floating point anywhere.
+variable degrees.  The constructor and scalar products store every
+integral value as an int (integral_as_int), and Fraction guarantees
+lowest terms; there is no floating point anywhere.
 
 MPoly is the element type of every ring.  A VarTable presents the free
 ring, where products are full; a subclass presents a quotient, such as a
@@ -40,6 +41,11 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def integral_as_int(q):
+    """q as MPoly stores it: an integral Fraction becomes its int numerator."""
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
 
 
 def exact_quotient(c, den: int):
@@ -192,9 +198,7 @@ class MPoly:
             if not all(type(e) is int and e >= 0 for e in exps):
                 raise ValueError(f"exponents {exps} are not nonnegative ints")
             if type(q) is not int:
-                q = q if isinstance(q, Fraction) else as_rational(q)
-                if q.denominator == 1:
-                    q = q.numerator
+                q = integral_as_int(q if isinstance(q, Fraction) else as_rational(q))
             if q:
                 prev = clean.get(exps)
                 total = q if prev is None else prev + q
@@ -239,8 +243,8 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Exponents) -> int | Fraction:
+        return self.terms.get(tuple(exps), 0)
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in canonical order: (weighted degree, exponents) ascending."""
@@ -281,7 +285,9 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = other if type(other) is int else Fraction(other)
-            terms = {e: c * q for e, c in self.terms.items()} if q else {}
+            terms = (
+                {e: integral_as_int(c * q) for e, c in self.terms.items()} if q else {}
+            )
             return MPoly._wrap(self.table, terms)
         if not isinstance(other, MPoly):
             return NotImplemented

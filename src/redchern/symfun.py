@@ -1,12 +1,13 @@
 """Partitions and the monomial / elementary bases of symmetric polynomials.
 
 Symmetric polynomials live in partition coordinates and never in root
-variables.  The unitriangular e-to-m table (counts of 0-1 matrices) maps
-e-coordinates to m-coordinates.  The elementary symmetric functions of a
-family of root values come from the family's exponential power-sum series
-in p_1, p_2, ..., read off in closed form: each p_a is rewritten in e1..en
-by Newton's identities, and Newton's identities again give e_r of the
-family.  No form is listed and no product of forms or of series is expanded.
+variables.  The unitriangular e-to-m table (int counts of 0-1 matrices)
+maps e-coordinates to m-coordinates, and elementary_to_monomial is the one
+route to them.  The elementary symmetric functions of a family of root
+values come from the family's exponential power-sum series in p_1, p_2,
+..., read off in closed form: each p_a is rewritten in e1..en by Newton's
+identities, and Newton's identities again give e_r of the family.  No
+form is listed and no product of forms or of series is expanded.
 
 A partition is a tuple of weakly decreasing positive ints, () the empty
 one.  It is validated where it enters from outside, in
@@ -84,24 +85,19 @@ def partitions_of(d: int, max_parts: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class SymPolyInBasis:
-    """Coordinates of a symmetric polynomial in the m- or e-basis."""
+    """Coordinates of a symmetric polynomial in the m-basis, keyed by partition."""
 
-    basis: str
     coeffs: dict
 
-    def __post_init__(self):
-        if self.basis not in ("m", "e"):
-            raise ValueError(f"unknown basis tag {self.basis!r}")
-
-    def coefficient(self, lam: tuple[int, ...]) -> Fraction:
-        return self.coeffs.get(lam, Fraction(0))
+    def coefficient(self, lam: tuple[int, ...]) -> int | Fraction:
+        return self.coeffs.get(lam, 0)
 
     def sorted_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: json_sort_key(kv[0]))
 
     def to_json_obj(self) -> dict:
         return {
-            "basis": self.basis,
+            "basis": "m",
             "coeffs": [
                 {"partition": list(lam), "coeff": format_rational(c)}
                 for lam, c in self.sorted_items()
@@ -143,14 +139,14 @@ def _e_to_m_table(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 
 
 def elementary_to_monomial(lam, n: int) -> SymPolyInBasis:
-    """m-basis coordinates of e_lambda in n variables, from the 0-1 matrix counts."""
+    """m-basis coordinates of e_lambda in n variables: the 0-1 matrix counts."""
     lam = _check_partition(lam)
     if len(lam) > n:
         raise ValueError(f"partition {lam} has more than {n} parts")
     if lam and lam[0] > n:
         raise ValueError(f"part {lam[0]} exceeds the variable count {n}")
-    coeffs = {mu: Fraction(c) for mu, c in _e_to_m_table(lam).items() if len(mu) <= n}
-    return SymPolyInBasis("m", coeffs)
+    coeffs = {mu: c for mu, c in _e_to_m_table(lam).items() if len(mu) <= n}
+    return SymPolyInBasis(coeffs)
 
 
 def _power_sum_vars(n: int) -> VarTable:

@@ -4,6 +4,8 @@ For rank n, the N = C(2n-1, n) linear forms m_1 x_1 + ... + m_n x_n (over
 all compositions m of n) have elementary symmetric polynomials s_1, s_2, ...
 whose first n members generate the ring of symmetric polynomials: each s_r
 is lead_r * e_r plus a combination of products of lower e's with lead_r > 0.
+The forms have integer coefficients, so s_r and lead_r are integral, and
+their coefficients are stored as ints.
 The s_r come from the power-sum series h_n(exp(t x_1), ..., exp(t x_n)) of
 the forms, read off in closed form (symfun.forms_series); no form is listed
 and no polynomial in root variables is built.
@@ -57,7 +59,7 @@ class UniversalPolys:
     s: tuple[MPoly, ...]
     psi: tuple[MPoly, ...]
     phi: tuple[MPoly, ...]
-    lead: tuple[Fraction, ...]
+    lead: tuple[int, ...]
 
     def to_json_obj(self) -> dict:
         return {

@@ -114,15 +114,16 @@ def _s_in_monomials(n: int) -> list[dict]:
     """m-coordinates of the library's s_1..s_n, keyed by partition.
 
     Each e-monomial e1^a1 ... en^an of s_r in the solved system is the
-    e_mu of the partition mu with a_i parts i, and the e-to-m table of 0-1
-    matrix counts maps it to the m-basis.
+    e_mu of the partition mu with a_i parts i, and elementary_to_monomial
+    maps it to the m-basis in n variables; a weight r <= n has no
+    partition with more than n parts, so none is dropped.
     """
     out = []
     for s_r in universal.compute_phi(n).s:
         m_coords = {}
         for exps, coeff in s_r.terms.items():
             mu = tuple(i for i in range(n, 0, -1) for _ in range(exps[i - 1]))
-            for lam, count in symfun._e_to_m_table(mu).items():
+            for lam, count in symfun.elementary_to_monomial(mu, n).coeffs.items():
                 m_coords[lam] = m_coords.get(lam, 0) + coeff * count
         out.append(m_coords)
     return out
@@ -137,7 +138,7 @@ def suite_positivity(max_rank: int, seed: int = 0) -> list[CheckResult]:
     for n in range(2, max_rank + 1):
         for m_coords in _s_in_monomials(n):
             bad = {lam: c for lam, c in m_coords.items() if c < 0}
-            witness = symfun.SymPolyInBasis("m", bad) if bad else None
+            witness = symfun.SymPolyInBasis(bad) if bad else None
             results.append(_result("positivity", n, not bad, witness))
     return results
 
@@ -180,7 +181,7 @@ def suite_toy_rings(max_rank: int, seed: int = 0) -> list[CheckResult]:
     for spec in TOY_RING_SPECS:
         ring = oracle.make_toy_ring(spec)
         for n in range(2, max_rank + 1):
-            results.extend(oracle.check_bundles(ring, n, seeds))
+            results.extend(oracle.check_bundles(ring, oracle.rank_theory(n), seeds))
     return results
 
 

@@ -254,11 +254,10 @@ def elementary_product(lam: tuple[int, ...], n: int) -> MPoly:
 
 
 def expand_in_roots(coords: SymPolyInBasis, n: int) -> MPoly:
-    """Expand m- or e-basis coordinates into an explicit polynomial in x1..xn."""
-    basis = monomial_symmetric if coords.basis == "m" else elementary_product
+    """Expand m-basis coordinates into an explicit polynomial in x1..xn."""
     result = MPoly.zero(x_vars(n))
     for lam, coeff in coords.coeffs.items():
-        result = result + basis(lam, n) * coeff
+        result = result + monomial_symmetric(lam, n) * coeff
     return result
 
 
@@ -333,7 +332,7 @@ def monomial_coefficients(p: MPoly) -> SymPolyInBasis:
         rep = tuple(sorted(exps, reverse=True))
         if rep == exps:
             coeffs[tuple(v for v in rep if v)] = coeff
-    return SymPolyInBasis("m", coeffs)
+    return SymPolyInBasis(coeffs)
 
 
 def express_in_elementary(p: MPoly) -> MPoly:
@@ -445,7 +444,7 @@ def elementary_of_forms(forms, n: int, r_max: int) -> list[MPoly]:
             )
             if total:
                 coeffs[lam] = _multinomial(k, lam) * total
-        power_sums.append(_monomial_to_elementary(SymPolyInBasis("m", coeffs), n))
+        power_sums.append(_monomial_to_elementary(SymPolyInBasis(coeffs), n))
     sigmas = [MPoly.one(evt)]
     for r in range(1, r_max + 1):
         acc = MPoly.zero(evt)

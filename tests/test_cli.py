@@ -62,6 +62,10 @@ class TestFormula:
         assert json.loads(js.output) == reduced_chern_formula(4, 3).to_json_obj()
 
 
+def test_each_command_is_registered_once_by_name():
+    assert sorted(main.commands) == ["formula", "table", "universal", "verify"]
+
+
 @pytest.mark.parametrize("command", sorted(main.commands))
 def test_help_names_the_rank_cap(runner, command):
     result = runner.invoke(main, [command, "--help"])

@@ -15,7 +15,6 @@ from redchern import chern, oracle, verify
 from redchern.oracle import (
     IDENTITY_TAGS,
     ProjectiveBundleRing,
-    ToyBundle,
     ToyRing,
     SeedVector,
     _stack,
@@ -57,7 +56,8 @@ ALL_SPECS = (*verify.TOY_RING_SPECS, RICH_SPEC, CURVES_SPEC, P2_SPEC)
 
 def check_identity(tag, ring, rank, seed, theory=None):
     """The result of one identity tag, picked from a one-seed check_bundles."""
-    return check_bundles(ring, rank, [seed], theory)[IDENTITY_TAGS.index(tag)]
+    theory = rank_theory(rank) if theory is None else theory
+    return check_bundles(ring, theory, [seed])[IDENTITY_TAGS.index(tag)]
 
 
 def corrupt(theory, field, k):
@@ -286,20 +286,26 @@ class TestRandomBundle:
         ring = make_toy_ring(RICH_SPEC)
         b1 = random_bundle(ring, 3, seed=42)
         b2 = random_bundle(ring, 3, seed=42)
-        assert all(x == y for x, y in zip(b1.classes, b2.classes))
+        assert all(x == y for x, y in zip(b1, b2))
         b3 = random_bundle(ring, 3, seed=43)
-        assert any(x != y for x, y in zip(b1.classes, b3.classes))
+        assert any(x != y for x, y in zip(b1, b3))
 
     def test_over_the_rationals_all_classes_vanish(self):
         ring = make_toy_ring({"id": "point", "generators": [], "top_degree": 6})
         bundle = random_bundle(ring, 3, seed=1)
-        assert all(c.is_zero() for c in bundle.classes)
+        assert all(c.is_zero() for c in bundle)
 
     def test_empty_graded_piece_gives_zero(self):
         ring = make_toy_ring(P2_SPEC)  # only even degrees are populated
         bundle = random_bundle(ring, 3, seed=9)
-        assert bundle.classes[0].is_zero()
-        assert bundle.classes[2].is_zero()
+        assert bundle[0].is_zero()
+        assert bundle[2].is_zero()
+
+    def test_classes_are_a_tuple_drawn_in_their_degrees(self):
+        ring = make_toy_ring(RICH_SPEC)
+        bundle = random_bundle(ring, 4, seed=3)
+        assert type(bundle) is tuple and len(bundle) == 4
+        assert all(c.graded_component(i) == c for i, c in enumerate(bundle, 1))
 
     def test_rank_bound(self):
         with pytest.raises(ValueError):
@@ -309,11 +315,6 @@ class TestRandomBundle:
         # random.Random reads -5 as 5, which would repeat seed 5's bundle
         with pytest.raises(ValueError):
             random_bundle(make_toy_ring(RICH_SPEC), 3, seed=-5)
-
-    def test_homogeneity_enforced(self):
-        ring = make_toy_ring(CURVES_SPEC)
-        with pytest.raises(ValueError):
-            ToyBundle(2, (ring.one(), MPoly(ring, {(1, 0): 1})))
 
 
 class TestCheckIdentity:
@@ -420,7 +421,7 @@ def product_counting_ring(spec):
 class TestCheckBundle:
     def test_one_result_per_tag_in_order(self):
         ring = make_toy_ring(RICH_SPEC)
-        results = check_bundles(ring, 3, [7])
+        results = check_bundles(ring, rank_theory(3), [7])
         assert tuple(r.identity for r in results) == IDENTITY_TAGS
         assert all(r.passed for r in results)
         assert {(r.ring, r.rank, r.seed) for r in results} == {("rich", 3, 7)}
@@ -439,7 +440,7 @@ class TestCheckBundle:
             return honest(self, values, one, monomials)
 
         monkeypatch.setattr(MPoly, "evaluate", spy)
-        assert all(r.passed for r in check_bundles(ring, 5, [7]))
+        assert all(r.passed for r in check_bundles(ring, rank_theory(5), [7]))
         assert ring.products == PRODUCTS_AT_RANK_FIVE
         flat = [(m, keys) for v, m, keys in memos if "c1" in v and v["c1"].is_zero()]
         assert len(flat) == 1
@@ -454,10 +455,10 @@ class TestCheckBundle:
         blocks = {}  # (ring, rank) -> (seeds, products) of its last call
         honest = oracle.check_bundles
 
-        def spy(ring, n, seeds, theory=None):
+        def spy(ring, theory, seeds):
             before = ring.products
-            results = honest(ring, n, seeds, theory)
-            blocks[ring.id, n] = (list(seeds), ring.products - before)
+            results = honest(ring, theory, seeds)
+            blocks[ring.id, theory.rank] = (list(seeds), ring.products - before)
             return results
 
         monkeypatch.setattr(oracle, "make_toy_ring", product_counting_ring)
@@ -474,14 +475,14 @@ class TestCheckBundle:
         n = data.draw(st.integers(min_value=2, max_value=5))
         bundle = random_bundle(ring, n, data.draw(st.integers(0, 10**6)))
         polys = rank_theory(n).reduced + rank_theory(n).f_classes
-        values = {f"c{i}": c for i, c in enumerate(bundle.classes, 1)}
+        values = {f"c{i}": c for i, c in enumerate(bundle, 1)}
         one = ring.one()
         at_c = {}
         for p in polys:
             p.evaluate(values, one, at_c)
         flat = dict(values, c1=ring.zero())
         at_flat = {e: v for e, v in at_c.items() if not e[0]}
-        images = [{}] + [c.terms for c in bundle.classes[1:]]
+        images = [{}] + [c.terms for c in bundle[1:]]
 
         def reduce(t):
             return naive.ntruncate(t, degrees, patterns, top)
@@ -505,7 +506,7 @@ class TestCheckBundle:
             for n in range(2, 5):
                 for k in range(first, n + 1):
                     bad = corrupt(rank_theory(n), name, k - first)
-                    for r in check_bundles(ring, n, range(20), theory=bad):
+                    for r in check_bundles(ring, bad, range(20)):
                         if not r.passed:
                             witness = r.witness.to_json_obj()
                             records.append([name, k, n, r.seed, r.identity, witness])
@@ -543,8 +544,8 @@ class TestStackedSeeds:
             theory = rank_theory(n)
             if field is not None:
                 theory = corrupt(theory, field, 0)
-            block = check_bundles(ring, n, range(20), theory)
-            alone = [r for s in range(20) for r in check_bundles(ring, n, [s], theory)]
+            block = check_bundles(ring, theory, range(20))
+            alone = [r for s in range(20) for r in check_bundles(ring, theory, [s])]
             assert report(block) == report(alone)
             failed += sum(not r.passed for r in block)
         # p2-even has no odd degree, so a corrupted degree-1 term of the
@@ -568,7 +569,7 @@ class TestStackedSeeds:
         p = MPoly(table, data.draw(terms))
         # slot s holds bundle s with its classes scaled by scales[s]
         images = [
-            [(c * q).terms for c in random_bundle(ring, n, seed).classes]
+            [(c * q).terms for c in random_bundle(ring, n, seed)]
             for seed, q in zip(seeds, scales)
         ]
         values = {
@@ -591,7 +592,7 @@ class TestProjectiveBundleRing:
     def test_trivial_bundle_over_rationals(self):
         ring = make_toy_ring({"id": "point", "generators": [], "top_degree": 6})
         for n in (2, 3, 4):
-            bundle = ToyBundle(n, tuple(ring.zero() for _ in range(n)))
+            bundle = tuple(ring.zero() for _ in range(n))
             ext = ProjectiveBundleRing(ring, bundle)
             # the extension is then plainly the truncated polynomial ring on xi
             for k in range(n):
@@ -599,6 +600,12 @@ class TestProjectiveBundleRing:
                 assert [a.terms for a in ext.coefficients(ext.xi() ** k)] == expected
             assert (ext.xi() ** n).is_zero()
             assert not (ext.xi() ** (n - 1)).is_zero()
+
+    def test_rank_is_the_class_count(self):
+        ring = make_toy_ring(RICH_SPEC)
+        assert ProjectiveBundleRing(ring, random_bundle(ring, 3, seed=0)).rank == 3
+        with pytest.raises(ValueError):
+            ProjectiveBundleRing(ring, ())
 
     def test_rank_two_doubles_dimensions(self):
         ring = make_toy_ring(
@@ -649,7 +656,7 @@ class TestProjectiveBundleRing:
             for t in vectors[0] + vectors[1]:
                 t[(0,) * len(degrees)] = data.draw(st.integers(1, 3))
         a, b = (ext.element([MPoly(ring, t) for t in v]) for v in vectors)
-        classes = [c.terms for c in bundle.classes]
+        classes = [c.terms for c in bundle]
         expected = naive.nprojective_mul(*vectors, classes, reduce)
         assert [c.terms for c in ext.coefficients(a * b)] == expected
 
@@ -658,8 +665,8 @@ class TestProjectiveBundleRing:
         bundle = random_bundle(ring, 2, seed=11)
         ext = ProjectiveBundleRing(ring, bundle)
         xi = ext.xi()
-        c1 = ext.inject(bundle.classes[0])
-        c2 = ext.inject(bundle.classes[1])
+        c1 = ext.inject(bundle[0])
+        c2 = ext.inject(bundle[1])
         assert xi * xi == -(c1 * xi) - c2
 
 
@@ -676,7 +683,7 @@ def relations_at_projective_points():
             for seed in range(5):
                 bundle = random_bundle(ring, n, seed)
                 ext = ProjectiveBundleRing(ring, bundle)
-                values = {f"c{i}": ext.inject(c) for i, c in enumerate(bundle.classes, 1)}
+                values = {f"c{i}": ext.inject(c) for i, c in enumerate(bundle, 1)}
                 values["t"] = ext.xi()
                 yield ext, chern.twist(n)[n - 1].evaluate(values, ext.one())
 
@@ -724,7 +731,7 @@ def flip_the_relation(monkeypatch):
     honest = ProjectiveBundleRing._reduce
 
     def flipped(self, raw):
-        negated = ToyBundle(self.rank, tuple(-c for c in self.bundle.classes))
+        negated = tuple(-c for c in self.classes)
         return honest(ProjectiveBundleRing(self.base, negated), raw)
 
     monkeypatch.setattr(ProjectiveBundleRing, "_reduce", flipped)

@@ -222,9 +222,14 @@ def test_integral_coefficients_are_stored_as_ints():
     assert p.terms == {(1, 0): 2, (0, 1): -3, (0, 0): 2}
     assert all(type(c) is int for c in p.terms.values())
     assert type(MPoly.variable(C2, "c2").terms[(0, 1)]) is int
+    assert type(p.coefficient((2, 2))) is int and p.coefficient((2, 2)) == 0
     assert all(type(c) is int for c in (p * 3).terms.values())
     half = p * Fraction(1, 2)
-    assert all(type(c) is Fraction for c in half.terms.values())
+    assert half.terms == {(1, 0): 1, (0, 1): Fraction(-3, 2), (0, 0): 1}
+    assert type(half.terms[0, 0]) is type(half.terms[1, 0]) is int
+    assert type(half.terms[0, 1]) is Fraction
+    # an int scalar that clears every denominator gives ints too
+    assert all(type(c) is int for c in (half * 2).terms.values())
     # an int renders and serializes as the Fraction of the same value did
     for q, text in ((p, "2 + 2 c_1 - 3 c_2"), (half, "1 + c_1 - 3/2 c_2")):
         as_fractions = MPoly._wrap(C2, {e: Fraction(c) for e, c in q.terms.items()})

@@ -7,7 +7,13 @@ from math import comb
 import pytest
 
 from redchern import oracle
-from redchern.chern import reduced_chern_roots, sym_power_det_inverse_chern
+from redchern.chern import (
+    reduced_chern_formula,
+    reduced_chern_roots,
+    shifted_root_sigma,
+    sym_power_det_inverse_chern,
+    twist,
+)
 from redchern.poly import MPoly, c_vars, e_vars, s_vars, u_vars, x_vars
 from redchern.symfun import partitions_of
 from redchern.universal import (
@@ -224,6 +230,33 @@ class TestLargeRank:
     def test_rank_seven_leads_pinned(self):
         assert compute_phi(7).lead == (1716, 3003, 7007, 21021, 75803, 311493, 1409387)
 
+    @pytest.mark.parametrize("n", (6, 8, 12))
+    def test_integral_coefficients_are_stored_as_ints(self, n):
+        # scalar products store an integral result as an int, so no
+        # per-rank artifact keeps a Fraction with denominator 1
+        ups = compute_phi(n)
+        artifacts = {
+            "s": ups.s,
+            "phi": ups.phi,
+            "psi": ups.psi,
+            "shifted_root_sigma": shifted_root_sigma(n),
+            "sym_power_det_inverse_chern": sym_power_det_inverse_chern(n),
+            "twist": twist(n),
+            "reduced_chern_formula": [
+                reduced_chern_formula(n, r) for r in range(1, n + 1)
+            ],
+        }
+        integral_fractions = {
+            name: sum(
+                type(c) is Fraction and c.denominator == 1
+                for p in polys
+                for c in p.terms.values()
+            )
+            for name, polys in artifacts.items()
+        }
+        assert integral_fractions == dict.fromkeys(artifacts, 0)
+        assert all(type(c) is int for c in ups.lead)
+
     def test_rank_eight_solves(self):
         # solve_psi checks its own round trip psi(s(e)) = e before returning
         ups = compute_phi(8)
@@ -299,7 +332,7 @@ class TestBrauerReduced:
             }
         )
         bundle = oracle.random_bundle(ring, 3, seed=5)
-        values = {f"c{i}": bundle.classes[i - 1] for i in (1, 2, 3)}
+        values = {f"c{i}": bundle[i - 1] for i in (1, 2, 3)}
         one = ring.one()
         f_classes = sym_power_det_inverse_chern(3)
         toy_f = [f_classes[k].evaluate(values, one) for k in (1, 2)]

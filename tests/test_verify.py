@@ -251,7 +251,7 @@ def test_triangularity_catches_a_corrupted_e_to_m_row(
         coeffs = dict(coords.coeffs)
         for parts, c in extra.items():
             coeffs[parts] = coords.coefficient(parts) + c
-        return symfun.SymPolyInBasis("m", coeffs)
+        return symfun.SymPolyInBasis(coeffs)
 
     monkeypatch.setattr(symfun, "elementary_to_monomial", corrupted)
     results = verify.suite_triangularity(max_rank=max_rank)
