@@ -45,18 +45,6 @@ def shifted_root_sigma(n: int) -> tuple[MPoly, ...]:
     )
 
 
-def _check_index(n: int, r: int) -> None:
-    ensure_rank(n)
-    if not 1 <= r <= n:
-        raise ValueError(f"index {r} outside 1..{n}")
-
-
-def reduced_chern_roots(n: int, r: int) -> MPoly:
-    """The degree-r reduced class at rank n, from the shifted roots."""
-    _check_index(n, r)
-    return shifted_root_sigma(n)[r - 1]
-
-
 def _twisted_class(classes, n: int, k: int, t: MPoly) -> MPoly:
     """c_k of a rank-n bundle with classes c_1..c_n, twisted by a line class t."""
     total = t**k * comb(n, k)
@@ -67,7 +55,9 @@ def _twisted_class(classes, n: int, k: int, t: MPoly) -> MPoly:
 
 def reduced_chern_formula(n: int, r: int) -> MPoly:
     """The degree-r reduced class at rank n, from the closed binomial formula."""
-    _check_index(n, r)
+    ensure_rank(n)
+    if not 1 <= r <= n:
+        raise ValueError(f"index {r} outside 1..{n}")
     table = c_vars(n)
     classes = [MPoly.variable(table, f"c{i}") for i in range(1, n + 1)]
     return _twisted_class(classes, n, r, classes[0] * Fraction(-1, n))

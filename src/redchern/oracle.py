@@ -4,10 +4,11 @@ A toy ring is a quotient of a polynomial ring by monomial relations plus a
 global degree cap, so normal forms are confluent without any Groebner
 machinery, and every graded piece is a finite-dimensional vector space with
 a monomial basis.  Its elements are MPolys over it, term dicts over the
-surviving monomials.  Each ring enumerates them once and, on its first
+surviving monomials.  Each ring enumerates those once and, on its first
 product, builds one multiplication table from each pair of them to their
 product where that survives; a product multiplies and accumulates over
-the table into one dict, so no dead monomial is ever formed.  A bundle
+the table into one dict, so no dead monomial is ever formed.  Its zero
+and one are MPoly.zero(ring) and MPoly.one(ring), as in every ring.  A bundle
 over a toy ring is its class tuple c_1..c_n, c_i drawn in degree i, and
 its projective bundle P(E) is a ring of the same kind: its monomials are
 the base's each followed by a power of xi below the rank, and a product
@@ -54,7 +55,8 @@ class ToyRing(VarTable):
     It is the VarTable of its generators, and equals no plain VarTable.
     Its elements are MPolys over it with only surviving monomials as keys,
     which the MPoly constructor checks; results the ring computes are not
-    checked again.
+    checked again.  Relations have powers >= 1, so the constant monomial
+    survives and MPoly.one(ring) is the ring's one.
     """
 
     def __init__(self, ring_id, generators, relations=(), top_degree=12):
@@ -150,15 +152,6 @@ class ToyRing(VarTable):
                     out[e] = out.get(e, 0) + ca * cb
         return out
 
-    # ---- elements ----
-
-    def zero(self) -> MPoly:
-        return MPoly._wrap(self, {})
-
-    def one(self) -> MPoly:
-        # relations have positive powers, so the constant term never dies
-        return MPoly._wrap(self, {(0,) * len(self): 1})
-
     # ---- graded structure ----
 
     def graded_basis(self, d: int) -> tuple[tuple[int, ...], ...]:
@@ -169,21 +162,6 @@ class ToyRing(VarTable):
         """A random homogeneous degree-d element with coefficients in -3..3."""
         draws = {e: rng.randint(-3, 3) for e in self.graded_basis(d)}
         return MPoly._wrap(self, {e: c for e, c in draws.items() if c})
-
-
-def make_toy_ring(spec: Mapping) -> ToyRing:
-    """Build a ToyRing from a plain spec dict.
-
-    Expected keys: "id", "generators" (list of [name, degree]), "relations"
-    (list of name -> power monomial dicts, each read as monomial = 0) and
-    "top_degree".
-    """
-    return ToyRing(
-        spec.get("id", "ring"),
-        [(g[0], g[1]) for g in spec.get("generators", [])],
-        spec.get("relations", ()),
-        spec.get("top_degree", 12),
-    )
 
 
 def random_bundle(ring: ToyRing, n: int, seed) -> tuple[MPoly, ...]:
@@ -329,7 +307,7 @@ def _projective_witness(ring: ToyRing, classes: tuple, seed: int):
         if not coeff.is_zero():
             return coeff.min_degree_component()
     rng = random.Random((seed + 3) << 4)
-    zero = ring.zero()
+    zero = MPoly.zero(ring)
     sample = []
     for _ in range(3):
         base = ring.random_element(rng.randint(0, 2), rng)
@@ -337,7 +315,7 @@ def _projective_witness(ring: ToyRing, classes: tuple, seed: int):
         sample.append(ext.element([zero] * rng.randint(0, ext.rank) + [base]))
     u, v, w = sample
     uv = u * v
-    return None if uv * w == u * (v * w) and uv == v * u else ring.one()
+    return None if uv * w == u * (v * w) and uv == v * u else MPoly.one(ring)
 
 
 def check_bundles(
@@ -367,7 +345,7 @@ def check_bundles(
         f"c{i}": _stack(ring, [classes[i - 1] for classes in bundles])
         for i in range(1, n + 1)
     }
-    one = _stack(ring, [ring.one()] * k)
+    one = _stack(ring, [MPoly.one(ring)] * k)
     at_c = {}
     reduced = [p.evaluate(values, one, at_c) for p in theory.reduced]
     f_values = [p.evaluate(values, one, at_c) for p in theory.f_classes]
@@ -384,7 +362,7 @@ def check_bundles(
     )
 
     # at c1 = 0 the reduced classes must give the point's own 0, c2, ..., cn
-    flat = dict(values, c1=ring.zero())
+    flat = dict(values, c1=MPoly.zero(ring))
     at_flat = {e: v for e, v in at_c.items() if not e[0]}
     c1_zero = _first_failures(
         zip([p.evaluate(flat, one, at_flat) for p in theory.reduced], flat.values()), k
@@ -395,7 +373,7 @@ def check_bundles(
     phi_roundtrip = _first_failures(
         zip([p.evaluate(u, one, at_u) for p in theory.phi], reduced[1:]), k
     )
-    c1f_zero = _first_failures([(f_values[0], ring.zero())], k)
+    c1f_zero = _first_failures([(f_values[0], MPoly.zero(ring))], k)
 
     results = []
     for s, (seed, classes) in enumerate(zip(seeds, bundles)):
@@ -496,17 +474,11 @@ class ProjectiveBundleRing(VarTable):
             self, {e + (j,): c for j, t in enumerate(raw) for e, c in t.items() if c}
         )
 
-    def zero(self) -> MPoly:
-        return MPoly._wrap(self, {})
-
-    def one(self) -> MPoly:
-        return self.element([self.base.one()])
-
     def inject(self, a: MPoly) -> MPoly:
         return self.element([a])
 
     def xi(self) -> MPoly:
-        return self.element([self.base.zero(), self.base.one()])
+        return self.element([MPoly.zero(self.base), MPoly.one(self.base)])
 
     def coefficients(self, x: MPoly) -> tuple[MPoly, ...]:
         """The base elements a_0..a_{n-1} of x = sum a_j xi^j."""
@@ -514,4 +486,4 @@ class ProjectiveBundleRing(VarTable):
 
     def relation_residue(self) -> MPoly:
         """xi^n + c_1 xi^{n-1} + ... + c_n, reduced; zero by construction."""
-        return self.element([*reversed(self.classes), self.base.one()])
+        return self.element([*reversed(self.classes), MPoly.one(self.base)])

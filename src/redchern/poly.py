@@ -4,14 +4,15 @@ An MPoly is a dict from exponent tuples to nonzero coefficients, each an
 int or a Fraction, keyed to an ordered VarTable of (name, degree) pairs.
 Degrees are weights: a Chern-class variable c_i has degree i, so the
 weighted degree of a term is the dot product of its exponent tuple with the
-variable degrees.  The constructor and scalar products store every
-integral value as an int (integral_as_int), and Fraction guarantees
-lowest terms; there is no floating point anywhere.
+variable degrees.  The constructor, sums, scalar products and evaluations
+store every integral value as an int (integral_as_int), and Fraction
+guarantees lowest terms; there is no floating point anywhere.
 
 MPoly is the element type of every ring.  A VarTable presents the free
 ring, where products are full; a subclass presents a quotient, such as a
 toy ring, by the keys it accepts (check_monomials) and its own
 multiply_into(out, a, b), the product protocol that every ring shares.
+MPoly.zero(table) and MPoly.one(table) are the zero and one of every ring.
 
 Two MPoly values over the same table are equal iff their term dicts are
 equal (canonical form: zero coefficients are never stored).  The canonical
@@ -61,11 +62,11 @@ def exact_quotient(c, den: int):
 
 
 def add_terms(pa, pb):
-    """Sum of two term dicts; coefficients that cancel are dropped."""
+    """Sum of two term dicts; cancelled sums are dropped, integral ones are ints."""
     out = dict(pa)
     for e, c in pb.items():
         prev = out.get(e)
-        total = c if prev is None else prev + c
+        total = c if prev is None else integral_as_int(prev + c)
         if total:
             out[e] = total
         elif prev is not None:
@@ -152,11 +153,6 @@ class VarTable:
         return out
 
 
-def x_vars(n: int) -> VarTable:
-    """Chern-root style variables x1..xn, all of degree 1."""
-    return VarTable((f"x{i}", 1) for i in range(1, n + 1))
-
-
 def c_vars(n: int) -> VarTable:
     """Chern-class variables c1..cn with deg c_i = i."""
     return VarTable((f"c{i}", i) for i in range(1, n + 1))
@@ -213,11 +209,13 @@ class MPoly:
 
     @classmethod
     def zero(cls, table: VarTable) -> "MPoly":
-        return cls(table)
+        """The zero of table's ring, the free ring or a quotient."""
+        return cls._wrap(table, {})
 
     @classmethod
     def one(cls, table: VarTable) -> "MPoly":
-        return cls.constant(table, 1)
+        """The one of table's ring, whose constant monomial always survives."""
+        return cls._wrap(table, {(0,) * len(table): 1})
 
     @classmethod
     def constant(cls, table: VarTable, value) -> "MPoly":
@@ -377,7 +375,8 @@ class MPoly:
         added into one dict, and each sum is divided by the denominator
         once with exact_quotient, so an int sum that the denominator
         divides stays an int and a polynomial with integral coefficients
-        keeps a point's int coefficients as ints.
+        keeps a point's int coefficients as ints; an integral Fraction
+        that is returned becomes an int (integral_as_int).
 
         monomials is the memo of monomial term dicts, keyed by exponent
         tuple; its dicts are shared, never modified.  By default it lives
@@ -415,13 +414,11 @@ class MPoly:
             for e, v in value.items():
                 acc[e] = acc.get(e, 0) + k * v
         terms = {
-            e: exact_quotient(c, den) if den > 1 else c for e, c in acc.items() if c
+            e: integral_as_int(exact_quotient(c, den) if den > 1 else c)
+            for e, c in acc.items()
+            if c
         }
         return MPoly._wrap(ring, terms)
-
-    def ring_one(self) -> "MPoly":
-        """The identity of this value's ring."""
-        return MPoly.one(self.table)
 
     # ---- table plumbing ----
 

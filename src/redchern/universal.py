@@ -140,9 +140,10 @@ def brauer_reduced(n: int, pushforward_classes: Sequence) -> list:
     """Evaluate phi_2..phi_n at the classes of a pushforward bundle.
 
     The inputs are the degree-2..n classes, as MPolys over any commutative
-    coefficient ring (a VarTable's free ring or a toy ring); when they are the
-    classes of the twisted symmetric power of a bundle, the output is that
-    bundle's reduced classes.
+    coefficient ring (a VarTable's free ring or a toy ring), and phi is
+    evaluated in their ring, whose one is MPoly.one of their table; when they
+    are the classes of the twisted symmetric power of a bundle, the output is
+    that bundle's reduced classes.
     """
     if len(pushforward_classes) != n - 1:
         raise ValueError(
@@ -150,5 +151,5 @@ def brauer_reduced(n: int, pushforward_classes: Sequence) -> list:
         )
     ups = compute_phi(n)
     values = {f"u{j}": pushforward_classes[j - 2] for j in range(2, n + 1)}
-    one = pushforward_classes[0].ring_one()
+    one = MPoly.one(pushforward_classes[0].table)
     return [ups.phi[i - 2].evaluate(values, one) for i in range(2, n + 1)]

@@ -17,26 +17,13 @@ from redchern.poly import MPoly, c_vars
 SYMBOLIC = "symbolic"
 
 # Catalog for the transfer suite: rings with nontrivial pieces in the class
-# degrees, rich enough that random bundles rarely vanish outright.
+# degrees, rich enough that random bundles rarely vanish outright.  Each
+# entry is the oracle.ToyRing arguments (id, generators, relations,
+# top_degree), built when the suite runs; a relation reads monomial = 0.
 TOY_RING_SPECS = (
-    {
-        "id": "nilpotent-line",
-        "generators": [["h", 1]],
-        "relations": [{"h": 6}],
-        "top_degree": 10,
-    },
-    {
-        "id": "two-lines",
-        "generators": [["a", 1], ["b", 1]],
-        "relations": [{"a": 3}, {"b": 4}],
-        "top_degree": 10,
-    },
-    {
-        "id": "mixed-degrees",
-        "generators": [["h", 1], ["g", 2]],
-        "relations": [{"h": 4}, {"g": 3}],
-        "top_degree": 10,
-    },
+    ("nilpotent-line", [("h", 1)], [{"h": 6}], 10),
+    ("two-lines", [("a", 1), ("b", 1)], [{"a": 3}, {"b": 4}], 10),
+    ("mixed-degrees", [("h", 1), ("g", 2)], [{"h": 4}, {"g": 3}], 10),
 )
 
 TOY_SEED_COUNT = 20
@@ -57,10 +44,8 @@ def suite_formula_agreement(max_rank: int, seed: int = 0) -> list[CheckResult]:
     """Closed binomial formula against the root definition, exactly."""
     results = []
     for n in range(2, max_rank + 1):
-        for r in range(1, n + 1):
-            witness = _diff_witness(
-                chern.reduced_chern_formula(n, r), chern.reduced_chern_roots(n, r)
-            )
+        for r, rc in enumerate(chern.shifted_root_sigma(n), start=1):
+            witness = _diff_witness(chern.reduced_chern_formula(n, r), rc)
             results.append(_result("formula-agreement", n, witness is None, witness))
     return results
 
@@ -72,8 +57,7 @@ def suite_twist(max_rank: int, seed: int = 0) -> list[CheckResult]:
         twisted = chern.twist(n)
         target = twisted[0].table
         assignment = {f"c{i}": twisted[i - 1] for i in range(1, n + 1)}
-        for r in range(1, n + 1):
-            rc = chern.reduced_chern_roots(n, r)
+        for rc in chern.shifted_root_sigma(n):
             lhs = rc.substitute(assignment)
             witness = _diff_witness(lhs, rc.embed(target))
             results.append(_result("twist", n, witness is None, witness))
@@ -88,8 +72,8 @@ def suite_c1_zero(max_rank: int, seed: int = 0) -> list[CheckResult]:
         assignment = {"c1": MPoly.zero(table)}
         for i in range(2, n + 1):
             assignment[f"c{i}"] = MPoly.variable(table, f"c{i}")
-        for r in range(1, n + 1):
-            lhs = chern.reduced_chern_roots(n, r).substitute(assignment)
+        for r, rc in enumerate(chern.shifted_root_sigma(n), start=1):
+            lhs = rc.substitute(assignment)
             rhs = assignment[f"c{r}"] if r > 1 else MPoly.zero(table)
             witness = _diff_witness(lhs, rhs)
             results.append(_result("c1-zero", n, witness is None, witness))
@@ -104,8 +88,8 @@ def suite_phi_roundtrip(max_rank: int, seed: int = 0) -> list[CheckResult]:
         witness = _diff_witness(f_classes[0], 0)
         results.append(_result("c1F-zero", n, witness is None, witness))
         recovered = universal.brauer_reduced(n, f_classes[1:])
-        for i in range(2, n + 1):
-            witness = _diff_witness(recovered[i - 2], chern.reduced_chern_roots(n, i))
+        for got, rc in zip(recovered, chern.shifted_root_sigma(n)[1:]):
+            witness = _diff_witness(got, rc)
             results.append(_result("phi-roundtrip", n, witness is None, witness))
     return results
 
@@ -179,7 +163,7 @@ def suite_toy_rings(max_rank: int, seed: int = 0) -> list[CheckResult]:
     results = []
     seeds = range(seed, seed + TOY_SEED_COUNT)
     for spec in TOY_RING_SPECS:
-        ring = oracle.make_toy_ring(spec)
+        ring = oracle.ToyRing(*spec)
         for n in range(2, max_rank + 1):
             results.extend(oracle.check_bundles(ring, oracle.rank_theory(n), seeds))
     return results

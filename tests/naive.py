@@ -25,7 +25,7 @@ from itertools import combinations, permutations
 from math import comb, factorial, prod
 
 from redchern.chern import ensure_rank, shifted_root_sigma
-from redchern.poly import MPoly, VarTable, c_vars, e_vars, s_vars, u_vars, x_vars
+from redchern.poly import MPoly, VarTable, c_vars, e_vars, s_vars, u_vars
 from redchern.symfun import (
     SymPolyInBasis,
     _e_to_m_table,
@@ -217,6 +217,11 @@ def reduce_hom(q):
 
 
 # ---- symmetric polynomials in root variables, built on the package ----
+
+
+def x_vars(n: int) -> VarTable:
+    """Chern-root style variables x1..xn, all of degree 1."""
+    return VarTable((f"x{i}", 1) for i in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)

@@ -7,11 +7,11 @@ import pytest
 
 from redchern.chern import (
     reduced_chern_formula,
-    reduced_chern_roots,
+    shifted_root_sigma,
     sym_power_det_inverse_chern,
     twist,
 )
-from redchern.poly import MPoly, c_vars, x_vars
+from redchern.poly import MPoly, c_vars
 
 from . import naive
 from .naive import (
@@ -20,6 +20,7 @@ from .naive import (
     expand_linear_chain,
     reduce_hom,
     root_compositions,
+    x_vars,
 )
 
 RANKS = (2, 3, 4, 5, 6)
@@ -42,11 +43,11 @@ def naive_shifted_sigma(n, r):
 class TestReducedRoots:
     def test_first_class_vanishes(self):
         for n in RANKS:
-            assert reduced_chern_roots(n, 1).is_zero()
+            assert shifted_root_sigma(n)[0].is_zero()
 
     def test_rank_two(self):
         expected = cvar(2, 2) - Fraction(1, 4) * cvar(2, 1) ** 2
-        assert reduced_chern_roots(2, 2) == expected
+        assert shifted_root_sigma(2)[1] == expected
 
     def test_rank_three_top(self):
         n3 = c_vars(3)
@@ -55,12 +56,12 @@ class TestReducedRoots:
             - Fraction(1, 3) * MPoly.variable(n3, "c1") * MPoly.variable(n3, "c2")
             + Fraction(2, 27) * MPoly.variable(n3, "c1") ** 3
         )
-        assert reduced_chern_roots(3, 3) == expected
+        assert shifted_root_sigma(3)[2] == expected
 
     @pytest.mark.parametrize("n", (2, 3, 4))
     def test_against_independent_root_expansion(self, n):
         for r in range(1, n + 1):
-            expanded = naive.expand_cpoly(reduced_chern_roots(n, r), n)
+            expanded = naive.expand_cpoly(shifted_root_sigma(n)[r - 1], n)
             assert expanded == naive_shifted_sigma(n, r)
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
@@ -72,13 +73,13 @@ class TestReducedRoots:
         sigmas = {f"c{i}": elementary_symmetric(i, n) for i in range(1, n + 1)}
         for r in range(1, n + 1):
             expected = chain.graded_component(r) * Fraction(1, n**r)
-            assert reduced_chern_roots(n, r).substitute(sigmas) == expected
+            assert shifted_root_sigma(n)[r - 1].substitute(sigmas) == expected
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            reduced_chern_roots(3, 0)
+            reduced_chern_formula(3, 0)
         with pytest.raises(ValueError):
-            reduced_chern_roots(3, 4)
+            reduced_chern_formula(3, 4)
 
 
 class TestClosedFormula:
@@ -94,12 +95,12 @@ class TestClosedFormula:
     def test_rank_four_cross_check(self):
         expected = cvar(4, 2) - Fraction(3, 8) * cvar(4, 1) ** 2
         assert reduced_chern_formula(4, 2) == expected
-        assert reduced_chern_formula(4, 2) == reduced_chern_roots(4, 2)
+        assert reduced_chern_formula(4, 2) == shifted_root_sigma(4)[1]
 
     def test_agreement_with_roots_everywhere(self):
         for n in RANKS:
             for r in range(1, n + 1):
-                assert reduced_chern_formula(n, r) == reduced_chern_roots(n, r)
+                assert reduced_chern_formula(n, r) == shifted_root_sigma(n)[r - 1]
 
 
 class TestTwist:
@@ -212,7 +213,7 @@ class TestReduceHom:
     def test_sends_classes_to_reduced_classes(self):
         for n in (2, 3, 4):
             for r in range(1, n + 1):
-                assert reduce_hom(cvar(n, r)) == reduced_chern_roots(n, r)
+                assert reduce_hom(cvar(n, r)) == shifted_root_sigma(n)[r - 1]
 
     def test_multiplicative_and_idempotent(self):
         rng = random.Random(99)
@@ -231,12 +232,12 @@ class TestReduceHom:
                 for _ in range(10):
                     s = random_cpoly(n, rng, max_wdeg=3)
                     perturbed = cvar(n, j) + s * cvar(n, 1)
-                    assert reduce_hom(perturbed) == reduced_chern_roots(n, j)
+                    assert reduce_hom(perturbed) == shifted_root_sigma(n)[j - 1]
 
     def test_fixes_polynomials_in_reduced_classes(self):
         rng = random.Random(41)
         for n in (2, 3):
-            generators = [reduced_chern_roots(n, r) for r in range(2, n + 1)]
+            generators = [shifted_root_sigma(n)[r - 1] for r in range(2, n + 1)]
             for _ in range(5):
                 p = MPoly.one(c_vars(n)) * rng.randint(-3, 3)
                 for cb in generators:
@@ -252,11 +253,9 @@ class TestReduceHom:
             for i in range(2, n + 1):
                 assignment[f"c{i}"] = MPoly.variable(table, f"c{i}")
             for r in range(2, n + 1):
-                specialized = reduced_chern_roots(n, r).substitute(assignment)
+                specialized = shifted_root_sigma(n)[r - 1].substitute(assignment)
                 assert specialized == MPoly.variable(table, f"c{r}")
 
     def test_rejects_foreign_table(self):
-        from redchern.poly import x_vars
-
         with pytest.raises(ValueError):
             reduce_hom(MPoly.one(x_vars(2)))

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import redchern
-from redchern import oracle
+from redchern import oracle, verify
 from redchern.chern import reduced_chern_formula
 from redchern.cli import RANK_CAP, main, reproduce_command
 from redchern.poly import MPoly
@@ -286,6 +286,19 @@ class TestVerify:
     def test_reproduce_command(self, identity, ring, rank, seed, command):
         check = oracle.CheckResult(identity, ring, rank, seed, "fail")
         assert reproduce_command(check) == "redchern verify " + command
+
+    def test_reproduce_command_reports_every_identity_on_every_ring(self, runner):
+        # the first check of each (identity, ring) pair of the full report,
+        # so a tag that the command sends to the wrong suite fails here
+        first = {}
+        for check in verify.run_suite("all", 3, 0):
+            first.setdefault((check.identity, check.ring), check)
+        assert len(first) == 23
+        for check in first.values():
+            command = reproduce_command(check)
+            result = runner.invoke(main, command.split()[1:])
+            line = json.dumps(check.to_json_obj(), separators=(",", ":"))
+            assert result.exit_code == 0 and line in result.stdout.splitlines(), command
 
     def test_unknown_suite_exits_2(self, runner):
         assert runner.invoke(main, ["verify", "--suite", "bogus"]).exit_code == 2

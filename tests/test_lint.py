@@ -1,4 +1,5 @@
-"""Source checks on the package: every imported name is used."""
+"""Source checks on the package: every imported name is used, and every
+module-level function and class is referenced by some module of it."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,75 @@ def test_an_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_command(node) -> bool:
+    """Whether a definition carries a click decorator such as @main.command()."""
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
+            return True
+    return False
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and classes that no module references.
+
+    sources maps module file names to their text.  A reference is a name
+    read or an attribute looked up anywhere in the package; an import alone
+    is none.  Names in a module's __all__ and click commands in cli.py are
+    exempt: the package exports them.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                referenced.update(ast.literal_eval(node.value))
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if name == "cli.py" and _is_command(node):
+                continue
+            if node.name not in referenced:
+                found.append(f"{name}: {node.name} (line {node.lineno})")
+    return found
+
+
+def test_an_unreferenced_definition_is_found():
+    sources = {
+        "a.py": (
+            "import click\n"
+            "__all__ = ['exported']\n"
+            "def exported(): pass\n"
+            "def helper(): pass\n"
+            "def orphan(): return helper()\n"
+            "class Used: pass\n"
+            "class Orphan: pass\n"
+        ),
+        "b.py": "from a import Orphan, Used\nimport a\nx = Used()\ny = a.orphan\n",
+        "cli.py": (
+            "@click.group()\n"
+            "def main(): pass\n"
+            "@main.command('run')\n"
+            "def run_cmd(): pass\n"
+            "def stray(): pass\n"
+        ),
+    }
+    assert unreferenced_definitions(sources) == [
+        "a.py: Orphan (line 7)",
+        "cli.py: stray (line 5)",
+    ]
+
+
+def test_every_definition_is_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unreferenced_definitions(sources) == []

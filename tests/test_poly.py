@@ -16,10 +16,10 @@ from redchern.poly import (
     c_vars,
     render_latex,
     render_text,
-    x_vars,
 )
 
 from . import naive
+from .naive import x_vars
 from .strategies import coefficients, exponent_tuples, mpolys
 
 X2 = x_vars(2)
@@ -243,6 +243,23 @@ def test_integral_coefficients_are_stored_as_ints():
     )
 
 
+def test_integral_sums_and_evaluations_are_stored_as_ints():
+    a = MPoly(C2, {(1, 0): Fraction(1, 2)})
+    assert (a + a).terms == {(1, 0): 1} and type((a + a).terms[1, 0]) is int
+    assert type((a - (-a) + 1).terms[1, 0]) is int
+    # c1 + c2 at the constants 1/2, 1/2: the common denominator is 1, so the
+    # sum is never divided; 1/3 c1 + 1/3 c2 at 3/2, 3/2 is divided by 3
+    point = VarTable(())
+    half, three_halves = (MPoly.constant(point, Fraction(k, 2)) for k in (1, 3))
+    one = MPoly.one(point)
+    c1, c2 = xp("c1", C2), xp("c2", C2)
+    got = (c1 + c2).evaluate({"c1": half, "c2": half}, one)
+    assert got.terms == {(): 1} and type(got.terms[()]) is int
+    thirds = (c1 + c2) * Fraction(1, 3)
+    got = thirds.evaluate({"c1": three_halves, "c2": three_halves}, one)
+    assert got.terms == {(): 1} and type(got.terms[()]) is int
+
+
 def test_json_canonical_form():
     p = xp("c2", C2) - Fraction(1, 4) * xp("c1", C2) ** 2
     obj = p.to_json_obj()
@@ -301,7 +318,7 @@ class TestEvaluate:
     @given(mpolys(C2, max_terms=6, max_exp=5), st.data())
     def test_at_toy_ring_points(self, p, data):
         images = [toy_reduce(data.draw(raw_toy_terms())) for _ in range(2)]
-        got = p.evaluate(toy_point(images), TOY.one())
+        got = p.evaluate(toy_point(images), MPoly.one(TOY))
         assert got.terms == naive.nevaluate(p, images, 2, toy_reduce)
 
     @settings(max_examples=40, deadline=None)
@@ -323,7 +340,7 @@ class TestEvaluate:
         values = toy_point(images)
         monomials = {}
         for p in polys:
-            got = p.evaluate(values, TOY.one(), monomials)
+            got = p.evaluate(values, MPoly.one(TOY), monomials)
             assert got.terms == naive.nevaluate(p, images, 2, toy_reduce)
 
     @settings(max_examples=60, deadline=None)
@@ -342,7 +359,7 @@ class TestEvaluate:
         ints = raw_toy_terms(st.integers(-3, 3).filter(bool))
         images = [toy_reduce(data.draw(s)) for s in (ints, ints | raw_toy_terms())]
         values = toy_point(images)
-        got = p.evaluate(values, TOY.one())
+        got = p.evaluate(values, MPoly.one(TOY))
         assert got.terms == naive.nevaluate(p, images, 2, toy_reduce)
         v1, v2 = data.draw(mpolys(Y2, 3, 2)), data.draw(mpolys(Y2, 3, 2))
         got = p.evaluate({"c1": v1, "c2": v2}, MPoly.one(Y2))
@@ -360,7 +377,7 @@ class TestEvaluate:
         got = p.evaluate({"x1": 2 * z, "x2": 6 * z * z + 6 * z}, MPoly.one(Z1))
         assert got.terms == {}
         h = TOY_A * 2 + TOY_B
-        got = p.evaluate({"x1": h, "x2": h * h * Fraction(3, 2) + h * 3}, TOY.one())
+        got = p.evaluate({"x1": h, "x2": h * h * Fraction(3, 2) + h * 3}, MPoly.one(TOY))
         assert got.terms == {}
         values = {"x1": MPoly.constant(Q, 2), "x2": MPoly.constant(Q, 12)}
         assert p.evaluate(values, MPoly.one(Q)).is_zero()
@@ -378,14 +395,14 @@ class TestEvaluate:
         p = MPoly(C2, {(2, 0): 3, (1, 1): -2, (0, 1): 1, (0, 0): 5})
         a, b = TOY_A, TOY_B
         values = {"c1": a * 2 + b, "c2": b * 3 - a * a}
-        got = p.evaluate(values, TOY.one())
+        got = p.evaluate(values, MPoly.one(TOY))
         assert got.terms and all(type(c) is int for c in got.terms.values())
-        halved = (p * Fraction(1, 2)).evaluate(values, TOY.one())
+        halved = (p * Fraction(1, 2)).evaluate(values, MPoly.one(TOY))
         assert halved * 2 == got
         assert any(isinstance(c, Fraction) for c in halved.terms.values())
         # a sum that the common denominator divides comes back as an int
         q = MPoly(C2, {(2, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
-        got = q.evaluate({"c1": a * 2, "c2": b * 3}, TOY.one())
+        got = q.evaluate({"c1": a * 2, "c2": b * 3}, MPoly.one(TOY))
         assert got.terms == {(2, 0): 2, (0, 1): 1}
         assert all(type(c) is int for c in got.terms.values())
 
@@ -396,7 +413,7 @@ class TestEvaluate:
         got = p.evaluate({"x1": v1, "x2": v2}, MPoly.one(Z1))
         assert got.terms == naive.nevaluate(p, [v1.terms, v2.terms], 1)
         a, b = TOY_A, TOY_B
-        got = p.evaluate({"x1": a + b, "x2": b}, TOY.one())
+        got = p.evaluate({"x1": a + b, "x2": b}, MPoly.one(TOY))
         assert got.terms == naive.nevaluate(p, [(a + b).terms, b.terms], 2, toy_reduce)
 
     @pytest.mark.parametrize("shared", (False, True))
@@ -416,7 +433,7 @@ class TestEvaluate:
         got = p.evaluate({"x1": z, "x2": 2 * z}, MPoly.one(Z1))
         assert got == MPoly(Z1, {(1500,): 1, (3,): 2})
         a = TOY_A
-        assert p.evaluate({"x1": a, "x2": a * 2}, TOY.one()) == a**3 * 2
+        assert p.evaluate({"x1": a, "x2": a * 2}, MPoly.one(TOY)) == a**3 * 2
 
 
 class TestRendering:

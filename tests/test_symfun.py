@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redchern.chern import shifted_root_sigma, sym_power_det_inverse_chern
-from redchern.poly import MPoly, c_vars, e_vars, x_vars
+from redchern.poly import MPoly, c_vars, e_vars
 from redchern.symfun import (
     SymPolyInBasis,
     _power_sums_in_elementary,
@@ -35,6 +35,7 @@ from .naive import (
     root_compositions,
     symmetry_witness,
     truncate,
+    x_vars,
 )
 
 

@@ -9,12 +9,11 @@ import pytest
 from redchern import oracle
 from redchern.chern import (
     reduced_chern_formula,
-    reduced_chern_roots,
     shifted_root_sigma,
     sym_power_det_inverse_chern,
     twist,
 )
-from redchern.poly import MPoly, c_vars, e_vars, s_vars, u_vars, x_vars
+from redchern.poly import MPoly, c_vars, e_vars, s_vars, u_vars
 from redchern.symfun import partitions_of
 from redchern.universal import (
     brauer_reduced,
@@ -29,6 +28,7 @@ from .naive import (
     expand_linear_chain,
     monomial_coefficients,
     monomial_symmetric,
+    x_vars,
     y_roots,
 )
 
@@ -282,7 +282,7 @@ class TestComputePhi:
             f_classes = sym_power_det_inverse_chern(n)
             recovered = brauer_reduced(n, f_classes[1:])
             for i in range(2, n + 1):
-                assert recovered[i - 2] == reduced_chern_roots(n, i)
+                assert recovered[i - 2] == shifted_root_sigma(n)[i - 1]
 
     def test_json_shape(self):
         obj = compute_phi(2).to_json_obj()
@@ -323,22 +323,15 @@ class TestBrauerReduced:
     def test_toy_ring_comparison(self):
         # 3-fold comparison in a concrete ring: phi applied to toy F-classes
         # equals the toy evaluation of the symbolic reduced classes
-        ring = oracle.make_toy_ring(
-            {
-                "id": "cmp",
-                "generators": [["a", 1], ["b", 1]],
-                "relations": [{"a": 4}, {"b": 3}],
-                "top_degree": 9,
-            }
-        )
+        ring = oracle.ToyRing("cmp", [("a", 1), ("b", 1)], [{"a": 4}, {"b": 3}], 9)
         bundle = oracle.random_bundle(ring, 3, seed=5)
         values = {f"c{i}": bundle[i - 1] for i in (1, 2, 3)}
-        one = ring.one()
+        one = MPoly.one(ring)
         f_classes = sym_power_det_inverse_chern(3)
         toy_f = [f_classes[k].evaluate(values, one) for k in (1, 2)]
         recovered = brauer_reduced(3, toy_f)
         for i in (2, 3):
-            expected = reduced_chern_roots(3, i).evaluate(values, one)
+            expected = shifted_root_sigma(3)[i - 1].evaluate(values, one)
             assert recovered[i - 2] == expected
 
 

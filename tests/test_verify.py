@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from redchern import chern, oracle, poly, symfun, universal, verify
-from redchern.poly import MPoly, c_vars, e_vars, x_vars
+from redchern.poly import MPoly, c_vars, e_vars
 
 from . import naive
+from .naive import x_vars
 from .test_oracle import corrupt
 
 
