@@ -3,7 +3,7 @@
 Subpackage map:
     poly       sparse exact polynomials with int or Fraction coefficients,
                the one element type of every ring; the free ring's table,
-               substitution, evaluation in any ring, JSON output
+               evaluation in any ring as the one ring map, JSON output
     symfun     partitions as part tuples, e-to-m table, closed power-sum
                series of the root families and their e-coordinates
     chern      reduced classes, twists, symmetric powers as cached class

@@ -5,15 +5,15 @@ of the roots.  Shifting every root by minus the average root gives the
 shifted roots f_i = x_i - (x1+...+xn)/n, the roots of E (x) (det E)^(-1/n);
 their elementary symmetric polynomials are the reduced classes.  They come
 from the closed power-sum series of the integer forms n*x_i - (x1+...+xn)
-(symfun.elementary_from_power_sums), rescaled by 1/n^r in degree r.  The
-roots of the rank-n symmetric power twisted by the inverse determinant are
-the forms sum_i (m_i - 1) x_i, whose series is symfun.forms_series(n, 1).
-No form is listed and no product of forms or of series is expanded.
+(symfun.elementary_from_power_sums into c1..cn), rescaled by 1/n^r in
+degree r.  The roots of the rank-n symmetric power twisted by the inverse
+determinant are the forms sum_i (m_i - 1) x_i, whose series is
+symfun.forms_series(n, 1).  No form is listed and no product is expanded.
 
 Twisting by a line bundle of class t has the closed form
 c_k(E (x) L) = sum_i C(n-i, k-i) c_i(E) t^(k-i) (Fulton, Intersection
-Theory, Ex. 3.2.2); the closed formula for the reduced classes is the same
-sum at t = -c_1/n.
+Theory, Ex. 3.2.2), and twisted_classes is the one routine for it; the
+closed formula for the reduced classes is the same sum at t = -c_1/n.
 """
 
 from __future__ import annotations
@@ -39,28 +39,34 @@ def shifted_root_sigma(n: int) -> tuple[MPoly, ...]:
     """
     ensure_rank(n)
     series = symfun.shifted_root_series(n)
-    return tuple(
-        p.with_table(c_vars(n)) * Fraction(1, n**r)
-        for r, p in enumerate(symfun.elementary_from_power_sums(series, n), start=1)
-    )
+    sigmas = symfun.elementary_from_power_sums(series, c_vars(n))
+    return tuple(p * Fraction(1, n**r) for r, p in enumerate(sigmas, start=1))
 
 
-def _twisted_class(classes, n: int, k: int, t: MPoly) -> MPoly:
-    """c_k of a rank-n bundle with classes c_1..c_n, twisted by a line class t."""
-    total = t**k * comb(n, k)
-    for i in range(1, k + 1):
-        total = total + classes[i - 1] * t ** (k - i) * comb(n - i, k - i)
-    return total
+def twisted_classes(classes, n: int, t: MPoly) -> tuple[MPoly, ...]:
+    """c_1..c_k of a rank-n bundle with classes c_1..c_k, twisted by a line class t.
+
+    The powers of t are built once for all k.
+    """
+    powers = [MPoly.one(t.table)]
+    for _ in classes:
+        powers.append(powers[-1] * t)
+    out = []
+    for k in range(1, len(classes) + 1):
+        total = powers[k] * comb(n, k)
+        for i in range(1, k + 1):
+            total = total + classes[i - 1] * powers[k - i] * comb(n - i, k - i)
+        out.append(total)
+    return tuple(out)
 
 
-def reduced_chern_formula(n: int, r: int) -> MPoly:
-    """The degree-r reduced class at rank n, from the closed binomial formula."""
+@lru_cache(maxsize=None)
+def reduced_chern_formula(n: int) -> tuple[MPoly, ...]:
+    """The reduced classes at rank n, from the closed binomial formula."""
     ensure_rank(n)
-    if not 1 <= r <= n:
-        raise ValueError(f"index {r} outside 1..{n}")
     table = c_vars(n)
     classes = [MPoly.variable(table, f"c{i}") for i in range(1, n + 1)]
-    return _twisted_class(classes, n, r, classes[0] * Fraction(-1, n))
+    return twisted_classes(classes, n, classes[0] * Fraction(-1, n))
 
 
 @lru_cache(maxsize=None)
@@ -72,8 +78,7 @@ def twist(n: int) -> tuple[MPoly, ...]:
     ensure_rank(n, floor=1)
     table = c_vars(n).extend([("t", 1)])
     classes = [MPoly.variable(table, f"c{i}") for i in range(1, n + 1)]
-    t = MPoly.variable(table, "t")
-    return tuple(_twisted_class(classes, n, k, t) for k in range(1, n + 1))
+    return twisted_classes(classes, n, MPoly.variable(table, "t"))
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +90,6 @@ def sym_power_det_inverse_chern(n: int) -> tuple[MPoly, ...]:
     symfun.forms_series(n, 1); the first class vanishes identically.
     """
     ensure_rank(n)
-    series = symfun.forms_series(n, 1)
     return tuple(
-        p.with_table(c_vars(n)) for p in symfun.elementary_from_power_sums(series, n)
+        symfun.elementary_from_power_sums(symfun.forms_series(n, 1), c_vars(n))
     )

@@ -79,7 +79,7 @@ def formula(rank, index, fmt, out, allow_large_rank):
     _check_rank(rank, allow_large_rank)
     if not 1 <= index <= rank:
         raise click.UsageError(f"index must be in 1..{rank}")
-    p = chern.reduced_chern_formula(rank, index)
+    p = chern.reduced_chern_formula(rank)[index - 1]
     if fmt == "text":
         text = render_text(p)
     elif fmt == "latex":
@@ -183,9 +183,7 @@ def table_json_obj(max_rank: int) -> dict:
     for n in range(2, max_rank + 1):
         ups = universal.compute_phi(n)
         entry = ups.to_json_obj()
-        entry["reduced"] = [
-            chern.reduced_chern_formula(n, r).to_json_obj() for r in range(1, n + 1)
-        ]
+        entry["reduced"] = [p.to_json_obj() for p in chern.reduced_chern_formula(n)]
         ranks.append(entry)
     return {"max_rank": max_rank, "ranks": ranks}
 

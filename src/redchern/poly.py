@@ -37,8 +37,8 @@ from typing import Iterable, Mapping
 Exponents = tuple[int, ...]
 
 
-def format_rational(q: Fraction) -> str:
-    """Render a Fraction as "p" or "p/q" in lowest terms."""
+def format_rational(q: int | Fraction) -> str:
+    """Render an int or a Fraction as "p" or "p/q" in lowest terms."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -244,7 +244,7 @@ class MPoly:
     def coefficient(self, exps: Exponents) -> int | Fraction:
         return self.terms.get(tuple(exps), 0)
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, int | Fraction]]:
         """Terms in canonical order: (weighted degree, exponents) ascending."""
         wdeg = self.table.wdeg
         return sorted(self.terms.items(), key=lambda item: (wdeg(item[0]), item[0]))
@@ -330,25 +330,7 @@ class MPoly:
             return self
         return self.graded_component(min(map(self.table.wdeg, self.terms)))
 
-    # ---- substitution and evaluation ----
-
-    def substitute(self, assignment: Mapping[str, "MPoly"]) -> "MPoly":
-        """Ring-homomorphic image under name -> MPoly.
-
-        Every variable occurring in self must be assigned, and all images
-        must share one variable table.
-        """
-        target: VarTable | None = None
-        for name, img in assignment.items():
-            if not isinstance(img, MPoly):
-                raise ValueError(f"image of {name!r} is not an MPoly")
-            if target is None:
-                target = img.table
-            elif img.table != target:
-                raise ValueError("assignment images use mismatched variable tables")
-        return self.evaluate(
-            assignment, MPoly.one(self.table if target is None else target)
-        )
+    # ---- evaluation ----
 
     def evaluate(
         self,
@@ -356,7 +338,7 @@ class MPoly:
         one,
         monomials: dict[Exponents, dict] | None = None,
     ):
-        """Evaluate in any commutative ring.
+        """Evaluate in any commutative ring; this is the one ring map.
 
         values maps occurring variable names to ring elements, and a term
         whose variable has no value raises ValueError; `one` is the ring
@@ -419,26 +401,6 @@ class MPoly:
             if c
         }
         return MPoly._wrap(ring, terms)
-
-    # ---- table plumbing ----
-
-    def with_table(self, table: VarTable) -> "MPoly":
-        """Reinterpret over a same-length table (variable renaming)."""
-        if len(table) != len(self.table):
-            raise ValueError("replacement table has different length")
-        return MPoly(table, self.terms)
-
-    def embed(self, table: VarTable) -> "MPoly":
-        """Inject into a larger table containing this one's names."""
-        pos = [table.index(n) for n in self.table.names]
-        nv = len(table)
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            big = [0] * nv
-            for p, e in zip(pos, exps):
-                big[p] = e
-            out[tuple(big)] = coeff
-        return MPoly._wrap(table, out)
 
     # ---- serialization ----
 
@@ -515,7 +477,7 @@ def render_text(p: MPoly) -> str:
 def render_latex(p: MPoly) -> str:
     """LaTeX rendering in canonical term order, e.g. "c_2 - \\frac{1}{3} c_1^2"."""
 
-    def coeff_of(q: Fraction) -> str:
+    def coeff_of(q: int | Fraction) -> str:
         if q.denominator == 1:
             return str(q.numerator)
         return rf"\frac{{{q.numerator}}}{{{q.denominator}}}"

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from redchern.poly import MPoly, VarTable, e_vars, format_rational
+from redchern.poly import MPoly, VarTable, format_rational
 
 
 def _check_partition(parts) -> tuple[int, ...]:
@@ -203,42 +203,44 @@ def shifted_root_series(n: int) -> MPoly:
 
 
 @lru_cache(maxsize=None)
-def _power_sums_in_elementary(n: int) -> tuple[MPoly, ...]:
-    """p_1..p_n of n variables in e1..en.
+def _power_sums_in_elementary(table: VarTable) -> tuple[MPoly, ...]:
+    """p_1..p_n of n variables in the elementary symmetric variables of table.
 
     Newton's identities: p_a = sum_{i<a} (-1)^(i-1) e_i p_{a-i}
-    + (-1)^(a-1) a e_a.
+    + (-1)^(a-1) a e_a, where e_i is the i-th variable of table.
     """
-    evt = e_vars(n)
+    e = [MPoly.variable(table, name) for name in table.names]
     out: list[MPoly] = []
-    for a in range(1, n + 1):
-        acc = MPoly.zero(evt)
+    for a in range(1, len(e) + 1):
+        acc = MPoly.zero(table)
         for i in range(1, a + 1):
-            term = MPoly.variable(evt, f"e{i}") * (out[a - i - 1] if i < a else a)
+            term = e[i - 1] * (out[a - i - 1] if i < a else a)
             acc = acc + term if i % 2 else acc - term
         out.append(acc)
     return tuple(out)
 
 
-def elementary_from_power_sums(series: MPoly, n: int) -> list[MPoly]:
-    """e_1..e_n of a family of values, in e1..en.
+def elementary_from_power_sums(series: MPoly, table: VarTable) -> list[MPoly]:
+    """e_1..e_n of a family of values, over the caller's n-variable table.
 
     series is the family's exponential power-sum series
     sum_k P_k t^k / k! to t^n, in p_1..p_n of n roots, where the t-degree of
-    a term is its weighted degree.  Each p_a is rewritten in e1..en, and
+    a term is its weighted degree.  Each p_a is rewritten in the variables
+    of table, the i-th standing for e_i of the roots (e_i or c_i), and
     Newton's identities r e_r = sum_i (-1)^(i-1) e_{r-i} P_i give the
-    elementary symmetric functions of the family.
+    elementary symmetric functions of the family, directly over table.
     """
+    n = len(table)
     if series.table != _power_sum_vars(n):
         raise ValueError(f"series must be in p1..p{n}")
-    in_e = series.substitute(
-        {f"p{a}": p for a, p in enumerate(_power_sums_in_elementary(n), start=1)}
+    in_e = series.evaluate(
+        {f"p{a}": p for a, p in enumerate(_power_sums_in_elementary(table), start=1)},
+        MPoly.one(table),
     )
     power_sums = [in_e.graded_component(k) * factorial(k) for k in range(1, n + 1)]
-    evt = e_vars(n)
-    sigmas = [MPoly.one(evt)]
+    sigmas = [MPoly.one(table)]
     for r in range(1, n + 1):
-        acc = MPoly.zero(evt)
+        acc = MPoly.zero(table)
         for i in range(1, r + 1):
             term = sigmas[r - i] * power_sums[i - 1]
             acc = acc + term if i % 2 else acc - term

@@ -17,7 +17,7 @@ classes of the twisted symmetric power of a bundle, phi_i returns the
 bundle's reduced classes, which is what makes the recipe applicable to any
 projective-space bundle through its pushforward classes.  psi_i, which
 solves e_i in s_1..s_n and equals phi_i at s_1 = 0, follows from phi by two
-twists of the binomial formula (chern._twisted_class): one to the classes
+twists of the binomial formula (chern.twisted_classes): one to the classes
 of the forms of the shifted roots x_i - e_1/n, one back by e_1/n.
 """
 
@@ -30,7 +30,7 @@ from math import comb
 from typing import Sequence
 
 from redchern import symfun
-from redchern.chern import _twisted_class, ensure_rank
+from redchern.chern import ensure_rank, twisted_classes
 from redchern.poly import MPoly, e_vars, format_rational, s_vars, u_vars
 
 
@@ -41,7 +41,7 @@ class InternalInconsistencyError(RuntimeError):
 def s_in_elementary(n: int) -> list[MPoly]:
     """s_1..s_n in the elementary basis, from the forms' power-sum series."""
     ensure_rank(n)
-    return symfun.elementary_from_power_sums(symfun.forms_series(n, 0), n)
+    return symfun.elementary_from_power_sums(symfun.forms_series(n, 0), e_vars(n))
 
 
 @dataclass(frozen=True)
@@ -107,16 +107,13 @@ def solve_psi(n: int) -> UniversalPolys:
         )
     phi = tuple(slice_values.values())
     s = [MPoly.variable(svt, f"s{j}") for j in range(1, n + 1)]
-    sigma = {
-        f"u{j}": _twisted_class(s, count, j, s[0] * Fraction(-1, count))
-        for j in range(2, n + 1)
-    }
+    sigma = twisted_classes(s, count, s[0] * Fraction(-1, count))
+    at_sigma = {f"u{j}": sigma[j - 1] for j in range(2, n + 1)}
     sigma_monomials: dict = {}
     shifted = [MPoly.zero(svt)] + [
-        p.evaluate(sigma, MPoly.one(svt), sigma_monomials) for p in phi
+        p.evaluate(at_sigma, MPoly.one(svt), sigma_monomials) for p in phi
     ]
-    c = s[0] * Fraction(1, n * count)
-    psi = tuple(_twisted_class(shifted, n, r, c) for r in range(1, n + 1))
+    psi = twisted_classes(shifted, n, s[0] * Fraction(1, n * count))
     at_s = {f"s{i}": s_list[i - 1] for i in range(1, n + 1)}
     monomials: dict = {}
     for r in range(1, n + 1):
@@ -143,7 +140,8 @@ def brauer_reduced(n: int, pushforward_classes: Sequence) -> list:
     coefficient ring (a VarTable's free ring or a toy ring), and phi is
     evaluated in their ring, whose one is MPoly.one of their table; when they
     are the classes of the twisted symmetric power of a bundle, the output is
-    that bundle's reduced classes.
+    that bundle's reduced classes.  The n - 1 evaluations share one monomial
+    memo.
     """
     if len(pushforward_classes) != n - 1:
         raise ValueError(
@@ -152,4 +150,5 @@ def brauer_reduced(n: int, pushforward_classes: Sequence) -> list:
     ups = compute_phi(n)
     values = {f"u{j}": pushforward_classes[j - 2] for j in range(2, n + 1)}
     one = MPoly.one(pushforward_classes[0].table)
-    return [ups.phi[i - 2].evaluate(values, one) for i in range(2, n + 1)]
+    monomials: dict = {}
+    return [p.evaluate(values, one, monomials) for p in ups.phi]

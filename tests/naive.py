@@ -213,7 +213,8 @@ def reduce_hom(q):
     if q.table != c_vars(n):
         raise ValueError("reduce_hom expects a polynomial over the free c-variables")
     sigmas = shifted_root_sigma(n)
-    return q.substitute({f"c{i}": sigmas[i - 1] for i in range(1, n + 1)})
+    values = {f"c{i}": sigmas[i - 1] for i in range(1, n + 1)}
+    return q.evaluate(values, MPoly.one(q.table))
 
 
 # ---- symmetric polynomials in root variables, built on the package ----
@@ -538,13 +539,11 @@ def back_substitute(s_list):
         lead = s_e.coefficient(unit)
         leads.append(lead)
         rest = s_e - MPoly(evt, {unit: lead})
-        if rest.is_zero():
-            rest_s = MPoly.zero(svt)
-        else:
-            rest_s = rest.substitute({f"e{i}": psi[i - 1] for i in range(1, r)})
+        at_psi = {f"e{i}": psi[i - 1] for i in range(1, r)}
+        rest_s = rest.evaluate(at_psi, MPoly.one(svt))
         psi.append((MPoly.variable(svt, f"s{r}") - rest_s) * (Fraction(1) / lead))
     at_slice = {"s1": MPoly.zero(uvt)}
     for j in range(2, n + 1):
         at_slice[f"s{j}"] = MPoly.variable(uvt, f"u{j}")
-    phi = [p.substitute(at_slice) for p in psi[1:]]
+    phi = [p.evaluate(at_slice, MPoly.one(uvt)) for p in psi[1:]]
     return psi, phi, leads

@@ -50,21 +50,20 @@ def criterion(num, description, budget):
 def test_criterion_1_formula_agreement():
     with criterion(1, "closed formula equals root definition, ranks 2..6", "< 1 s"):
         for n in range(2, 7):
-            for r in range(1, n + 1):
-                assert reduced_chern_formula(n, r) == shifted_root_sigma(n)[r - 1]
+            assert reduced_chern_formula(n) == shifted_root_sigma(n)
 
 
 def test_criterion_2_first_two_values():
     with criterion(2, "degree-1 class is 0, degree-2 class pinned, ranks 2..6", "< 1 s"):
         for n in range(2, 7):
             assert shifted_root_sigma(n)[0].is_zero()
-            assert reduced_chern_formula(n, 1).is_zero()
+            assert reduced_chern_formula(n)[0].is_zero()
             table = c_vars(n)
             c1 = MPoly.variable(table, "c1")
             c2 = MPoly.variable(table, "c2")
             expected = c2 - Fraction(n - 1, 2 * n) * c1**2
             assert shifted_root_sigma(n)[1] == expected
-            assert reduced_chern_formula(n, 2) == expected
+            assert reduced_chern_formula(n)[1] == expected
 
 
 def test_criterion_3_characterization():
@@ -79,14 +78,17 @@ def test_criterion_3_characterization():
                 expected = (
                     MPoly.variable(table, f"c{r}") if r > 1 else MPoly.zero(table)
                 )
-                assert shifted_root_sigma(n)[r - 1].substitute(assignment) == expected
+                rc = shifted_root_sigma(n)[r - 1]
+                assert rc.evaluate(assignment, MPoly.one(table)) == expected
         # (b) substituting twisted classes leaves the class t-free, ranks 2..4
         for n in range(2, 5):
             twisted = twist(n)
+            one = MPoly.one(twisted[0].table)
             assignment = {f"c{i}": twisted[i - 1] for i in range(1, n + 1)}
+            identity = {f"c{i}": MPoly.variable(one.table, f"c{i}") for i in range(1, n + 1)}
             for r in range(1, n + 1):
                 rc = shifted_root_sigma(n)[r - 1]
-                assert rc.substitute(assignment) == rc.embed(twisted[0].table)
+                assert rc.evaluate(assignment, one) == rc.evaluate(identity, one)
         # (c) adding any multiple of c1 is erased, 50 seeded draws per (n, j)
         rng = random.Random(20230317)
         for n in range(2, 5):
@@ -119,9 +121,8 @@ def _pipeline_checks(n, expected_count):
         assert ups.s[i - 1] == s_list[i - 1].graded_component(i)
     substitution = {f"s{i}": s_list[i - 1] for i in range(1, n + 1)}
     for r in range(1, n + 1):
-        assert ups.psi[r - 1].substitute(substitution) == MPoly.variable(
-            e_vars(n), f"e{r}"
-        )
+        back = ups.psi[r - 1].evaluate(substitution, MPoly.one(e_vars(n)))
+        assert back == MPoly.variable(e_vars(n), f"e{r}")
 
 
 def test_criterion_4_generator_pipeline():

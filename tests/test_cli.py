@@ -43,10 +43,11 @@ class TestFormula:
         assert result.exit_code == 0
         obj = json.loads(result.output)
         assert [t["coeff"] for t in obj["terms"]] == ["1", "-1/4"]
-        assert obj == reduced_chern_formula(2, 2).to_json_obj()
+        assert obj == reduced_chern_formula(2)[1].to_json_obj()
 
     def test_bad_range_exits_2(self, runner):
         assert runner.invoke(main, ["formula", "-n", "3", "-r", "5"]).exit_code == 2
+        assert runner.invoke(main, ["formula", "-n", "3", "-r", "0"]).exit_code == 2
         assert runner.invoke(main, ["formula", "-n", "1", "-r", "1"]).exit_code == 2
         assert runner.invoke(main, ["formula", "-n", "7", "-r", "1"]).exit_code == 2
 
@@ -59,7 +60,7 @@ class TestFormula:
 
     def test_formats_agree(self, runner):
         js = runner.invoke(main, ["formula", "-n", "4", "-r", "3", "--format", "json"])
-        assert json.loads(js.output) == reduced_chern_formula(4, 3).to_json_obj()
+        assert json.loads(js.output) == reduced_chern_formula(4)[2].to_json_obj()
 
 
 def test_each_command_is_registered_once_by_name():

@@ -1,5 +1,6 @@
-"""Source checks on the package: every imported name is used, and every
-module-level function and class is referenced by some module of it."""
+"""Source checks on the package: every imported name is used, every
+module-level function and class is referenced by some module of it, and no
+module takes another module's private name."""
 
 import ast
 from pathlib import Path
@@ -123,3 +124,74 @@ def test_an_unreferenced_definition_is_found():
 def test_every_definition_is_referenced():
     sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
     assert unreferenced_definitions(sources) == []
+
+
+def _dotted(node) -> str | None:
+    """"a.b.c" for a chain of attribute lookups on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def private_names_taken(source: str) -> list[str]:
+    """The underscore names a module imports from a redchern module or reads
+    as an attribute of one, with their lines.
+
+    A module is bound by `import redchern.x` or `from redchern import x`;
+    dunder names such as __version__ are public.
+    """
+    tree = ast.parse(source)
+    modules = set()
+    found = []
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "redchern":
+                    modules.add(alias.asname or alias.name)
+                    modules.add(alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] != "redchern":
+                continue
+            for alias in node.names:
+                if private(alias.name):
+                    found.append(f"{alias.name} (line {node.lineno})")
+                elif node.module == "redchern":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and private(node.attr)
+            and _dotted(node.value) in modules
+        ):
+            found.append(f"{_dotted(node)} (line {node.lineno})")
+    return found
+
+
+def test_a_private_name_taken_from_another_module_is_found():
+    source = (
+        "import redchern.poly\n"
+        "from redchern import chern as ch, __version__\n"
+        "from redchern.chern import _twisted_class, twist\n"
+        "from fractions import _gcd\n"
+        "x = ch._cache + ch.twist(1)[0]\n"
+        "y = redchern.poly._split_name('c1')\n"
+        "z = twist._private + __version__\n"
+    )
+    assert private_names_taken(source) == [
+        "_twisted_class (line 3)",
+        "ch._cache (line 5)",
+        "redchern.poly._split_name (line 6)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_private_name_taken_from_another_module(path):
+    assert private_names_taken(path.read_text(encoding="utf-8")) == []

@@ -126,7 +126,8 @@ def corrupt_series(monkeypatch, delta):
         p1, p2 = MPoly.variable(series.table, "p1"), MPoly.variable(series.table, "p2")
         shape = (p2 - p1**2 * Fraction(1, n)) * delta(n)
         extra = naive.truncate(naive.exp_p1(n, 1) * shape, n)
-        return symfun.elementary_from_power_sums(series + extra * Fraction(1, 2), n)
+        corrupted_series = series + extra * Fraction(1, 2)
+        return symfun.elementary_from_power_sums(corrupted_series, e_vars(n))
 
     monkeypatch.setattr(universal, "s_in_elementary", corrupted)
 
@@ -270,9 +271,10 @@ def failing_ranks(results, identity):
 def test_formula_agreement_catches_a_corrupted_formula(monkeypatch):
     honest = chern.reduced_chern_formula
 
-    def corrupted(n, r):
-        p = honest(n, r)
-        return p + MPoly.variable(p.table, "c2") if r == 2 else p
+    def corrupted(n):
+        classes = honest(n)
+        wrong = classes[1] + MPoly.variable(classes[1].table, "c2")
+        return (classes[0], wrong) + classes[2:]
 
     monkeypatch.setattr(chern, "reduced_chern_formula", corrupted)
     results = verify.suite_formula_agreement(max_rank=4)
@@ -291,28 +293,46 @@ def test_run_all_computes_each_twist_once():
 
 @pytest.fixture
 def fresh_twist():
-    # a cached honest twist would hide the corruption
-    for cached in (chern.twist, oracle.rank_theory):
-        cached.cache_clear()
+    # a cached honest twist would hide the corruption, and a cached corrupted
+    # one would leak into later tests
+    cached = (chern.twist, chern.reduced_chern_formula, oracle.rank_theory)
+    for f in cached:
+        f.cache_clear()
     yield
-    for cached in (chern.twist, oracle.rank_theory):
-        cached.cache_clear()
+    for f in cached:
+        f.cache_clear()
+
+
+def off_by_one_twist(honest, k, i):
+    """honest twisted_classes with one added to C(n - i, k - i), the
+    coefficient of c_i t^(k - i) in c_k."""
+
+    def corrupted(classes, n, t):
+        out = list(honest(classes, n, t))
+        if k <= len(out):
+            out[k - 1] = out[k - 1] + (classes[i - 1] if i else 1) * t ** (k - i)
+        return tuple(out)
+
+    return corrupted
 
 
 @pytest.mark.parametrize("k, i", ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1)))
 def test_twist_catches_one_binomial_coefficient_off(monkeypatch, fresh_twist, k, i):
-    # adds one to C(n - i, k - i), the coefficient of c_i t^(k - i) in c_k
-    honest = chern._twisted_class
-
-    def corrupted(classes, n, kk, t):
-        out = honest(classes, n, kk, t)
-        if kk != k:
-            return out
-        return out + (classes[i - 1] if i else 1) * t ** (k - i)
-
-    monkeypatch.setattr(chern, "_twisted_class", corrupted)
+    corrupted = off_by_one_twist(chern.twisted_classes, k, i)
+    monkeypatch.setattr(chern, "twisted_classes", corrupted)
     results = verify.suite_twist(max_rank=4)
     assert failing_ranks(results, "twist") == set(range(max(k, 2), 5))
+
+
+@pytest.mark.parametrize("k, i", ((1, 0), (2, 0), (2, 1), (2, 2)))
+@pytest.mark.parametrize("n", range(2, 6))
+def test_round_trip_catches_one_binomial_coefficient_off(monkeypatch, fresh_phi, n, k, i):
+    # solve_psi reads the twist through its own binding, so a wrong twist
+    # of sigma or of psi must fail its round trip psi(s(e)) = e
+    corrupted = off_by_one_twist(universal.twisted_classes, k, i)
+    monkeypatch.setattr(universal, "twisted_classes", corrupted)
+    with pytest.raises(universal.InternalInconsistencyError, match="round trip"):
+        universal.solve_psi(n)
 
 
 def corrupt_reduced_class_2(monkeypatch, extra):
@@ -338,3 +358,58 @@ def test_c1_zero_cannot_see_corruption_in_the_c1_ideal(monkeypatch):
     assert all(r.passed for r in verify.suite_c1_zero(max_rank=4))
     results = verify.suite_formula_agreement(max_rank=4)
     assert failing_ranks(results, "formula-agreement") == {2, 3, 4}
+
+
+def memos_by_point(monkeypatch, run):
+    """The monomial memos that MPoly.evaluate receives while run() runs,
+    keyed by the identity of the point (the values mapping)."""
+    honest = MPoly.evaluate
+    seen = {}
+
+    def spy(self, values, one, monomials=None):
+        # the point is kept alive, so no later point reuses its id
+        seen.setdefault(id(values), (values, []))[1].append(monomials)
+        return honest(self, values, one, monomials)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MPoly, "evaluate", spy)
+        run()
+    return [memos for _, memos in seen.values()]
+
+
+def test_each_point_shares_one_monomial_memo(monkeypatch):
+    for n in range(2, 7):
+        chern.shifted_root_sigma(n)
+        chern.twist(n)
+        chern.sym_power_det_inverse_chern(n)
+        universal.compute_phi(n)
+
+    def phi_at_sym_powers():
+        for n in range(2, 7):
+            universal.brauer_reduced(n, chern.sym_power_det_inverse_chern(n)[1:])
+
+    runs = {
+        "twist": (lambda: verify.suite_twist(6), [n for n in range(2, 7) for _ in "lr"]),
+        "c1-zero": (lambda: verify.suite_c1_zero(6), list(range(2, 7))),
+        "phi": (phi_at_sym_powers, list(range(1, 6))),
+    }
+    for name, (run, sizes) in runs.items():
+        memos = memos_by_point(monkeypatch, run)
+        assert sorted(map(len, memos)) == sorted(sizes), name
+        for calls in memos:
+            assert calls[0] is not None and all(m is calls[0] for m in calls), name
+
+
+def test_c1_zero_multiplies_each_monomial_once_per_rank(monkeypatch):
+    for n in range(2, 7):
+        chern.shifted_root_sigma(n)
+    honest = poly.VarTable.multiply_into
+    products = []
+
+    def counting(self, out, a, b):
+        products.append(1)
+        return honest(self, out, a, b)
+
+    monkeypatch.setattr(poly.VarTable, "multiply_into", counting)
+    assert all(r.passed for r in verify.suite_c1_zero(6))
+    assert len(products) == 35
