@@ -5,10 +5,10 @@ Subpackage map:
                the one element type of every ring; the free ring's table,
                evaluation in any ring as the one ring map, JSON output
     symfun     partitions as part tuples, e-to-m table, closed power-sum
-               series of the root families and their e-coordinates
+               series of the root families and their classes in c1..cn
     chern      reduced classes, twists, symmetric powers as cached class
                tuples, no root variables
-    universal  s_1..s_n in e-coordinates, phi by the slice solve, psi by
+    universal  s_1..s_n in c1..cn, phi by the slice solve, psi by
                two twists, the pushforward recipe
     oracle     toy graded rings and their projective-bundle extensions as
                VarTable presentations, identity specialization with one

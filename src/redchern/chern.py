@@ -39,7 +39,7 @@ def shifted_root_sigma(n: int) -> tuple[MPoly, ...]:
     """
     ensure_rank(n)
     series = symfun.shifted_root_series(n)
-    sigmas = symfun.elementary_from_power_sums(series, c_vars(n))
+    sigmas = symfun.elementary_from_power_sums(series)
     return tuple(p * Fraction(1, n**r) for r, p in enumerate(sigmas, start=1))
 
 
@@ -60,7 +60,6 @@ def twisted_classes(classes, n: int, t: MPoly) -> tuple[MPoly, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def reduced_chern_formula(n: int) -> tuple[MPoly, ...]:
     """The reduced classes at rank n, from the closed binomial formula."""
     ensure_rank(n)
@@ -90,6 +89,4 @@ def sym_power_det_inverse_chern(n: int) -> tuple[MPoly, ...]:
     symfun.forms_series(n, 1); the first class vanishes identically.
     """
     ensure_rank(n)
-    return tuple(
-        symfun.elementary_from_power_sums(symfun.forms_series(n, 1), c_vars(n))
-    )
+    return tuple(symfun.elementary_from_power_sums(symfun.forms_series(n, 1)))

@@ -474,12 +474,6 @@ class ProjectiveBundleRing(VarTable):
             self, {e + (j,): c for j, t in enumerate(raw) for e, c in t.items() if c}
         )
 
-    def inject(self, a: MPoly) -> MPoly:
-        return self.element([a])
-
-    def xi(self) -> MPoly:
-        return self.element([MPoly.zero(self.base), MPoly.one(self.base)])
-
     def coefficients(self, x: MPoly) -> tuple[MPoly, ...]:
         """The base elements a_0..a_{n-1} of x = sum a_j xi^j."""
         return tuple(MPoly._wrap(self.base, t) for t in self._split(x.terms))

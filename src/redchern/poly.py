@@ -158,11 +158,6 @@ def c_vars(n: int) -> VarTable:
     return VarTable((f"c{i}", i) for i in range(1, n + 1))
 
 
-def e_vars(n: int) -> VarTable:
-    """Elementary symmetric variables e1..en with deg e_i = i."""
-    return VarTable((f"e{i}", i) for i in range(1, n + 1))
-
-
 def s_vars(n: int) -> VarTable:
     """Invariant generator variables s1..sn with deg s_i = i."""
     return VarTable((f"s{i}", i) for i in range(1, n + 1))

@@ -5,15 +5,15 @@ variables.  The unitriangular e-to-m table (int counts of 0-1 matrices)
 maps e-coordinates to m-coordinates, and elementary_to_monomial is the one
 route to them.  The elementary symmetric functions of a family of root
 values come from the family's exponential power-sum series in p_1, p_2,
-..., read off in closed form: each p_a is rewritten in e1..en by Newton's
+..., read off in closed form: each p_a is rewritten in c1..cn by Newton's
 identities, and Newton's identities again give e_r of the family.  No
 form is listed and no product of forms or of series is expanded.
 
 A partition is a tuple of weakly decreasing positive ints, () the empty
 one.  It is validated where it enters from outside, in
 elementary_to_monomial.  Partitions are ordered only within a fixed
-weight, by lexicographic comparison of part sequences, largest part
-first.  That is the order under which the e-to-m change of basis is
+weight, as tuples: lexicographic comparison of part sequences, largest
+part first.  That is the order under which the e-to-m change of basis is
 unitriangular.
 """
 
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from redchern.poly import MPoly, VarTable, format_rational
+from redchern.poly import MPoly, VarTable, c_vars, format_rational
 
 
 def _check_partition(parts) -> tuple[int, ...]:
@@ -44,18 +44,6 @@ def _check_partition(parts) -> tuple[int, ...]:
 def conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
     """Transpose of the Young diagram."""
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0] if lam else 0))
-
-
-def compare_order(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Total order within one weight: -1, 0 or 1, largest-part-first lex.
-
-    Partitions of different weights are not comparable here.
-    """
-    if sum(lam) != sum(mu):
-        raise ValueError(
-            f"cannot order partitions of different weights: {lam} vs {mu}"
-        )
-    return (lam > mu) - (lam < mu)
 
 
 def json_sort_key(lam: tuple[int, ...]):
@@ -203,41 +191,43 @@ def shifted_root_series(n: int) -> MPoly:
 
 
 @lru_cache(maxsize=None)
-def _power_sums_in_elementary(table: VarTable) -> tuple[MPoly, ...]:
-    """p_1..p_n of n variables in the elementary symmetric variables of table.
+def _power_sums_in_elementary(n: int) -> tuple[MPoly, ...]:
+    """p_1..p_n of n roots in c1..cn, c_i standing for e_i of the roots.
 
-    Newton's identities: p_a = sum_{i<a} (-1)^(i-1) e_i p_{a-i}
-    + (-1)^(a-1) a e_a, where e_i is the i-th variable of table.
+    Newton's identities: p_a = sum_{i<a} (-1)^(i-1) c_i p_{a-i}
+    + (-1)^(a-1) a c_a.
     """
-    e = [MPoly.variable(table, name) for name in table.names]
+    table = c_vars(n)
+    c = [MPoly.variable(table, name) for name in table.names]
     out: list[MPoly] = []
-    for a in range(1, len(e) + 1):
+    for a in range(1, n + 1):
         acc = MPoly.zero(table)
         for i in range(1, a + 1):
-            term = e[i - 1] * (out[a - i - 1] if i < a else a)
+            term = c[i - 1] * (out[a - i - 1] if i < a else a)
             acc = acc + term if i % 2 else acc - term
         out.append(acc)
     return tuple(out)
 
 
-def elementary_from_power_sums(series: MPoly, table: VarTable) -> list[MPoly]:
-    """e_1..e_n of a family of values, over the caller's n-variable table.
+def elementary_from_power_sums(series: MPoly) -> list[MPoly]:
+    """e_1..e_n of a family of values, in c1..cn of the n roots.
 
     series is the family's exponential power-sum series
     sum_k P_k t^k / k! to t^n, in p_1..p_n of n roots, where the t-degree of
-    a term is its weighted degree.  Each p_a is rewritten in the variables
-    of table, the i-th standing for e_i of the roots (e_i or c_i), and
-    Newton's identities r e_r = sum_i (-1)^(i-1) e_{r-i} P_i give the
-    elementary symmetric functions of the family, directly over table.
+    a term is its weighted degree.  Each p_a is rewritten in c1..cn, c_i
+    standing for e_i of the roots, and Newton's identities
+    r e_r = sum_i (-1)^(i-1) e_{r-i} P_i give the elementary symmetric
+    functions of the family, directly in c1..cn.
     """
-    n = len(table)
+    n = len(series.table)
     if series.table != _power_sum_vars(n):
         raise ValueError(f"series must be in p1..p{n}")
-    in_e = series.evaluate(
-        {f"p{a}": p for a, p in enumerate(_power_sums_in_elementary(table), start=1)},
+    table = c_vars(n)
+    in_c = series.evaluate(
+        {f"p{a}": p for a, p in enumerate(_power_sums_in_elementary(n), start=1)},
         MPoly.one(table),
     )
-    power_sums = [in_e.graded_component(k) * factorial(k) for k in range(1, n + 1)]
+    power_sums = [in_c.graded_component(k) * factorial(k) for k in range(1, n + 1)]
     sigmas = [MPoly.one(table)]
     for r in range(1, n + 1):
         acc = MPoly.zero(table)

@@ -3,22 +3,24 @@
 For rank n, the N = C(2n-1, n) linear forms m_1 x_1 + ... + m_n x_n (over
 all compositions m of n) have elementary symmetric polynomials s_1, s_2, ...
 whose first n members generate the ring of symmetric polynomials: each s_r
-is lead_r * e_r plus a combination of products of lower e's with lead_r > 0.
+is lead_r * c_r plus a combination of products of lower c's with lead_r > 0.
+Like every class family, s is written in c1..cn, c_i standing for e_i of
+the roots.
 The forms have integer coefficients, so s_r and lead_r are integral, and
 their coefficients are stored as ints.
 The s_r come from the power-sum series h_n(exp(t x_1), ..., exp(t x_n)) of
 the forms, read off in closed form (symfun.forms_series); no form is listed
 and no polynomial in root variables is built.
 
-The reduced classes live on the slice c_1 = 0, where s_1 = N e_1 vanishes.
-Back-substituting the triangular system restricted to that slice solves e_i
+The reduced classes live on the slice c_1 = 0, where s_1 = N c_1 vanishes.
+Back-substituting the triangular system restricted to that slice solves c_i
 as a rational polynomial phi_i(u_2..u_n) in u_j = s_j; evaluated at the
 classes of the twisted symmetric power of a bundle, phi_i returns the
 bundle's reduced classes, which is what makes the recipe applicable to any
 projective-space bundle through its pushforward classes.  psi_i, which
-solves e_i in s_1..s_n and equals phi_i at s_1 = 0, follows from phi by two
+solves c_i in s_1..s_n and equals phi_i at s_1 = 0, follows from phi by two
 twists of the binomial formula (chern.twisted_classes): one to the classes
-of the forms of the shifted roots x_i - e_1/n, one back by e_1/n.
+of the forms of the shifted roots x_i - c_1/n, one back by c_1/n.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Sequence
 
 from redchern import symfun
 from redchern.chern import ensure_rank, twisted_classes
-from redchern.poly import MPoly, e_vars, format_rational, s_vars, u_vars
+from redchern.poly import MPoly, c_vars, format_rational, s_vars, u_vars
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -39,19 +41,19 @@ class InternalInconsistencyError(RuntimeError):
 
 
 def s_in_elementary(n: int) -> list[MPoly]:
-    """s_1..s_n in the elementary basis, from the forms' power-sum series."""
+    """s_1..s_n in c1..cn, from the forms' power-sum series."""
     ensure_rank(n)
-    return symfun.elementary_from_power_sums(symfun.forms_series(n, 0), e_vars(n))
+    return symfun.elementary_from_power_sums(symfun.forms_series(n, 0))
 
 
 @dataclass(frozen=True)
 class UniversalPolys:
     """The solved system at one rank.
 
-    s[r-1] is s_r in e1..en, the system that was solved; phi[i-2] expresses
-    e_i on the slice e_1 = 0 in u_j = s_j, and equals psi_i with s_1 = 0;
-    psi[i-1] expresses e_i in s_1..s_n; lead[r-1] is the (positive)
-    coefficient of e_r in s_r.
+    s[r-1] is s_r in c1..cn, the system that was solved; phi[i-2] expresses
+    c_i on the slice c_1 = 0 in u_j = s_j, and equals psi_i with s_1 = 0;
+    psi[i-1] expresses c_i in s_1..s_n; lead[r-1] is the (positive)
+    coefficient of c_r in s_r.
     """
 
     rank: int
@@ -72,37 +74,37 @@ class UniversalPolys:
 
 
 def solve_psi(n: int) -> UniversalPolys:
-    """Solve phi on the slice e_1 = 0, then get psi from phi by two twists.
+    """Solve phi on the slice c_1 = 0, then get psi from phi by two twists.
 
-    On e_1 = 0 each s_r is lead_r e_r plus terms in e_2..e_{r-1}, so
-    back-substituting e_r = (u_r - lower terms)/lead_r gives phi_r in
-    u_j = s_j.  Shifting every root by c = e_1/n = s_1/(nN) shifts each of
-    the N forms by s_1/N: the shifted roots have e_1 = 0, their forms have
-    the classes sigma_j of s twisted by -s_1/N (sigma_1 = 0), and their e_i
-    is phi_i(sigma).  Twisting those back by c gives psi_r.  The round trip
-    psi_i(s(e)) = e_i is verified exactly before returning.
+    On c_1 = 0 each s_r is lead_r c_r plus terms in c_2..c_{r-1}, so
+    back-substituting c_r = (u_r - lower terms)/lead_r gives phi_r in
+    u_j = s_j.  Shifting every root by c_1/n = s_1/(nN) shifts each of
+    the N forms by s_1/N: the shifted roots have c_1 = 0, their forms have
+    the classes sigma_j of s twisted by -s_1/N (sigma_1 = 0), and their c_i
+    is phi_i(sigma).  Twisting those back by c_1/n gives psi_r.  The round
+    trip psi_i(s(c)) = c_i is verified exactly before returning.
     """
     s_list = s_in_elementary(n)
     count = comb(2 * n - 1, n)
-    evt, svt, uvt = e_vars(n), s_vars(n), u_vars(n)
+    cvt, svt, uvt = c_vars(n), s_vars(n), u_vars(n)
     leads = []
     for r, s_r in enumerate(s_list, start=1):
-        lead = s_r.coefficient(evt.unit(r - 1))
+        lead = s_r.coefficient(cvt.unit(r - 1))
         if lead == 0:
             raise InternalInconsistencyError(
-                f"s_{r} at rank {n} has no e_{r} component"
+                f"s_{r} at rank {n} has no c_{r} component"
             )
         leads.append(lead)
     slice_values: dict[str, MPoly] = {}
     slice_monomials: dict = {}
     for r in range(2, n + 1):
-        unit = evt.unit(r - 1)
+        unit = cvt.unit(r - 1)
         rest = MPoly(
-            evt,
+            cvt,
             {e: c for e, c in s_list[r - 1].terms.items() if e[0] == 0 and e != unit},
         )
         rest_u = rest.evaluate(slice_values, MPoly.one(uvt), slice_monomials)
-        slice_values[f"e{r}"] = (MPoly.variable(uvt, f"u{r}") - rest_u) * (
+        slice_values[f"c{r}"] = (MPoly.variable(uvt, f"u{r}") - rest_u) * (
             Fraction(1) / leads[r - 1]
         )
     phi = tuple(slice_values.values())
@@ -117,10 +119,10 @@ def solve_psi(n: int) -> UniversalPolys:
     at_s = {f"s{i}": s_list[i - 1] for i in range(1, n + 1)}
     monomials: dict = {}
     for r in range(1, n + 1):
-        back = psi[r - 1].evaluate(at_s, MPoly.one(evt), monomials)
-        if back != MPoly.variable(evt, f"e{r}"):
+        back = psi[r - 1].evaluate(at_s, MPoly.one(cvt), monomials)
+        if back != MPoly.variable(cvt, f"c{r}"):
             raise InternalInconsistencyError(
-                f"psi_{r} at rank {n} fails the round trip through s(e)"
+                f"psi_{r} at rank {n} fails the round trip through s(c)"
             )
     return UniversalPolys(
         rank=n, count=count, s=tuple(s_list), psi=psi, phi=phi, lead=tuple(leads)

@@ -8,9 +8,10 @@ expectations derived here are independent of the package's kernels.
 The exceptions are the last four sections, built on the package: weighted
 truncation and two maps on c-space polynomials; the root-space side of
 symmetric functions (polynomials in x1..xn, their symmetry check, their
-m-coordinates and their rewrite in e1..en); the forms route to e_r of a
-permutation-invariant family of integer linear forms (list every form, sum
-its power sums in the m-basis, rewrite them in e1..en, apply Newton's
+m-coordinates and their rewrite in c1..cn, c_i standing for e_i of the
+roots); the forms route to e_r of a permutation-invariant family of
+integer linear forms (list every form, sum its power sums in the m-basis,
+rewrite them in c1..cn, apply Newton's
 identities) and Newton's recurrence for the forms' exponential power-sum
 series, the references for the library's power-sum series; and the
 full back-substitution of the triangular system, the reference for the
@@ -25,7 +26,7 @@ from itertools import combinations, permutations
 from math import comb, factorial, prod
 
 from redchern.chern import ensure_rank, shifted_root_sigma
-from redchern.poly import MPoly, VarTable, c_vars, e_vars, s_vars, u_vars
+from redchern.poly import MPoly, VarTable, c_vars, s_vars, u_vars
 from redchern.symfun import (
     SymPolyInBasis,
     _e_to_m_table,
@@ -342,9 +343,9 @@ def monomial_coefficients(p: MPoly) -> SymPolyInBasis:
 
 
 def express_in_elementary(p: MPoly) -> MPoly:
-    """Rewrite a symmetric polynomial as a polynomial in e1..en.
+    """Rewrite a symmetric polynomial as a polynomial in c1..cn.
 
-    Exact inverse of expansion: substituting e_i = sigma_i(x) into the result
+    Exact inverse of expansion: substituting c_i = sigma_i(x) into the result
     recovers p.  Non-symmetric input raises NotSymmetricError with a witness.
     """
     if any(d != 1 for d in p.table.degrees):
@@ -381,7 +382,7 @@ def y_roots(n: int) -> YRootSet:
 
 
 def _monomial_to_elementary(coords: SymPolyInBasis, n: int) -> MPoly:
-    """Rewrite m-basis coordinates in n variables as a polynomial in e1..en.
+    """Rewrite m-basis coordinates in n variables as a polynomial in c1..cn.
 
     The lexicographically largest remaining lambda is the leading term of
     e_{lambda'}, so subtracting c * e_{lambda'} clears it and touches only
@@ -405,7 +406,7 @@ def _monomial_to_elementary(coords: SymPolyInBasis, n: int) -> MPoly:
                 work[mu] = rest
             else:
                 work.pop(mu, None)
-    return MPoly(e_vars(n), out)
+    return MPoly(c_vars(n), out)
 
 
 def _multinomial(k: int, parts) -> int:
@@ -417,7 +418,7 @@ def _multinomial(k: int, parts) -> int:
 
 
 def elementary_of_forms(forms, n: int, r_max: int) -> list[MPoly]:
-    """e_1..e_{r_max} of the values of integer linear forms, in e1..en.
+    """e_1..e_{r_max} of the values of integer linear forms, in c1..cn.
 
     forms are length-n coefficient tuples whose multiset is closed under
     permuting the variables, so every power sum of the values is symmetric:
@@ -436,7 +437,7 @@ def elementary_of_forms(forms, n: int, r_max: int) -> list[MPoly]:
             raise ValueError(
                 f"forms are not invariant under the transposition (x{i + 1} x{i + 2})"
             )
-    evt = e_vars(n)
+    cvt = c_vars(n)
     prefixes = {
         length: Counter(f[:length] for f in forms) for length in range(1, n + 1)
     }
@@ -451,9 +452,9 @@ def elementary_of_forms(forms, n: int, r_max: int) -> list[MPoly]:
             if total:
                 coeffs[lam] = _multinomial(k, lam) * total
         power_sums.append(_monomial_to_elementary(SymPolyInBasis(coeffs), n))
-    sigmas = [MPoly.one(evt)]
+    sigmas = [MPoly.one(cvt)]
     for r in range(1, r_max + 1):
-        acc = MPoly.zero(evt)
+        acc = MPoly.zero(cvt)
         for i in range(1, r + 1):
             term = sigmas[r - i] * power_sums[i - 1]
             acc = acc + term if i % 2 else acc - term
@@ -525,21 +526,21 @@ def composition_series(n: int) -> MPoly:
 
 
 def back_substitute(s_list):
-    """psi, phi and lead of the triangular system s_1..s_n in e1..en.
+    """psi, phi and lead of the triangular system s_1..s_n in c1..cn.
 
-    Back-substitutes e_r = (s_r - lower terms)/lead_r over every partition,
+    Back-substitutes c_r = (s_r - lower terms)/lead_r over every partition,
     so psi_r is a polynomial in s_1..s_r, then sets s_1 = 0 in each psi_i
     and renames s_j to u_j for phi_i.
     """
     n = len(s_list)
-    evt, svt, uvt = e_vars(n), s_vars(n), u_vars(n)
+    cvt, svt, uvt = c_vars(n), s_vars(n), u_vars(n)
     psi, leads = [], []
-    for r, s_e in enumerate(s_list, start=1):
-        unit = evt.unit(r - 1)
-        lead = s_e.coefficient(unit)
+    for r, s_c in enumerate(s_list, start=1):
+        unit = cvt.unit(r - 1)
+        lead = s_c.coefficient(unit)
         leads.append(lead)
-        rest = s_e - MPoly(evt, {unit: lead})
-        at_psi = {f"e{i}": psi[i - 1] for i in range(1, r)}
+        rest = s_c - MPoly(cvt, {unit: lead})
+        at_psi = {f"c{i}": psi[i - 1] for i in range(1, r)}
         rest_s = rest.evaluate(at_psi, MPoly.one(svt))
         psi.append((MPoly.variable(svt, f"s{r}") - rest_s) * (Fraction(1) / lead))
     at_slice = {"s1": MPoly.zero(uvt)}

@@ -23,7 +23,7 @@ from redchern.chern import (
     twist,
 )
 from redchern.cli import main as cli_main
-from redchern.poly import MPoly, c_vars, e_vars, u_vars
+from redchern.poly import MPoly, c_vars, u_vars
 from redchern.universal import brauer_reduced, compute_phi, s_in_elementary, solve_psi
 
 from . import naive
@@ -116,13 +116,13 @@ def _pipeline_checks(n, expected_count):
     for i in range(1, n + 1):
         coords = monomial_coefficients(product.graded_component(i))
         assert all(c >= 0 for c in coords.coeffs.values())
-        unit = e_vars(n).unit(i - 1)
+        unit = c_vars(n).unit(i - 1)
         assert s_list[i - 1].coefficient(unit) == ups.lead[i - 1]
         assert ups.s[i - 1] == s_list[i - 1].graded_component(i)
     substitution = {f"s{i}": s_list[i - 1] for i in range(1, n + 1)}
     for r in range(1, n + 1):
-        back = ups.psi[r - 1].evaluate(substitution, MPoly.one(e_vars(n)))
-        assert back == MPoly.variable(e_vars(n), f"e{r}")
+        back = ups.psi[r - 1].evaluate(substitution, MPoly.one(c_vars(n)))
+        assert back == MPoly.variable(c_vars(n), f"c{r}")
 
 
 def test_criterion_4_generator_pipeline():

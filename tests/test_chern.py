@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,6 +14,7 @@ from redchern.chern import (
     twisted_classes,
 )
 from redchern.poly import MPoly, c_vars
+from redchern.universal import compute_phi
 
 from . import naive
 from .naive import (
@@ -196,6 +198,14 @@ class TestSymPower:
         one = MPoly.one(x_vars(n))
         for k in range(1, n + 1):
             assert classes[k - 1].evaluate(sigmas, one) == chain.graded_component(k)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_is_s_twisted_by_det_inverse(self, n):
+        # s_1..s_n are classes of Sym^n E, of rank N = C(2n-1, n), and f those
+        # of Sym^n E (x) det^-1, so s twisted by -c_1 is f.  The library
+        # builds each from its own series, and both are in c1..cn.
+        f = twisted_classes(compute_phi(n).s, comb(2 * n - 1, n), -cvar(n, 1))
+        assert f == sym_power_det_inverse_chern(n)
 
     def test_bounds(self):
         with pytest.raises(ValueError):

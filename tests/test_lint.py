@@ -1,6 +1,7 @@
 """Source checks on the package: every imported name is used, every
-module-level function and class is referenced by some module of it, and no
-module takes another module's private name."""
+module-level function and class and every non-dunder method of a class is
+referenced by some module of it, and no module takes another module's
+private name."""
 
 import ast
 from pathlib import Path
@@ -64,12 +65,14 @@ def _is_command(node) -> bool:
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """The module-level functions and classes that no module references.
+    """The module-level functions and classes, and the non-dunder methods of
+    those classes, that no module references.
 
     sources maps module file names to their text.  A reference is a name
     read or an attribute looked up anywhere in the package; an import alone
     is none.  Names in a module's __all__ and click commands in cli.py are
-    exempt: the package exports them.
+    exempt: the package exports them.  Dunder methods are exempt: Python
+    calls them.
     """
     trees = {name: ast.parse(source) for name, source in sources.items()}
     referenced = set()
@@ -92,6 +95,14 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
                 continue
             if node.name not in referenced:
                 found.append(f"{name}: {node.name} (line {node.lineno})")
+            methods = node.body if isinstance(node, ast.ClassDef) else ()
+            for item in methods:
+                if (
+                    isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                    and item.name not in referenced
+                ):
+                    found.append(f"{name}: {node.name}.{item.name} (line {item.lineno})")
     return found
 
 
@@ -119,6 +130,23 @@ def test_an_unreferenced_definition_is_found():
         "a.py: Orphan (line 7)",
         "cli.py: stray (line 5)",
     ]
+
+
+def test_an_unreferenced_method_is_found():
+    sources = {
+        "a.py": (
+            "class Ring:\n"
+            "    def __init__(self): self.x = self._helper()\n"
+            "    def _helper(self): return 1\n"
+            "    @property\n"
+            "    def rank(self): return 2\n"
+            "    def called(self): return self.rank\n"
+            "    def orphan(self): pass\n"
+            "    def __eq__(self, other): return True\n"
+        ),
+        "b.py": "from a import Ring\nRing().called()\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.py: Ring.orphan (line 7)"]
 
 
 def test_every_definition_is_referenced():

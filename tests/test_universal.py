@@ -13,7 +13,7 @@ from redchern.chern import (
     sym_power_det_inverse_chern,
     twist,
 )
-from redchern.poly import MPoly, c_vars, e_vars, s_vars, u_vars
+from redchern.poly import MPoly, c_vars, s_vars, u_vars
 from redchern.symfun import partitions_of
 from redchern.universal import (
     brauer_reduced,
@@ -64,16 +64,16 @@ class TestYRoots:
 class TestSInElementary:
     def test_rank_two_values(self):
         s1, s2 = s_in_elementary(2)
-        evt = e_vars(2)
-        assert s1 == 3 * MPoly.variable(evt, "e1")
-        assert s2 == 4 * MPoly.variable(evt, "e2") + 2 * MPoly.variable(evt, "e1") ** 2
+        cvt = c_vars(2)
+        assert s1 == 3 * MPoly.variable(cvt, "c1")
+        assert s2 == 4 * MPoly.variable(cvt, "c2") + 2 * MPoly.variable(cvt, "c1") ** 2
 
     def test_rank_two_against_naive_subsets(self):
         forms = [naive.nlinear(2, m) for m in ((2, 0), (0, 2), (1, 1))]
         s1, s2 = s_in_elementary(2)
-        for r, s_e in ((1, s1), (2, s2)):
-            expanded = s_e.evaluate(
-                {f"e{i}": elementary_symmetric(i, 2) for i in (1, 2)},
+        for r, s_c in ((1, s1), (2, s2)):
+            expanded = s_c.evaluate(
+                {f"c{i}": elementary_symmetric(i, 2) for i in (1, 2)},
                 MPoly.one(x_vars(2)),
             )
             assert expanded.terms == naive.nsigma_of_forms(forms, r, 2)
@@ -81,22 +81,22 @@ class TestSInElementary:
     def test_lead_is_root_count(self):
         for n in (2, 3, 4):
             s_list = s_in_elementary(n)
-            evt = e_vars(n)
-            assert s_list[0] == comb(2 * n - 1, n) * MPoly.variable(evt, "e1")
+            cvt = c_vars(n)
+            assert s_list[0] == comb(2 * n - 1, n) * MPoly.variable(cvt, "c1")
 
     def test_homogeneity(self):
         for n in (2, 3):
-            for r, s_e in enumerate(s_in_elementary(n), start=1):
-                assert s_e.graded_component(r) == s_e
+            for r, s_c in enumerate(s_in_elementary(n), start=1):
+                assert s_c.graded_component(r) == s_c
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
     def test_against_the_chain_in_root_variables(self, n):
-        # expanding e_i = sigma_i(x) is independent of the m-to-e reduction
+        # expanding c_i = sigma_i(x) is independent of the m-to-e reduction
         chain = MPoly(x_vars(n), expand_linear_chain(y_roots(n).compositions, n, n))
-        sigmas = {f"e{i}": elementary_symmetric(i, n) for i in range(1, n + 1)}
+        sigmas = {f"c{i}": elementary_symmetric(i, n) for i in range(1, n + 1)}
         one = MPoly.one(x_vars(n))
-        for r, s_e in enumerate(s_in_elementary(n), start=1):
-            assert s_e.evaluate(sigmas, one) == chain.graded_component(r)
+        for r, s_c in enumerate(s_in_elementary(n), start=1):
+            assert s_c.evaluate(sigmas, one) == chain.graded_component(r)
 
 
 class TestSolvePsi:
@@ -107,18 +107,18 @@ class TestSolvePsi:
         assert ups.psi[0] == Fraction(1, 3) * s1
         assert ups.psi[1] == Fraction(1, 4) * s2 - Fraction(1, 18) * s1**2
         assert ups.lead == (Fraction(3), Fraction(4))
-        e1, e2 = (MPoly.variable(e_vars(2), v) for v in ("e1", "e2"))
-        assert ups.s == (3 * e1, 4 * e2 + 2 * e1**2)
+        c1, c2 = (MPoly.variable(c_vars(2), v) for v in ("c1", "c2"))
+        assert ups.s == (3 * c1, 4 * c2 + 2 * c1**2)
 
     def test_rank_three_pinned(self):
         # coefficients confirmed by subset-sum expansion of the ten forms
         ups = solve_psi(3)
         assert ups.lead == (Fraction(10), Fraction(15), Fraction(27))
-        e1, e2, e3 = (MPoly.variable(e_vars(3), v) for v in ("e1", "e2", "e3"))
+        c1, c2, c3 = (MPoly.variable(c_vars(3), v) for v in ("c1", "c2", "c3"))
         assert ups.s == (
-            10 * e1,
-            15 * e2 + 40 * e1**2,
-            27 * e3 + 111 * e2 * e1 + 82 * e1**3,
+            10 * c1,
+            15 * c2 + 40 * c1**2,
+            27 * c3 + 111 * c2 * c1 + 82 * c1**3,
         )
 
     def test_rank_three_against_naive_subsets(self):
@@ -145,8 +145,8 @@ class TestSolvePsi:
             s_list = s_in_elementary(n)
             substitution = {f"s{i}": s_list[i - 1] for i in range(1, n + 1)}
             for r in range(1, n + 1):
-                back = ups.psi[r - 1].evaluate(substitution, MPoly.one(e_vars(n)))
-                assert back == MPoly.variable(e_vars(n), f"e{r}")
+                back = ups.psi[r - 1].evaluate(substitution, MPoly.one(c_vars(n)))
+                assert back == MPoly.variable(c_vars(n), f"c{r}")
 
     def test_leads_positive_and_triangular(self):
         for n in (2, 3, 4):
@@ -155,7 +155,7 @@ class TestSolvePsi:
             assert ups.lead[0] == ups.count
             for r, s_r in enumerate(ups.s, start=1):
                 assert s_r == s_r.graded_component(r)
-                assert s_r.coefficient(e_vars(n).unit(r - 1)) == ups.lead[r - 1]
+                assert s_r.coefficient(c_vars(n).unit(r - 1)) == ups.lead[r - 1]
 
     def test_positivity_of_s(self):
         for n in (2, 3, 4):
@@ -169,7 +169,7 @@ class TestSolvePsi:
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_the_full_back_substitution(self, n):
-        # the library solves on the slice e_1 = 0 and twists; the naive route
+        # the library solves on the slice c_1 = 0 and twists; the naive route
         # back-substitutes the whole system and then sets s_1 = 0
         psi, phi, lead = naive.back_substitute(s_in_elementary(n))
         ups = compute_phi(n)
@@ -184,7 +184,7 @@ class TestSolvePsi:
         from redchern.universal import InternalInconsistencyError
 
         broken = [
-            MPoly.zero(e_vars(2)),
+            MPoly.zero(c_vars(2)),
             s_in_elementary(2)[1],
         ]
         monkeypatch.setattr(umod, "s_in_elementary", lambda n: broken)
@@ -199,8 +199,8 @@ class TestSolvePsi:
         s_list = s_in_elementary(5)
         substitution = {f"s{i}": s_list[i - 1] for i in range(1, 6)}
         for r in range(1, 6):
-            back = ups.psi[r - 1].evaluate(substitution, MPoly.one(e_vars(5)))
-            assert back == MPoly.variable(e_vars(5), f"e{r}")
+            back = ups.psi[r - 1].evaluate(substitution, MPoly.one(c_vars(5)))
+            assert back == MPoly.variable(c_vars(5), f"c{r}")
         product = MPoly(
             x_vars(5), expand_linear_chain(y_roots(5).compositions, 5, 5)
         )
@@ -257,7 +257,7 @@ class TestLargeRank:
         assert all(type(c) is int for c in ups.lead)
 
     def test_rank_eight_solves(self):
-        # solve_psi checks its own round trip psi(s(e)) = e before returning
+        # solve_psi checks its own round trip psi(s(c)) = c before returning
         ups = compute_phi(8)
         assert ups.lead[0] == 6435 == comb(15, 8)
         assert all(c > 0 for c in ups.lead)
@@ -337,7 +337,7 @@ class TestBrauerReduced:
 class TestGeneration:
     def test_random_invariants_rewrite_through_s(self):
         # any symmetric polynomial is a polynomial in s_1..s_n: rewrite in
-        # the e-basis, replace e_i by psi_i(s), expand s back, compare
+        # c1..cn, replace c_i by psi_i(s), expand s back, compare
         from .naive import express_in_elementary
 
         rng = random.Random(17)
@@ -349,17 +349,17 @@ class TestGeneration:
                 p = MPoly.zero(x_vars(n))
                 for lam in rng.sample(pool, min(3, len(pool))):
                     p = p + monomial_symmetric(lam, n) * rng.randint(-3, 3)
-                q_e = express_in_elementary(p)
-                q_s = q_e.evaluate(
-                    {f"e{i}": ups.psi[i - 1] for i in range(1, n + 1)},
+                q_c = express_in_elementary(p)
+                q_s = q_c.evaluate(
+                    {f"c{i}": ups.psi[i - 1] for i in range(1, n + 1)},
                     MPoly.one(s_vars(n)),
                 )
-                back_e = q_s.evaluate(
+                back_c = q_s.evaluate(
                     {f"s{i}": s_list[i - 1] for i in range(1, n + 1)},
-                    MPoly.one(e_vars(n)),
+                    MPoly.one(c_vars(n)),
                 )
-                expanded = back_e.evaluate(
-                    {f"e{i}": elementary_symmetric(i, n) for i in range(1, n + 1)},
+                expanded = back_c.evaluate(
+                    {f"c{i}": elementary_symmetric(i, n) for i in range(1, n + 1)},
                     MPoly.one(x_vars(n)),
                 )
                 assert expanded == p

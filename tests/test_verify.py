@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from redchern import chern, oracle, poly, symfun, universal, verify
-from redchern.poly import MPoly, c_vars, e_vars
+from redchern.poly import MPoly, c_vars
 
 from . import naive
 from .naive import x_vars
@@ -127,7 +127,7 @@ def corrupt_series(monkeypatch, delta):
         shape = (p2 - p1**2 * Fraction(1, n)) * delta(n)
         extra = naive.truncate(naive.exp_p1(n, 1) * shape, n)
         corrupted_series = series + extra * Fraction(1, 2)
-        return symfun.elementary_from_power_sums(corrupted_series, e_vars(n))
+        return symfun.elementary_from_power_sums(corrupted_series)
 
     monkeypatch.setattr(universal, "s_in_elementary", corrupted)
 
@@ -135,15 +135,15 @@ def corrupt_series(monkeypatch, delta):
 @pytest.mark.parametrize(
     "change",
     (
-        pytest.param(add_to_s2(lambda evt: MPoly.variable(evt, "e2")), id="s2-plus-e2"),
-        # phi is solved on e_1 = 0, so adding a multiple of e_1 to s_2
+        pytest.param(add_to_s2(lambda cvt: MPoly.variable(cvt, "c2")), id="s2-plus-e2"),
+        # phi is solved on c_1 = 0, so adding a multiple of c_1 to s_2
         # leaves every phi unchanged, and no suite that reads phi sees it;
         # only the round trip through psi does
         pytest.param(
-            add_to_s2(lambda evt: MPoly.variable(evt, "e1") ** 2),
+            add_to_s2(lambda cvt: MPoly.variable(cvt, "c1") ** 2),
             id="s2-plus-e1-squared",
         ),
-        pytest.param(add_to_s2(lambda evt: MPoly.variable(evt, "e1")), id="s2-plus-e1"),
+        pytest.param(add_to_s2(lambda cvt: MPoly.variable(cvt, "c1")), id="s2-plus-e1"),
         # doubling s_1 makes lead_1 twice the form count
         pytest.param(lambda s: [2 * s[0]] + s[1:], id="twice-s1"),
         pytest.param(lambda s: [s[0], -s[1]] + s[2:], id="minus-s2"),
@@ -152,7 +152,7 @@ def corrupt_series(monkeypatch, delta):
 def test_solve_rejects_an_s_without_the_twist_structure(monkeypatch, fresh_phi, change):
     # psi comes from phi by the twist s_j -> sigma_j, which holds only for
     # the classes of a family of N forms shifted together, so the round trip
-    # psi(s(e)) = e fails for these ad-hoc corruptions
+    # psi(s(c)) = c fails for these ad-hoc corruptions
     corrupt_s(monkeypatch, change)
     with pytest.raises(universal.InternalInconsistencyError):
         universal.compute_phi(3)
@@ -185,7 +185,7 @@ def test_positivity_catches_a_negative_m_coordinate(monkeypatch, fresh_phi):
 
     def delta(n):
         s2 = honest(n)[1]
-        lead = s2.coefficient(e_vars(n).unit(1))
+        lead = s2.coefficient(c_vars(n).unit(1))
         d = s2.coefficient((2,) + (0,) * (n - 1))
         return -n * (lead + 2 * d + 1)
 
@@ -291,11 +291,37 @@ def test_run_all_computes_each_twist_once():
     assert (info.misses, info.hits) == (3, 3)
 
 
+PER_RANK_CACHES = (
+    chern.shifted_root_sigma,
+    chern.twist,
+    chern.sym_power_det_inverse_chern,
+    universal.compute_phi,
+    oracle.rank_theory,
+    symfun._power_sums_in_elementary,
+)
+
+
+@pytest.mark.parametrize(
+    "run, ranks",
+    (
+        pytest.param(lambda: verify.run_suite("all", 6, 0), 5, id="all-to-rank-6"),
+        pytest.param(lambda: verify.suite_toy_rings(5, 20), 4, id="toy-rings-to-rank-5"),
+    ),
+)
+def test_each_per_rank_artifact_is_built_once_per_rank(run, ranks):
+    # s and the reduced and symmetric-power classes share one Newton table
+    # per rank, so every cache misses once for each rank it is asked for
+    for cached in PER_RANK_CACHES:
+        cached.cache_clear()
+    assert all(r.passed for r in run())
+    assert [f.cache_info().misses for f in PER_RANK_CACHES] == [ranks] * 6
+
+
 @pytest.fixture
 def fresh_twist():
     # a cached honest twist would hide the corruption, and a cached corrupted
     # one would leak into later tests
-    cached = (chern.twist, chern.reduced_chern_formula, oracle.rank_theory)
+    cached = (chern.twist, oracle.rank_theory)
     for f in cached:
         f.cache_clear()
     yield
@@ -328,7 +354,7 @@ def test_twist_catches_one_binomial_coefficient_off(monkeypatch, fresh_twist, k,
 @pytest.mark.parametrize("n", range(2, 6))
 def test_round_trip_catches_one_binomial_coefficient_off(monkeypatch, fresh_phi, n, k, i):
     # solve_psi reads the twist through its own binding, so a wrong twist
-    # of sigma or of psi must fail its round trip psi(s(e)) = e
+    # of sigma or of psi must fail its round trip psi(s(c)) = c
     corrupted = off_by_one_twist(universal.twisted_classes, k, i)
     monkeypatch.setattr(universal, "twisted_classes", corrupted)
     with pytest.raises(universal.InternalInconsistencyError, match="round trip"):
