@@ -26,9 +26,9 @@ from redchern import symfun
 from redchern.poly import MPoly, c_vars
 
 
-def ensure_rank(n: int, floor: int = 2) -> None:
-    if n < floor:
-        raise ValueError(f"rank {n} is below {floor}")
+def ensure_rank(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"rank {n} is below 2")
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +74,7 @@ def twist(n: int) -> tuple[MPoly, ...]:
 
     The classes are in c1..cn, t; substituting t = 0 recovers c1..cn.
     """
-    ensure_rank(n, floor=1)
+    ensure_rank(n)
     table = c_vars(n).extend([("t", 1)])
     classes = [MPoly.variable(table, f"c{i}") for i in range(1, n + 1)]
     return twisted_classes(classes, n, MPoly.variable(table, "t"))

@@ -327,51 +327,46 @@ def check_bundles(
     and tags in IDENTITY_TAGS order, so k seeds give the results of k
     one-seed calls in turn.  The rank is theory.rank, and each seed's
     bundle, its class tuple, is drawn once; its twist line and its
-    projective sample draw from their own seeds.  The k bundles' classes
-    are stacked into elements of R (x) Q^k with SeedVector coefficients,
-    and both sides of each identity are evaluated once for all seeds,
-    independently, in the ring, with one monomial table per evaluation
-    point.  Each identity is compared slot by slot, and a failing seed
-    reports the first differing graded component of its own slot as
-    witness.  The projective-bundle tag is checked on each seed's own
-    bundle.  Passing a corrupted theory is how the suite's mutation
-    sensitivity is exercised.
+    projective sample draw from their own seeds.  The k class tuples are
+    stacked into one point (c_1, ..., c_n) over R (x) Q^k with SeedVector
+    coefficients; the twist point appends the line t, the c1 = 0 point is
+    (0, c_2, ..., c_n), and phi's point is the f-classes from f_2 on.  Both
+    sides of each identity are evaluated once for all seeds, independently,
+    in the ring, with one monomial table per evaluation point.  Each
+    identity is compared slot by slot, and a failing seed reports the
+    first differing graded component of its own slot as witness.  The
+    projective-bundle tag is checked on each seed's own bundle.  Passing a
+    corrupted theory is how the suite's mutation sensitivity is exercised.
     """
     n = theory.rank
     seeds = tuple(seeds)
     k = len(seeds)
     bundles = [random_bundle(ring, n, seed) for seed in seeds]
-    values = {
-        f"c{i}": _stack(ring, [classes[i - 1] for classes in bundles])
-        for i in range(1, n + 1)
-    }
+    values = [_stack(ring, [classes[i] for classes in bundles]) for i in range(n)]
     one = _stack(ring, [MPoly.one(ring)] * k)
     at_c = {}
     reduced = [p.evaluate(values, one, at_c) for p in theory.reduced]
     f_values = [p.evaluate(values, one, at_c) for p in theory.f_classes]
 
     lines = [ring.random_element(1, random.Random((seed + 1) << 4)) for seed in seeds]
-    tv = dict(values, t=_stack(ring, lines))
+    tv = [*values, _stack(ring, lines)]
     at_ct = {}
-    twisted = {
-        f"c{i}": p.evaluate(tv, one, at_ct) for i, p in enumerate(theory.twisted, 1)
-    }
+    twisted = [p.evaluate(tv, one, at_ct) for p in theory.twisted]
     at_twisted = {}
     twist = _first_failures(
         zip([p.evaluate(twisted, one, at_twisted) for p in theory.reduced], reduced), k
     )
 
     # at c1 = 0 the reduced classes must give the point's own 0, c2, ..., cn
-    flat = dict(values, c1=MPoly.zero(ring))
+    flat = [MPoly.zero(ring), *values[1:]]
     at_flat = {e: v for e, v in at_c.items() if not e[0]}
     c1_zero = _first_failures(
-        zip([p.evaluate(flat, one, at_flat) for p in theory.reduced], flat.values()), k
+        zip([p.evaluate(flat, one, at_flat) for p in theory.reduced], flat), k
     )
 
-    u = {f"u{i}": f_values[i - 1] for i in range(2, n + 1)}
     at_u = {}
     phi_roundtrip = _first_failures(
-        zip([p.evaluate(u, one, at_u) for p in theory.phi], reduced[1:]), k
+        zip([p.evaluate(f_values[1:], one, at_u) for p in theory.phi], reduced[1:]), k
     )
     c1f_zero = _first_failures([(f_values[0], MPoly.zero(ring))], k)
 

@@ -32,7 +32,7 @@ import json
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -329,23 +329,24 @@ class MPoly:
 
     def evaluate(
         self,
-        values: Mapping[str, object],
+        values: Sequence,
         one,
         monomials: dict[Exponents, dict] | None = None,
     ):
         """Evaluate in any commutative ring; this is the one ring map.
 
-        values maps occurring variable names to ring elements, and a term
-        whose variable has no value raises ValueError; `one` is the ring
-        identity.  The ring is `one.table`: the free ring of a VarTable (a
-        rational number is a constant over VarTable(())) or a quotient such
-        as a toy ring.  Its multiply_into(out, a, b) adds a product of term
-        dicts into out, and every product of the evaluation goes through
-        it; all work is on term dicts and only the value returned is
-        wrapped.  A point's coefficients may be ints, Fractions, or any
-        type with +, * and a truth value that divides itself exactly by an
-        int, such as the per-seed vectors of oracle.check_bundles; no float
-        is ever formed.
+        values is the point: values[i] is the value of variable i of this
+        table, or None for no value, which raises ValueError only when a
+        term needs it; a point of another length raises ValueError, and a
+        mapping TypeError.  `one` is the ring identity.  The ring is
+        `one.table`: the free ring of a VarTable (a rational number is a
+        constant over VarTable(())) or a quotient such as a toy ring.  Its
+        multiply_into(out, a, b) adds a product of term dicts into out, and
+        every product of the evaluation goes through it; all work is on
+        term dicts and only the value returned is wrapped.  A point's
+        coefficients may be ints, Fractions, or any type with +, * and a
+        truth value that divides itself exactly by an int, such as the
+        per-seed vectors of oracle.check_bundles; no float is ever formed.
         Each distinct monomial is built once, as a smaller monomial times
         one variable.  The coefficients are read as integers over their
         common denominator; every integer times its monomial's terms is
@@ -361,7 +362,11 @@ class MPoly:
         table at the same values may pass one dict it owns to all of them,
         and each monomial is then built once for all.
         """
+        if isinstance(values, Mapping):
+            raise TypeError("a point is a sequence in table order, not a mapping")
         names = self.table.names
+        if len(values) != len(names):
+            raise ValueError(f"point of length {len(values)} for {self.table!r}")
         ring = one.table
         unit = one.terms
         if monomials is None:
@@ -378,7 +383,7 @@ class MPoly:
                 chain.append((cur, i))
                 cur = cur[:i] + (cur[i] - 1,) + cur[i + 1:]
             for mono, i in reversed(chain):
-                factor = values.get(names[i])
+                factor = values[i]
                 if factor is None:
                     raise ValueError(f"variable {names[i]!r} has no value")
                 one._check(factor)

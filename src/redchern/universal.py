@@ -95,7 +95,7 @@ def solve_psi(n: int) -> UniversalPolys:
                 f"s_{r} at rank {n} has no c_{r} component"
             )
         leads.append(lead)
-    slice_values: dict[str, MPoly] = {}
+    slice_point: list = [None] * n
     slice_monomials: dict = {}
     for r in range(2, n + 1):
         unit = cvt.unit(r - 1)
@@ -103,23 +103,21 @@ def solve_psi(n: int) -> UniversalPolys:
             cvt,
             {e: c for e, c in s_list[r - 1].terms.items() if e[0] == 0 and e != unit},
         )
-        rest_u = rest.evaluate(slice_values, MPoly.one(uvt), slice_monomials)
-        slice_values[f"c{r}"] = (MPoly.variable(uvt, f"u{r}") - rest_u) * (
+        rest_u = rest.evaluate(slice_point, MPoly.one(uvt), slice_monomials)
+        slice_point[r - 1] = (MPoly.variable(uvt, f"u{r}") - rest_u) * (
             Fraction(1) / leads[r - 1]
         )
-    phi = tuple(slice_values.values())
+    phi = tuple(slice_point[1:])
     s = [MPoly.variable(svt, f"s{j}") for j in range(1, n + 1)]
     sigma = twisted_classes(s, count, s[0] * Fraction(-1, count))
-    at_sigma = {f"u{j}": sigma[j - 1] for j in range(2, n + 1)}
     sigma_monomials: dict = {}
     shifted = [MPoly.zero(svt)] + [
-        p.evaluate(at_sigma, MPoly.one(svt), sigma_monomials) for p in phi
+        p.evaluate(sigma[1:], MPoly.one(svt), sigma_monomials) for p in phi
     ]
     psi = twisted_classes(shifted, n, s[0] * Fraction(1, n * count))
-    at_s = {f"s{i}": s_list[i - 1] for i in range(1, n + 1)}
     monomials: dict = {}
     for r in range(1, n + 1):
-        back = psi[r - 1].evaluate(at_s, MPoly.one(cvt), monomials)
+        back = psi[r - 1].evaluate(s_list, MPoly.one(cvt), monomials)
         if back != MPoly.variable(cvt, f"c{r}"):
             raise InternalInconsistencyError(
                 f"psi_{r} at rank {n} fails the round trip through s(c)"
@@ -135,22 +133,19 @@ def compute_phi(n: int) -> UniversalPolys:
     return solve_psi(n)
 
 
-def brauer_reduced(n: int, pushforward_classes: Sequence) -> list:
-    """Evaluate phi_2..phi_n at the classes of a pushforward bundle.
+def brauer_reduced(pushforward_classes: Sequence) -> list:
+    """Evaluate phi_2..phi_n at the classes u_2..u_n of a pushforward bundle.
 
-    The inputs are the degree-2..n classes, as MPolys over any commutative
-    coefficient ring (a VarTable's free ring or a toy ring), and phi is
-    evaluated in their ring, whose one is MPoly.one of their table; when they
-    are the classes of the twisted symmetric power of a bundle, the output is
-    that bundle's reduced classes.  The n - 1 evaluations share one monomial
-    memo.
+    The inputs, phi's point, are MPolys over any commutative coefficient
+    ring (a VarTable's free ring or a toy ring), and the rank n is their
+    count plus one.  phi is evaluated in their ring, whose one is MPoly.one
+    of their table; when they are the classes of the twisted symmetric
+    power of a bundle, the output is that bundle's reduced classes.  The
+    n - 1 evaluations share one monomial memo.
     """
-    if len(pushforward_classes) != n - 1:
-        raise ValueError(
-            f"rank {n} needs {n - 1} classes, got {len(pushforward_classes)}"
-        )
+    n = len(pushforward_classes) + 1
+    ensure_rank(n)
     ups = compute_phi(n)
-    values = {f"u{j}": pushforward_classes[j - 2] for j in range(2, n + 1)}
     one = MPoly.one(pushforward_classes[0].table)
     monomials: dict = {}
-    return [p.evaluate(values, one, monomials) for p in ups.phi]
+    return [p.evaluate(pushforward_classes, one, monomials) for p in ups.phi]

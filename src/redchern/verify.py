@@ -54,37 +54,34 @@ def suite_formula_agreement(max_rank: int, seed: int = 0) -> list[CheckResult]:
 def suite_twist(max_rank: int, seed: int = 0) -> list[CheckResult]:
     """Substituting twisted classes into a reduced class must eliminate t.
 
-    The right side is the class at the identity point c_i -> c_i of (c, t).
+    The right side is the class at the identity point (c_1, ..., c_n) of (c, t).
     """
     results = []
     for n in range(2, max_rank + 1):
         twisted = chern.twist(n)
         table = twisted[0].table
         one = MPoly.one(table)
-        at_twist = {f"c{i}": twisted[i - 1] for i in range(1, n + 1)}
-        at_self = {f"c{i}": MPoly.variable(table, f"c{i}") for i in range(1, n + 1)}
+        at_self = [MPoly.variable(table, name) for name in table.names[:n]]
         twist_memo, self_memo = {}, {}
         for rc in chern.shifted_root_sigma(n):
-            lhs = rc.evaluate(at_twist, one, twist_memo)
+            lhs = rc.evaluate(twisted, one, twist_memo)
             witness = _diff_witness(lhs, rc.evaluate(at_self, one, self_memo))
             results.append(_result("twist", n, witness is None, witness))
     return results
 
 
 def suite_c1_zero(max_rank: int, seed: int = 0) -> list[CheckResult]:
-    """Setting c_1 = 0 in a reduced class must leave the plain class."""
+    """Setting c_1 = 0 in a reduced class must leave the plain class, so the
+    point (0, c_2, ..., c_n) is also the right side, class by class."""
     results = []
     for n in range(2, max_rank + 1):
         table = c_vars(n)
-        assignment = {"c1": MPoly.zero(table)}
-        for i in range(2, n + 1):
-            assignment[f"c{i}"] = MPoly.variable(table, f"c{i}")
+        point = [MPoly.variable(table, name) for name in table.names]
+        point[0] = MPoly.zero(table)
         one = MPoly.one(table)
         monomials: dict = {}
-        for r, rc in enumerate(chern.shifted_root_sigma(n), start=1):
-            lhs = rc.evaluate(assignment, one, monomials)
-            rhs = assignment[f"c{r}"] if r > 1 else MPoly.zero(table)
-            witness = _diff_witness(lhs, rhs)
+        for rc, rhs in zip(chern.shifted_root_sigma(n), point):
+            witness = _diff_witness(rc.evaluate(point, one, monomials), rhs)
             results.append(_result("c1-zero", n, witness is None, witness))
     return results
 
@@ -96,7 +93,7 @@ def suite_phi_roundtrip(max_rank: int, seed: int = 0) -> list[CheckResult]:
         f_classes = chern.sym_power_det_inverse_chern(n)
         witness = _diff_witness(f_classes[0], 0)
         results.append(_result("c1F-zero", n, witness is None, witness))
-        recovered = universal.brauer_reduced(n, f_classes[1:])
+        recovered = universal.brauer_reduced(f_classes[1:])
         for got, rc in zip(recovered, chern.shifted_root_sigma(n)[1:]):
             witness = _diff_witness(got, rc)
             results.append(_result("phi-roundtrip", n, witness is None, witness))

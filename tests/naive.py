@@ -213,9 +213,7 @@ def reduce_hom(q):
     n = len(q.table)
     if q.table != c_vars(n):
         raise ValueError("reduce_hom expects a polynomial over the free c-variables")
-    sigmas = shifted_root_sigma(n)
-    values = {f"c{i}": sigmas[i - 1] for i in range(1, n + 1)}
-    return q.evaluate(values, MPoly.one(q.table))
+    return q.evaluate(shifted_root_sigma(n), MPoly.one(q.table))
 
 
 # ---- symmetric polynomials in root variables, built on the package ----
@@ -540,11 +538,8 @@ def back_substitute(s_list):
         lead = s_c.coefficient(unit)
         leads.append(lead)
         rest = s_c - MPoly(cvt, {unit: lead})
-        at_psi = {f"c{i}": psi[i - 1] for i in range(1, r)}
-        rest_s = rest.evaluate(at_psi, MPoly.one(svt))
+        rest_s = rest.evaluate(psi + [None] * (n - len(psi)), MPoly.one(svt))
         psi.append((MPoly.variable(svt, f"s{r}") - rest_s) * (Fraction(1) / lead))
-    at_slice = {"s1": MPoly.zero(uvt)}
-    for j in range(2, n + 1):
-        at_slice[f"s{j}"] = MPoly.variable(uvt, f"u{j}")
+    at_slice = [MPoly.zero(uvt)] + [MPoly.variable(uvt, name) for name in uvt.names]
     phi = [p.evaluate(at_slice, MPoly.one(uvt)) for p in psi[1:]]
     return psi, phi, leads

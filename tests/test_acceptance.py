@@ -71,24 +71,22 @@ def test_criterion_3_characterization():
         # (a) setting c1 = 0 recovers the plain classes, ranks 2..6
         for n in range(2, 7):
             table = c_vars(n)
-            assignment = {"c1": MPoly.zero(table)}
-            for i in range(2, n + 1):
-                assignment[f"c{i}"] = MPoly.variable(table, f"c{i}")
+            point = [MPoly.zero(table)]
+            point += [MPoly.variable(table, f"c{i}") for i in range(2, n + 1)]
             for r in range(1, n + 1):
                 expected = (
                     MPoly.variable(table, f"c{r}") if r > 1 else MPoly.zero(table)
                 )
                 rc = shifted_root_sigma(n)[r - 1]
-                assert rc.evaluate(assignment, MPoly.one(table)) == expected
+                assert rc.evaluate(point, MPoly.one(table)) == expected
         # (b) substituting twisted classes leaves the class t-free, ranks 2..4
         for n in range(2, 5):
             twisted = twist(n)
             one = MPoly.one(twisted[0].table)
-            assignment = {f"c{i}": twisted[i - 1] for i in range(1, n + 1)}
-            identity = {f"c{i}": MPoly.variable(one.table, f"c{i}") for i in range(1, n + 1)}
+            identity = [MPoly.variable(one.table, f"c{i}") for i in range(1, n + 1)]
             for r in range(1, n + 1):
                 rc = shifted_root_sigma(n)[r - 1]
-                assert rc.evaluate(assignment, one) == rc.evaluate(identity, one)
+                assert rc.evaluate(twisted, one) == rc.evaluate(identity, one)
         # (c) adding any multiple of c1 is erased, 50 seeded draws per (n, j)
         rng = random.Random(20230317)
         for n in range(2, 5):
@@ -119,9 +117,8 @@ def _pipeline_checks(n, expected_count):
         unit = c_vars(n).unit(i - 1)
         assert s_list[i - 1].coefficient(unit) == ups.lead[i - 1]
         assert ups.s[i - 1] == s_list[i - 1].graded_component(i)
-    substitution = {f"s{i}": s_list[i - 1] for i in range(1, n + 1)}
     for r in range(1, n + 1):
-        back = ups.psi[r - 1].evaluate(substitution, MPoly.one(c_vars(n)))
+        back = ups.psi[r - 1].evaluate(s_list, MPoly.one(c_vars(n)))
         assert back == MPoly.variable(c_vars(n), f"c{r}")
 
 
@@ -144,7 +141,7 @@ def test_criterion_5_symmetric_power_round_trip():
     ):
         for n in range(2, 5):
             f_classes = sym_power_det_inverse_chern(n)
-            recovered = brauer_reduced(n, f_classes[1:])
+            recovered = brauer_reduced(f_classes[1:])
             for i in range(2, n + 1):
                 assert recovered[i - 2] == shifted_root_sigma(n)[i - 1]
         for n in range(2, 6):

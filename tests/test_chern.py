@@ -73,7 +73,7 @@ class TestReducedRoots:
         # independent of the power sums and the m-to-e reduction
         forms = [tuple(n - 1 if j == i else -1 for j in range(n)) for i in range(n)]
         chain = MPoly(x_vars(n), expand_linear_chain(forms, n, n))
-        sigmas = {f"c{i}": elementary_symmetric(i, n) for i in range(1, n + 1)}
+        sigmas = [elementary_symmetric(i, n) for i in range(1, n + 1)]
         one = MPoly.one(x_vars(n))
         for r in range(1, n + 1):
             expected = chain.graded_component(r) * Fraction(1, n**r)
@@ -114,12 +114,6 @@ class TestTwist:
         assert twisted_classes(by_t, N, u) == twisted_classes(c, N, t + u)
         assert twisted_classes(by_t, N, -t) == c
 
-    def test_rank_one(self):
-        tw = twist(1)
-        target = tw[0].table
-        assert target.names == ("c1", "t")
-        assert tw == (MPoly.variable(target, "c1") + MPoly.variable(target, "t"),)
-
     def test_rank_two_second_class(self):
         tw = twist(2)
         target = tw[1].table
@@ -128,19 +122,18 @@ class TestTwist:
 
     def test_t_zero_specializes_back(self):
         for n in (2, 3, 4):
-            back = {f"c{i}": cvar(n, i) for i in range(1, n + 1)}
-            back["t"] = MPoly.zero(c_vars(n))
+            back = [cvar(n, i) for i in range(1, n + 1)] + [MPoly.zero(c_vars(n))]
             for i, twisted in enumerate(twist(n), start=1):
                 assert twisted.evaluate(back, MPoly.one(c_vars(n))) == cvar(n, i)
 
     def test_det_of_twist(self):
-        for n in (1, 2, 3):
+        for n in (2, 3):
             tw = twist(n)
             target = tw[0].table
             expected = MPoly.variable(target, "c1") + n * MPoly.variable(target, "t")
             assert det_class(tw) == expected
 
-    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
     def test_against_the_chain_in_root_variables(self, n):
         # the roots of the twist are x_i + t; their expanded product is
         # independent of the binomial formula
@@ -148,12 +141,11 @@ class TestTwist:
         forms = [tuple(1 if j in (i, n) else 0 for j in range(n + 1)) for i in range(n)]
         chain = MPoly(table, expand_linear_chain(forms, n + 1, n))
         one = MPoly.one(table)
-        roots = {name: MPoly.variable(table, name) for name in table.names}
-        sigmas = {
-            f"c{i}": elementary_symmetric(i, n).evaluate(roots, one)
-            for i in range(1, n + 1)
-        }
-        sigmas["t"] = roots["t"]
+        roots = [MPoly.variable(table, name) for name in table.names]
+        sigmas = [
+            elementary_symmetric(i, n).evaluate(roots[:n], one) for i in range(1, n + 1)
+        ]
+        sigmas.append(roots[n])
         twisted = twist(n)
         for k in range(1, n + 1):
             assert twisted[k - 1].evaluate(sigmas, one) == chain.graded_component(k)
@@ -193,7 +185,7 @@ class TestSymPower:
         # expanding c_i = sigma_i(x) is independent of the m-to-e reduction
         forms = [tuple(v - 1 for v in m) for m in root_compositions(n)]
         chain = MPoly(x_vars(n), expand_linear_chain(forms, n, n))
-        sigmas = {f"c{i}": elementary_symmetric(i, n) for i in range(1, n + 1)}
+        sigmas = [elementary_symmetric(i, n) for i in range(1, n + 1)]
         classes = sym_power_det_inverse_chern(n)
         one = MPoly.one(x_vars(n))
         for k in range(1, n + 1):
@@ -208,8 +200,9 @@ class TestSymPower:
         assert f == sym_power_det_inverse_chern(n)
 
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            sym_power_det_inverse_chern(1)
+        for build in (sym_power_det_inverse_chern, twist):
+            with pytest.raises(ValueError):
+                build(1)
 
 
 def random_cpoly(n, rng, max_wdeg=4, terms=4):
@@ -271,12 +264,11 @@ class TestReduceHom:
         # the reduced classes are algebraically independent generators
         for n in RANKS:
             table = c_vars(n)
-            assignment = {"c1": MPoly.zero(table)}
-            for i in range(2, n + 1):
-                assignment[f"c{i}"] = MPoly.variable(table, f"c{i}")
+            point = [MPoly.zero(table)]
+            point += [MPoly.variable(table, f"c{i}") for i in range(2, n + 1)]
             for r in range(2, n + 1):
                 specialized = shifted_root_sigma(n)[r - 1].evaluate(
-                    assignment, MPoly.one(table)
+                    point, MPoly.one(table)
                 )
                 assert specialized == MPoly.variable(table, f"c{r}")
 

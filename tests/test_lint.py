@@ -1,16 +1,22 @@
 """Source checks on the package: every imported name is used, every
 module-level function and class and every non-dunder method of a class is
-referenced by some module of it, and no module takes another module's
-private name."""
+referenced by some module of it, no module takes another module's private
+name, and every package name that README.md cites exists and takes the
+arguments it is cited with."""
 
 import ast
+import inspect
+import re
+import types
 from pathlib import Path
 
 import pytest
 
 import redchern
+from redchern import chern, cli, oracle, poly, symfun, universal, verify
 
 MODULES = sorted(Path(redchern.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -223,3 +229,92 @@ def test_a_private_name_taken_from_another_module_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_private_name_taken_from_another_module(path):
     assert private_names_taken(path.read_text(encoding="utf-8")) == []
+
+
+# the package modules and classes that head the dotted names README.md cites
+DOC_HEADS = {
+    head.__name__.split(".")[-1]: head
+    for head in (
+        *(poly, symfun, chern, universal, oracle, verify, cli),
+        *(poly.MPoly, poly.VarTable, oracle.ToyRing, oracle.ProjectiveBundleRing),
+        oracle.SeedVector,
+    )
+}
+
+
+def _argument_count(args: str) -> int:
+    """The number of comma-separated arguments, brackets nested."""
+    depth, count = 0, 1 if args.strip() else 0
+    for ch in args:
+        depth += (ch in "([{") - (ch in ")]}")
+        count += ch == "," and depth == 0
+    return count
+
+
+def doc_names(text: str) -> list[re.Match]:
+    """The backticked dotted names in text whose head is in DOC_HEADS, each
+    as a match of head, attribute path and call arguments (None if no call).
+
+    Fenced code blocks are dropped first; their backticks would pair up
+    with those of the prose.
+    """
+    found = []
+    for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S)):
+        span = " ".join(span.split())
+        match = re.fullmatch(r"(\w+)((?:\.\w+)+)(?:\((.*)\))?", span)
+        if match and match[1] in DOC_HEADS:
+            found.append(match)
+    return found
+
+
+def doc_name_drift(text: str) -> list[str]:
+    """The backticked dotted names in text that name nothing in the package,
+    and the backticked calls whose argument count their signature rejects.
+
+    An instance method cited through its class, as in
+    MPoly.evaluate(values, one), is bound with its self as well.
+    """
+    found = []
+    for match in doc_names(text):
+        span = match[0]
+        owner, target = None, DOC_HEADS[match[1]]
+        for attr in match[2][1:].split("."):
+            owner, target = target, getattr(target, attr, None)
+            if target is None:
+                break
+        if target is None:
+            found.append(f"{span}: no such name")
+            continue
+        if match[3] is None:
+            continue
+        count = _argument_count(match[3])
+        if inspect.isclass(owner) and isinstance(
+            inspect.getattr_static(owner, attr), types.FunctionType
+        ):
+            count += 1
+        try:
+            inspect.signature(target).bind(*range(count))
+        except TypeError:
+            found.append(f"{span}: {count} arguments do not bind")
+    return found
+
+
+def test_a_drifted_doc_name_is_found():
+    text = (
+        "```\nsrc/\n  a `fenced` block\n```\n"
+        "`universal.brauer_reduced(n, classes)` and `universal.brauer_reduced`,\n"
+        "`chern.no_such_name`, `MPoly.evaluate(point, one)`, `MPoly.one(ring)`,\n"
+        "`oracle.check_bundles(ring,\n theory, seeds)`, `chern.twist()`,\n"
+        "`poly.add_terms(f(a, b), {1: 2})`, `foo.bar(1)` and `redchern verify`"
+    )
+    assert doc_name_drift(text) == [
+        "universal.brauer_reduced(n, classes): 2 arguments do not bind",
+        "chern.no_such_name: no such name",
+        "chern.twist(): 0 arguments do not bind",
+    ]
+
+
+def test_every_doc_name_in_the_readme_resolves():
+    text = README.read_text(encoding="utf-8")
+    assert doc_names(text)
+    assert doc_name_drift(text) == []

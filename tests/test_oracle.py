@@ -153,7 +153,7 @@ class TestToyElements:
                 with pytest.raises(ValueError, match="mismatched"):
                     op(y, x)
             with pytest.raises(ValueError, match="mismatched"):
-                x.evaluate(dict.fromkeys(x.table.names, y), MPoly.one(x.table))
+                x.evaluate([y] * len(x.table), MPoly.one(x.table))
 
     def test_json_uses_mpoly_schema(self):
         ring = ToyRing(*CURVES_SPEC)
@@ -402,6 +402,8 @@ class TestCheckBundle:
         assert tuple(r.identity for r in results) == IDENTITY_TAGS
         assert all(r.passed for r in results)
         assert {(r.ring, r.rank, r.seed) for r in results} == {("rich", 3, 7)}
+        # an empty block is still a point of rank 3, with no results
+        assert check_bundles(ring, rank_theory(3), []) == ()
 
     def test_products_counted_and_c1_free_monomials_reused(self, monkeypatch):
         # one fixed rank-5 bundle: every base-ring product is counted, and
@@ -419,7 +421,7 @@ class TestCheckBundle:
         monkeypatch.setattr(MPoly, "evaluate", spy)
         assert all(r.passed for r in check_bundles(ring, rank_theory(5), [7]))
         assert ring.products == PRODUCTS_AT_RANK_FIVE
-        flat = [(m, keys) for v, m, keys in memos if "c1" in v and v["c1"].is_zero()]
+        flat = [(m, keys) for v, m, keys in memos if len(v) == 5 and v[0].is_zero()]
         assert len(flat) == 1
         memo, seeded = flat[0]
         built = set(memo) - seeded
@@ -452,12 +454,11 @@ class TestCheckBundle:
         n = data.draw(st.integers(min_value=2, max_value=5))
         bundle = random_bundle(ring, n, data.draw(st.integers(0, 10**6)))
         polys = rank_theory(n).reduced + rank_theory(n).f_classes
-        values = {f"c{i}": c for i, c in enumerate(bundle, 1)}
         one = MPoly.one(ring)
         at_c = {}
         for p in polys:
-            p.evaluate(values, one, at_c)
-        flat = dict(values, c1=MPoly.zero(ring))
+            p.evaluate(bundle, one, at_c)
+        flat = [MPoly.zero(ring), *bundle[1:]]
         at_flat = {e: v for e, v in at_c.items() if not e[0]}
         images = [{}] + [c.terms for c in bundle[1:]]
 
@@ -549,10 +550,7 @@ class TestStackedSeeds:
             [(c * q).terms for c in random_bundle(ring, n, seed)]
             for seed, q in zip(seeds, scales)
         ]
-        values = {
-            f"c{i}": _stack(ring, [MPoly(ring, t[i - 1]) for t in images])
-            for i in range(1, n + 1)
-        }
+        values = [_stack(ring, [MPoly(ring, t[i]) for t in images]) for i in range(n)]
         got = p.evaluate(values, _stack(ring, [MPoly.one(ring)] * k))
 
         def reduce(t):
@@ -654,9 +652,9 @@ def relations_at_projective_points():
             for seed in range(5):
                 bundle = random_bundle(ring, n, seed)
                 ext = ProjectiveBundleRing(ring, bundle)
-                values = {f"c{i}": ext.element([c]) for i, c in enumerate(bundle, 1)}
-                values["t"] = ext.element([MPoly.zero(ring), MPoly.one(ring)])
-                yield ext, chern.twist(n)[n - 1].evaluate(values, MPoly.one(ext))
+                point = [ext.element([c]) for c in bundle]
+                point.append(ext.element([MPoly.zero(ring), MPoly.one(ring)]))
+                yield ext, chern.twist(n)[n - 1].evaluate(point, MPoly.one(ext))
 
 
 def test_evaluate_at_projective_points_gives_the_relation():

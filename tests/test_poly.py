@@ -83,7 +83,7 @@ class TestMultiplyInto:
 
     def test_evaluate_drops_a_cancelled_coefficient(self):
         image = (xp("x1") * xp("x2")).evaluate(
-            {"x1": xp("x1") - xp("x2"), "x2": xp("x1") + xp("x2")}, MPoly.one(X2)
+            [xp("x1") - xp("x2"), xp("x1") + xp("x2")], MPoly.one(X2)
         )
         # x1^2 - x2^2, with no zero left at x1 x2
         assert image.terms == {(2, 0): 1, (0, 2): -1}
@@ -93,24 +93,24 @@ class TestSubstitute:
     def test_shifted_roots_sum_to_zero(self):
         half = Fraction(1, 2)
         s = xp("x1") + xp("x2")
-        shift = {name: xp(name) - half * s for name in ("x1", "x2")}
+        shift = [xp(name) - half * s for name in ("x1", "x2")]
         assert s.evaluate(shift, MPoly.one(X2)).is_zero()
 
     def test_identity_assignment(self):
         p = xp("c1", C2)
-        identity = {"c1": xp("c1", C2), "c2": xp("c2", C2)}
+        identity = [xp("c1", C2), xp("c2", C2)]
         assert p.evaluate(identity, MPoly.one(C2)) == p
 
     def test_collapse_to_one_variable(self):
         t = VarTable([("t", 1)])
         tt = MPoly.variable(t, "t")
         p = xp("x1") * xp("x2")
-        assert p.evaluate({"x1": tt, "x2": tt}, MPoly.one(t)) == tt**2
+        assert p.evaluate([tt, tt], MPoly.one(t)) == tt**2
 
     def test_unassigned_variable(self):
         p = xp("x1") + xp("x2")
         with pytest.raises(ValueError):
-            p.evaluate({"x1": xp("x1")}, MPoly.one(X2))
+            p.evaluate([xp("x1"), None], MPoly.one(X2))
 
 
 class TestGradedComponent:
@@ -148,10 +148,7 @@ def test_ring_axioms(p, q, r):
 @settings(max_examples=40)
 @given(mpolys(X2, max_terms=4, max_exp=2), mpolys(X2, max_terms=4, max_exp=2))
 def test_substitution_is_a_homomorphism(p, q):
-    images = {
-        "x1": xp("x1") + 2 * xp("x2"),
-        "x2": xp("x1") * xp("x2") - 1,
-    }
+    images = [xp("x1") + 2 * xp("x2"), xp("x1") * xp("x2") - 1]
     one = MPoly.one(X2)
     p_at, q_at = p.evaluate(images, one), q.evaluate(images, one)
     assert (p * q).evaluate(images, one) == p_at * q_at
@@ -256,10 +253,10 @@ def test_integral_sums_and_evaluations_are_stored_as_ints():
     half, three_halves = (MPoly.constant(point, Fraction(k, 2)) for k in (1, 3))
     one = MPoly.one(point)
     c1, c2 = xp("c1", C2), xp("c2", C2)
-    got = (c1 + c2).evaluate({"c1": half, "c2": half}, one)
+    got = (c1 + c2).evaluate([half, half], one)
     assert got.terms == {(): 1} and type(got.terms[()]) is int
     thirds = (c1 + c2) * Fraction(1, 3)
-    got = thirds.evaluate({"c1": three_halves, "c2": three_halves}, one)
+    got = thirds.evaluate([three_halves, three_halves], one)
     assert got.terms == {(): 1} and type(got.terms[()]) is int
 
 
@@ -278,9 +275,9 @@ def test_json_canonical_form():
 
 def test_substitute_agrees_with_naive_evaluation():
     p = 2 * xp("c1", C2) ** 2 - xp("c2", C2) + 3
-    values = {"c1": xp("x1") + xp("x2"), "c2": xp("x1") * xp("x2")}
+    values = [xp("x1") + xp("x2"), xp("x1") * xp("x2")]
     by_subs = p.evaluate(values, MPoly.one(X2))
-    by_naive = naive.nevaluate(p, [values["c1"].terms, values["c2"].terms], 2)
+    by_naive = naive.nevaluate(p, [v.terms for v in values], 2)
     assert by_subs.terms == by_naive
 
 
@@ -297,8 +294,8 @@ def toy_reduce(terms):
 
 
 def toy_point(images):
-    """c1 and c2 at the TOY elements with the reduced term dicts images."""
-    return {"c1": MPoly(TOY, images[0]), "c2": MPoly(TOY, images[1])}
+    """The point (c1, c2) at the TOY elements with the reduced term dicts images."""
+    return [MPoly(TOY, terms) for terms in images]
 
 
 def raw_toy_terms(coeffs=coefficients()):
@@ -314,7 +311,7 @@ class TestEvaluate:
     @settings(max_examples=60, deadline=None)
     @given(mpolys(X2, max_terms=6, max_exp=5), mpolys(Y2, 3, 2), mpolys(Y2, 3, 2))
     def test_at_mpoly_points(self, p, v1, v2):
-        got = p.evaluate({"x1": v1, "x2": v2}, MPoly.one(Y2))
+        got = p.evaluate([v1, v2], MPoly.one(Y2))
         assert got.terms == naive.nevaluate(p, [v1.terms, v2.terms], 2)
 
     @settings(max_examples=60, deadline=None)
@@ -333,7 +330,7 @@ class TestEvaluate:
     def test_one_shared_table_at_mpoly_points(self, polys, v1, v2):
         monomials = {}
         for p in polys:
-            got = p.evaluate({"x1": v1, "x2": v2}, MPoly.one(Y2), monomials)
+            got = p.evaluate([v1, v2], MPoly.one(Y2), monomials)
             assert got.terms == naive.nevaluate(p, [v1.terms, v2.terms], 2)
 
     @settings(max_examples=40, deadline=None)
@@ -365,39 +362,39 @@ class TestEvaluate:
         got = p.evaluate(values, MPoly.one(TOY))
         assert got.terms == naive.nevaluate(p, images, 2, toy_reduce)
         v1, v2 = data.draw(mpolys(Y2, 3, 2)), data.draw(mpolys(Y2, 3, 2))
-        got = p.evaluate({"c1": v1, "c2": v2}, MPoly.one(Y2))
+        got = p.evaluate([v1, v2], MPoly.one(Y2))
         assert got.terms == naive.nevaluate(p, [v1.terms, v2.terms], 2)
         q1, q2 = data.draw(coefficients()), data.draw(coefficients())
-        values = {"c1": MPoly.constant(Q, q1), "c2": MPoly.constant(Q, q2)}
+        values = [MPoly.constant(Q, q1), MPoly.constant(Q, q2)]
         got = p.evaluate(values, MPoly.one(Q))
         assert got.terms == naive.nevaluate(p, [{(): q1}, {(): q2}], 0)
 
     def test_cancellation_leaves_no_stored_zero(self):
         p = MPoly(X2, {(2, 0): Fraction(1, 2), (0, 1): Fraction(-1, 3), (1, 0): 1})
         z = MPoly.variable(Z1, "z")
-        got = p.evaluate({"x1": z, "x2": Fraction(3, 2) * z * z}, MPoly.one(Z1))
+        got = p.evaluate([z, Fraction(3, 2) * z * z], MPoly.one(Z1))
         assert got.terms == {(1,): 1}
-        got = p.evaluate({"x1": 2 * z, "x2": 6 * z * z + 6 * z}, MPoly.one(Z1))
+        got = p.evaluate([2 * z, 6 * z * z + 6 * z], MPoly.one(Z1))
         assert got.terms == {}
         h = TOY_A * 2 + TOY_B
-        got = p.evaluate({"x1": h, "x2": h * h * Fraction(3, 2) + h * 3}, MPoly.one(TOY))
+        got = p.evaluate([h, h * h * Fraction(3, 2) + h * 3], MPoly.one(TOY))
         assert got.terms == {}
-        values = {"x1": MPoly.constant(Q, 2), "x2": MPoly.constant(Q, 12)}
+        values = [MPoly.constant(Q, 2), MPoly.constant(Q, 12)]
         assert p.evaluate(values, MPoly.one(Q)).is_zero()
 
     def test_numerators_follow_a_replaced_terms_dict(self):
         # the integer numerators are kept per polynomial, never past its terms
         p = MPoly(X2, {(1, 0): Fraction(1, 2)})
         z = MPoly.variable(Z1, "z")
-        assert p.evaluate({"x1": z}, MPoly.one(Z1)) == z * Fraction(1, 2)
+        assert p.evaluate([z, None], MPoly.one(Z1)) == z * Fraction(1, 2)
         p.terms = {(0, 1): Fraction(2, 3), (0, 0): Fraction(1, 5)}
-        got = p.evaluate({"x2": z}, MPoly.one(Z1))
+        got = p.evaluate([None, z], MPoly.one(Z1))
         assert got == z * Fraction(2, 3) + Fraction(1, 5)
 
     def test_integral_coefficients_stay_ints(self):
         p = MPoly(C2, {(2, 0): 3, (1, 1): -2, (0, 1): 1, (0, 0): 5})
         a, b = TOY_A, TOY_B
-        values = {"c1": a * 2 + b, "c2": b * 3 - a * a}
+        values = [a * 2 + b, b * 3 - a * a]
         got = p.evaluate(values, MPoly.one(TOY))
         assert got.terms and all(type(c) is int for c in got.terms.values())
         halved = (p * Fraction(1, 2)).evaluate(values, MPoly.one(TOY))
@@ -405,7 +402,7 @@ class TestEvaluate:
         assert any(isinstance(c, Fraction) for c in halved.terms.values())
         # a sum that the common denominator divides comes back as an int
         q = MPoly(C2, {(2, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
-        got = q.evaluate({"c1": a * 2, "c2": b * 3}, MPoly.one(TOY))
+        got = q.evaluate([a * 2, b * 3], MPoly.one(TOY))
         assert got.terms == {(2, 0): 2, (0, 1): 1}
         assert all(type(c) is int for c in got.terms.values())
 
@@ -413,10 +410,10 @@ class TestEvaluate:
         p = MPoly(X2, {(41, 0): 1, (20, 22): Fraction(-3, 2), (0, 45): 2, (3, 3): 5})
         v1 = 1 + MPoly.variable(Z1, "z")
         v2 = MPoly.variable(Z1, "z") - 2
-        got = p.evaluate({"x1": v1, "x2": v2}, MPoly.one(Z1))
+        got = p.evaluate([v1, v2], MPoly.one(Z1))
         assert got.terms == naive.nevaluate(p, [v1.terms, v2.terms], 1)
         a, b = TOY_A, TOY_B
-        got = p.evaluate({"x1": a + b, "x2": b}, MPoly.one(TOY))
+        got = p.evaluate([a + b, b], MPoly.one(TOY))
         assert got.terms == naive.nevaluate(p, [(a + b).terms, b.terms], 2, toy_reduce)
 
     @pytest.mark.parametrize("shared", (False, True))
@@ -426,17 +423,31 @@ class TestEvaluate:
         monomials = {} if shared else None
         z = MPoly.variable(Z1, "z")
         if shared:
-            MPoly(X2, {(1, 0): 1}).evaluate({"x1": z}, MPoly.one(Z1), monomials)
+            MPoly(X2, {(1, 0): 1}).evaluate([z, None], MPoly.one(Z1), monomials)
         with pytest.raises(ValueError, match="variable 'x2' has no value"):
-            p.evaluate({"x1": z}, MPoly.one(Z1), monomials)
+            p.evaluate([z, None], MPoly.one(Z1), monomials)
+        # a point without a slot for x2 names the table, not the variable
+        with pytest.raises(ValueError, match=r"length 1 for VarTable\(x1:1, x2:1\)"):
+            p.evaluate([z], MPoly.one(Z1), monomials)
+
+    def test_a_point_is_one_value_per_variable_in_table_order(self):
+        z = MPoly.variable(Z1, "z")
+        p = MPoly(X2, {(2, 0): 1, (0, 0): 3})
+        # values[i] is the value of variable i; x2 occurs in no term
+        assert p.evaluate([z, None], MPoly.one(Z1)) == z * z + 3
+        assert MPoly.variable(X2, "x2").evaluate([z, 2 * z], MPoly.one(Z1)) == 2 * z
+        with pytest.raises(ValueError, match="point of length 3 for"):
+            p.evaluate([z, z, z], MPoly.one(Z1))
+        with pytest.raises(TypeError, match="mapping"):
+            p.evaluate({"x1": z, "x2": z}, MPoly.one(Z1))
 
     def test_monomials_deeper_than_the_recursion_limit(self):
         p = MPoly(X2, {(1500, 0): 1, (2, 1): 1})
         z = MPoly.variable(Z1, "z")
-        got = p.evaluate({"x1": z, "x2": 2 * z}, MPoly.one(Z1))
+        got = p.evaluate([z, 2 * z], MPoly.one(Z1))
         assert got == MPoly(Z1, {(1500,): 1, (3,): 2})
         a = TOY_A
-        assert p.evaluate({"x1": a, "x2": a * 2}, MPoly.one(TOY)) == a**3 * 2
+        assert p.evaluate([a, a * 2], MPoly.one(TOY)) == a**3 * 2
 
 
 class TestRendering:

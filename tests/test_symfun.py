@@ -264,8 +264,7 @@ class TestExpressInElementary:
         )
         q = truncate(MPoly(cvt, terms), 8)
         expanded = q.evaluate(
-            {f"c{i}": elementary_symmetric(i, n) for i in range(1, n + 1)},
-            MPoly.one(x_vars(n)),
+            [elementary_symmetric(i, n) for i in range(1, n + 1)], MPoly.one(x_vars(n))
         )
         assert express_in_elementary(expanded) == q
 

@@ -268,6 +268,24 @@ def failing_ranks(results, identity):
     return {r.rank for r in failed}
 
 
+def test_c1f_zero_catches_a_symmetric_power_twisted_twice(monkeypatch):
+    # the forms m.x - 2 p_1 are the roots of Sym^n E (x) det^-2, whose first
+    # class is -C(2n-1, n) c_1, not 0; phi at its classes misses the reduced
+    # classes as well
+    def twisted_twice(n):
+        series = symfun.forms_series(n, 2)
+        return tuple(symfun.elementary_from_power_sums(series))
+
+    monkeypatch.setattr(chern, "sym_power_det_inverse_chern", twisted_twice)
+    results = verify.suite_phi_roundtrip(max_rank=4)
+    assert failing_ranks(results, "c1F-zero") == {2, 3, 4}
+    witnesses = {r.rank: r.witness for r in results if r.identity == "c1F-zero"}
+    for n, count in ((2, 3), (3, 10), (4, 35)):
+        assert witnesses[n] == -count * MPoly.variable(c_vars(n), "c1")
+    assert failing_ranks(results, "phi-roundtrip") == {2, 3, 4}
+    assert sum(r.identity == "phi-roundtrip" and not r.passed for r in results) == 6
+
+
 def test_formula_agreement_catches_a_corrupted_formula(monkeypatch):
     honest = chern.reduced_chern_formula
 
@@ -388,7 +406,7 @@ def test_c1_zero_cannot_see_corruption_in_the_c1_ideal(monkeypatch):
 
 def memos_by_point(monkeypatch, run):
     """The monomial memos that MPoly.evaluate receives while run() runs,
-    keyed by the identity of the point (the values mapping)."""
+    keyed by the identity of the point (the values sequence)."""
     honest = MPoly.evaluate
     seen = {}
 
@@ -412,7 +430,7 @@ def test_each_point_shares_one_monomial_memo(monkeypatch):
 
     def phi_at_sym_powers():
         for n in range(2, 7):
-            universal.brauer_reduced(n, chern.sym_power_det_inverse_chern(n)[1:])
+            universal.brauer_reduced(chern.sym_power_det_inverse_chern(n)[1:])
 
     runs = {
         "twist": (lambda: verify.suite_twist(6), [n for n in range(2, 7) for _ in "lr"]),
