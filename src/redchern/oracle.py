@@ -25,12 +25,12 @@ bundles of all its seeds into one element of R (x) Q^k, whose
 coefficients are SeedVectors with one slot per seed, so each polynomial
 is evaluated once per ring and rank for every seed; each identity is
 then compared slot by slot, and only a failing slot is taken apart to
-find its witness.  It keeps one monomial table per evaluation point, so
-a monomial such as c1^2 is built once for all the polynomials evaluated
-there; the c1 = 0 point starts from the monomials free of c1.  Random
-classes have integer coefficients, and they stay ints for as long as the
-polynomials evaluated at them have integral coefficients or the sums
-divide exactly.  The projective-bundle tag is checked seed by seed.
+find its witness.  Each point takes one MPoly.evaluate call for all the
+polynomials evaluated there, so a monomial such as c1^2 is built once
+for all of them.  Random classes have integer coefficients, and they
+stay ints for as long as the polynomials evaluated at them have
+integral coefficients or the sums divide exactly.  The projective-bundle
+tag is checked seed by seed.
 
 Gradings are algebraic throughout: deg c_i = i and the projective-bundle
 class xi has degree 1 (no topological doubling).
@@ -332,7 +332,9 @@ def check_bundles(
     coefficients; the twist point appends the line t, the c1 = 0 point is
     (0, c_2, ..., c_n), and phi's point is the f-classes from f_2 on.  Both
     sides of each identity are evaluated once for all seeds, independently,
-    in the ring, with one monomial table per evaluation point.  Each
+    in the ring, in five MPoly.evaluate calls, one per point: the reduced
+    classes and f-classes at c, the twisted classes, the reduced classes
+    at those and at the c1 = 0 point, and phi.  Each
     identity is compared slot by slot, and a failing seed reports the
     first differing graded component of its own slot as witness.  The
     projective-bundle tag is checked on each seed's own bundle.  Passing a
@@ -344,30 +346,21 @@ def check_bundles(
     bundles = [random_bundle(ring, n, seed) for seed in seeds]
     values = [_stack(ring, [classes[i] for classes in bundles]) for i in range(n)]
     one = _stack(ring, [MPoly.one(ring)] * k)
-    at_c = {}
-    reduced = [p.evaluate(values, one, at_c) for p in theory.reduced]
-    f_values = [p.evaluate(values, one, at_c) for p in theory.f_classes]
+    at_c = list(MPoly.evaluate(theory.reduced + theory.f_classes, values, one))
+    reduced, f_values = at_c[:n], at_c[n:]
 
     lines = [ring.random_element(1, random.Random((seed + 1) << 4)) for seed in seeds]
     tv = [*values, _stack(ring, lines)]
-    at_ct = {}
-    twisted = [p.evaluate(tv, one, at_ct) for p in theory.twisted]
-    at_twisted = {}
-    twist = _first_failures(
-        zip([p.evaluate(twisted, one, at_twisted) for p in theory.reduced], reduced), k
-    )
+    twisted = list(MPoly.evaluate(theory.twisted, tv, one))
+    at_twisted = MPoly.evaluate(theory.reduced, twisted, one)
+    twist = _first_failures(zip(at_twisted, reduced), k)
 
     # at c1 = 0 the reduced classes must give the point's own 0, c2, ..., cn
     flat = [MPoly.zero(ring), *values[1:]]
-    at_flat = {e: v for e, v in at_c.items() if not e[0]}
-    c1_zero = _first_failures(
-        zip([p.evaluate(flat, one, at_flat) for p in theory.reduced], flat), k
-    )
+    c1_zero = _first_failures(zip(MPoly.evaluate(theory.reduced, flat, one), flat), k)
 
-    at_u = {}
-    phi_roundtrip = _first_failures(
-        zip([p.evaluate(f_values[1:], one, at_u) for p in theory.phi], reduced[1:]), k
-    )
+    phi_at_f = MPoly.evaluate(theory.phi, f_values[1:], one)
+    phi_roundtrip = _first_failures(zip(phi_at_f, reduced[1:]), k)
     c1f_zero = _first_failures([(f_values[0], MPoly.zero(ring))], k)
 
     results = []
@@ -404,6 +397,8 @@ class ProjectiveBundleRing(VarTable):
     def __init__(self, base: ToyRing, classes: Sequence[MPoly]):
         if not classes:
             raise ValueError("a bundle needs at least one class")
+        if not all(base == c.table for c in classes):
+            raise ValueError(f"the classes of a bundle over {base!r} must be over it")
         super().__init__(base.pairs + (("xi", 1),))
         self.base = base
         self.classes = tuple(classes)

@@ -32,7 +32,7 @@ import json
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -327,80 +327,75 @@ class MPoly:
 
     # ---- evaluation ----
 
-    def evaluate(
-        self,
-        values: Sequence,
-        one,
-        monomials: dict[Exponents, dict] | None = None,
-    ):
-        """Evaluate in any commutative ring; this is the one ring map.
+    @staticmethod
+    def evaluate(polys: Sequence["MPoly"], values: Sequence, one) -> Iterator:
+        """The values of polys at one point, in order; this is the one ring map.
 
-        values is the point: values[i] is the value of variable i of this
-        table, or None for no value, which raises ValueError only when a
-        term needs it; a point of another length raises ValueError, and a
-        mapping TypeError.  `one` is the ring identity.  The ring is
-        `one.table`: the free ring of a VarTable (a rational number is a
-        constant over VarTable(())) or a quotient such as a toy ring.  Its
-        multiply_into(out, a, b) adds a product of term dicts into out, and
-        every product of the evaluation goes through it; all work is on
-        term dicts and only the value returned is wrapped.  A point's
-        coefficients may be ints, Fractions, or any type with +, * and a
-        truth value that divides itself exactly by an int, such as the
-        per-seed vectors of oracle.check_bundles; no float is ever formed.
-        Each distinct monomial is built once, as a smaller monomial times
-        one variable.  The coefficients are read as integers over their
-        common denominator; every integer times its monomial's terms is
-        added into one dict, and each sum is divided by the denominator
-        once with exact_quotient, so an int sum that the denominator
-        divides stays an int and a polynomial with integral coefficients
-        keeps a point's int coefficients as ints; an integral Fraction
-        that is returned becomes an int (integral_as_int).
-
-        monomials is the memo of monomial term dicts, keyed by exponent
-        tuple; its dicts are shared, never modified.  By default it lives
-        for one call; a caller that evaluates several polynomials over this
-        table at the same values may pass one dict it owns to all of them,
-        and each monomial is then built once for all.
+        polys is a sequence over one table, and values is the point:
+        values[i] is the value of variable i, or None for no value, which
+        raises ValueError naming the variable when a term first needs it.
+        Mixed tables and a point of another length raise ValueError, and a
+        mapping TypeError, at the call.  The values come lazily, as map()
+        gives them: each is computed when it is taken, and a slot is read
+        when a monomial first needs it, so a caller may fill a None slot
+        between two values.  `one` is the ring identity and the ring is
+        `one.table`, free (a rational number is a constant over
+        VarTable(())) or a quotient such as a toy ring; every product goes
+        through its multiply_into(out, a, b) on term dicts, and only the
+        values returned are wrapped.  A point's coefficients may be ints,
+        Fractions, or any type with +, * and a truth value that divides
+        itself exactly by an int, such as oracle.SeedVector; no float is
+        ever formed.  Each distinct monomial is built once per call, as a
+        smaller monomial times one variable.  A polynomial's coefficients
+        are read as integers over their common denominator; every integer
+        times its monomial's terms is added into one dict, and each sum is
+        divided by the denominator once with exact_quotient, so an int sum
+        that the denominator divides stays an int and integral polynomials
+        keep a point's int coefficients as ints; an integral Fraction that
+        is returned becomes an int (integral_as_int).
         """
         if isinstance(values, Mapping):
             raise TypeError("a point is a sequence in table order, not a mapping")
-        names = self.table.names
-        if len(values) != len(names):
-            raise ValueError(f"point of length {len(values)} for {self.table!r}")
+        for p in polys:
+            polys[0]._check(p)
+        if polys and len(values) != len(polys[0].table):
+            raise ValueError(f"point of length {len(values)} for {polys[0].table!r}")
         ring = one.table
         unit = one.terms
-        if monomials is None:
-            monomials = {}
-        monomials.setdefault((0,) * len(names), unit)
-        den = lcm(*[c.denominator for c in self.terms.values()])
-        acc: dict = {}
-        for exps, c in self.terms.items():
-            # walk down to a known monomial, then multiply back up
-            chain = []
-            cur = exps
-            while (value := monomials.get(cur)) is None:
-                i = cur.index(next(filter(None, cur)))
-                chain.append((cur, i))
-                cur = cur[:i] + (cur[i] - 1,) + cur[i + 1:]
-            for mono, i in reversed(chain):
-                factor = values[i]
-                if factor is None:
-                    raise ValueError(f"variable {names[i]!r} has no value")
-                one._check(factor)
-                value = monomials[mono] = (
-                    factor.terms
-                    if value is unit
-                    else ring.multiply_into({}, value, factor.terms)
-                )
-            k = c.numerator * (den // c.denominator)
-            for e, v in value.items():
-                acc[e] = acc.get(e, 0) + k * v
-        terms = {
-            e: integral_as_int(exact_quotient(c, den) if den > 1 else c)
-            for e, c in acc.items()
-            if c
-        }
-        return MPoly._wrap(ring, terms)
+        monomials = {(0,) * len(values): unit}
+
+        def value_of(p: "MPoly") -> "MPoly":
+            den = lcm(*[c.denominator for c in p.terms.values()])
+            acc: dict = {}
+            for exps, c in p.terms.items():
+                # walk down to a known monomial, then multiply back up
+                chain = []
+                cur = exps
+                while (value := monomials.get(cur)) is None:
+                    i = cur.index(next(filter(None, cur)))
+                    chain.append((cur, i))
+                    cur = cur[:i] + (cur[i] - 1,) + cur[i + 1:]
+                for mono, i in reversed(chain):
+                    factor = values[i]
+                    if factor is None:
+                        raise ValueError(f"variable {p.table.names[i]!r} has no value")
+                    one._check(factor)
+                    value = monomials[mono] = (
+                        factor.terms
+                        if value is unit
+                        else ring.multiply_into({}, value, factor.terms)
+                    )
+                k = c.numerator * (den // c.denominator)
+                for e, v in value.items():
+                    acc[e] = acc.get(e, 0) + k * v
+            terms = {
+                e: integral_as_int(exact_quotient(c, den) if den > 1 else c)
+                for e, c in acc.items()
+                if c
+            }
+            return MPoly._wrap(ring, terms)
+
+        return map(value_of, polys)
 
     # ---- serialization ----
 

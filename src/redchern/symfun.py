@@ -223,7 +223,7 @@ def elementary_from_power_sums(series: MPoly) -> list[MPoly]:
     if series.table != _power_sum_vars(n):
         raise ValueError(f"series must be in p1..p{n}")
     table = c_vars(n)
-    in_c = series.evaluate(_power_sums_in_elementary(n), MPoly.one(table))
+    (in_c,) = MPoly.evaluate([series], _power_sums_in_elementary(n), MPoly.one(table))
     power_sums = [in_c.graded_component(k) * factorial(k) for k in range(1, n + 1)]
     sigmas = [MPoly.one(table)]
     for r in range(1, n + 1):

@@ -87,37 +87,31 @@ def solve_psi(n: int) -> UniversalPolys:
     s_list = s_in_elementary(n)
     count = comb(2 * n - 1, n)
     cvt, svt, uvt = c_vars(n), s_vars(n), u_vars(n)
-    leads = []
+    leads, rests = [], []
     for r, s_r in enumerate(s_list, start=1):
-        lead = s_r.coefficient(cvt.unit(r - 1))
+        unit = cvt.unit(r - 1)
+        lead = s_r.coefficient(unit)
         if lead == 0:
             raise InternalInconsistencyError(
                 f"s_{r} at rank {n} has no c_{r} component"
             )
         leads.append(lead)
+        # s_r on the slice c_1 = 0, less its lead term
+        on_slice = {e: c for e, c in s_r.terms.items() if e[0] == 0 and e != unit}
+        rests.append(MPoly(cvt, on_slice))
     slice_point: list = [None] * n
-    slice_monomials: dict = {}
-    for r in range(2, n + 1):
-        unit = cvt.unit(r - 1)
-        rest = MPoly(
-            cvt,
-            {e: c for e, c in s_list[r - 1].terms.items() if e[0] == 0 and e != unit},
-        )
-        rest_u = rest.evaluate(slice_point, MPoly.one(uvt), slice_monomials)
+    # phi_r fills slot r - 1 before rest_{r+1}, which may need it, is taken
+    one_u = MPoly.one(uvt)
+    for r, rest_u in enumerate(MPoly.evaluate(rests[1:], slice_point, one_u), start=2):
         slice_point[r - 1] = (MPoly.variable(uvt, f"u{r}") - rest_u) * (
             Fraction(1) / leads[r - 1]
         )
     phi = tuple(slice_point[1:])
     s = [MPoly.variable(svt, f"s{j}") for j in range(1, n + 1)]
     sigma = twisted_classes(s, count, s[0] * Fraction(-1, count))
-    sigma_monomials: dict = {}
-    shifted = [MPoly.zero(svt)] + [
-        p.evaluate(sigma[1:], MPoly.one(svt), sigma_monomials) for p in phi
-    ]
+    shifted = [MPoly.zero(svt), *MPoly.evaluate(phi, sigma[1:], MPoly.one(svt))]
     psi = twisted_classes(shifted, n, s[0] * Fraction(1, n * count))
-    monomials: dict = {}
-    for r in range(1, n + 1):
-        back = psi[r - 1].evaluate(s_list, MPoly.one(cvt), monomials)
+    for r, back in enumerate(MPoly.evaluate(psi, s_list, MPoly.one(cvt)), start=1):
         if back != MPoly.variable(cvt, f"c{r}"):
             raise InternalInconsistencyError(
                 f"psi_{r} at rank {n} fails the round trip through s(c)"
@@ -139,13 +133,11 @@ def brauer_reduced(pushforward_classes: Sequence) -> list:
     The inputs, phi's point, are MPolys over any commutative coefficient
     ring (a VarTable's free ring or a toy ring), and the rank n is their
     count plus one.  phi is evaluated in their ring, whose one is MPoly.one
-    of their table; when they are the classes of the twisted symmetric
-    power of a bundle, the output is that bundle's reduced classes.  The
-    n - 1 evaluations share one monomial memo.
+    of their table, in one call; when they are the classes of the twisted
+    symmetric power of a bundle, the output is that bundle's reduced
+    classes.
     """
     n = len(pushforward_classes) + 1
     ensure_rank(n)
-    ups = compute_phi(n)
     one = MPoly.one(pushforward_classes[0].table)
-    monomials: dict = {}
-    return [p.evaluate(pushforward_classes, one, monomials) for p in ups.phi]
+    return list(MPoly.evaluate(compute_phi(n).phi, pushforward_classes, one))

@@ -213,7 +213,8 @@ def reduce_hom(q):
     n = len(q.table)
     if q.table != c_vars(n):
         raise ValueError("reduce_hom expects a polynomial over the free c-variables")
-    return q.evaluate(shifted_root_sigma(n), MPoly.one(q.table))
+    (reduced,) = MPoly.evaluate([q], shifted_root_sigma(n), MPoly.one(q.table))
+    return reduced
 
 
 # ---- symmetric polynomials in root variables, built on the package ----
@@ -538,8 +539,9 @@ def back_substitute(s_list):
         lead = s_c.coefficient(unit)
         leads.append(lead)
         rest = s_c - MPoly(cvt, {unit: lead})
-        rest_s = rest.evaluate(psi + [None] * (n - len(psi)), MPoly.one(svt))
+        point = psi + [None] * (n - len(psi))
+        (rest_s,) = MPoly.evaluate([rest], point, MPoly.one(svt))
         psi.append((MPoly.variable(svt, f"s{r}") - rest_s) * (Fraction(1) / lead))
     at_slice = [MPoly.zero(uvt)] + [MPoly.variable(uvt, name) for name in uvt.names]
-    phi = [p.evaluate(at_slice, MPoly.one(uvt)) for p in psi[1:]]
+    phi = list(MPoly.evaluate(psi[1:], at_slice, MPoly.one(uvt)))
     return psi, phi, leads

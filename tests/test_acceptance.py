@@ -73,20 +73,16 @@ def test_criterion_3_characterization():
             table = c_vars(n)
             point = [MPoly.zero(table)]
             point += [MPoly.variable(table, f"c{i}") for i in range(2, n + 1)]
-            for r in range(1, n + 1):
-                expected = (
-                    MPoly.variable(table, f"c{r}") if r > 1 else MPoly.zero(table)
-                )
-                rc = shifted_root_sigma(n)[r - 1]
-                assert rc.evaluate(point, MPoly.one(table)) == expected
+            got = MPoly.evaluate(shifted_root_sigma(n), point, MPoly.one(table))
+            assert list(got) == point
         # (b) substituting twisted classes leaves the class t-free, ranks 2..4
         for n in range(2, 5):
             twisted = twist(n)
             one = MPoly.one(twisted[0].table)
             identity = [MPoly.variable(one.table, f"c{i}") for i in range(1, n + 1)]
-            for r in range(1, n + 1):
-                rc = shifted_root_sigma(n)[r - 1]
-                assert rc.evaluate(twisted, one) == rc.evaluate(identity, one)
+            reduced = shifted_root_sigma(n)
+            at_twisted = list(MPoly.evaluate(reduced, twisted, one))
+            assert at_twisted == list(MPoly.evaluate(reduced, identity, one))
         # (c) adding any multiple of c1 is erased, 50 seeded draws per (n, j)
         rng = random.Random(20230317)
         for n in range(2, 5):
@@ -117,9 +113,8 @@ def _pipeline_checks(n, expected_count):
         unit = c_vars(n).unit(i - 1)
         assert s_list[i - 1].coefficient(unit) == ups.lead[i - 1]
         assert ups.s[i - 1] == s_list[i - 1].graded_component(i)
-    for r in range(1, n + 1):
-        back = ups.psi[r - 1].evaluate(s_list, MPoly.one(c_vars(n)))
-        assert back == MPoly.variable(c_vars(n), f"c{r}")
+    back = MPoly.evaluate(ups.psi, s_list, MPoly.one(c_vars(n)))
+    assert list(back) == [MPoly.variable(c_vars(n), f"c{r}") for r in range(1, n + 1)]
 
 
 def test_criterion_4_generator_pipeline():
@@ -173,7 +168,7 @@ def test_criterion_6_toy_ring_transfer():
         assert all(count >= 20 for count in per_key.values())
         assert {k[0] for k in per_key} == set(oracle.IDENTITY_TAGS)
         # mutation sensitivity: a single perturbed coefficient must be caught
-        ring = oracle.ToyRing(*verify.TOY_RING_SPECS[1])
+        ring = oracle.ToyRing(*verify.toy_ring_specs(4)[1])
         for n in range(2, 5):
             bad_phi = corrupt(oracle.rank_theory(n), "phi", 0)
             assert any(

@@ -231,6 +231,44 @@ def test_no_private_name_taken_from_another_module(path):
     assert private_names_taken(path.read_text(encoding="utf-8")) == []
 
 
+def evaluate_calls_off_the_class(source: str) -> list[str]:
+    """The calls of an attribute `evaluate` not looked up as MPoly.evaluate,
+    with their lines.
+
+    MPoly.evaluate takes its polynomials as its first argument.  A tracer
+    that replaces the class attribute with a plain function, as
+    perfbench/tracer.py does, would bind an instance call's instance to
+    that argument instead, so every call goes through the class.
+    """
+    return [
+        f"{ast.unparse(node.func)} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "evaluate"
+        and _dotted(node.func) != "MPoly.evaluate"
+    ]
+
+
+def test_an_evaluate_call_off_the_class_is_found():
+    source = (
+        "from redchern.poly import MPoly\n"
+        "a = MPoly.evaluate([p], v, one)\n"
+        "b = p.evaluate([p], v, one)\n"
+        "c = evaluate(v)\n"
+        "d = rings[0].evaluate([p], v, one)\n"
+    )
+    assert evaluate_calls_off_the_class(source) == [
+        "p.evaluate (line 3)",
+        "rings[0].evaluate (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_evaluate_call_goes_through_the_class(path):
+    assert evaluate_calls_off_the_class(path.read_text(encoding="utf-8")) == []
+
+
 # the package modules and classes that head the dotted names README.md cites
 DOC_HEADS = {
     head.__name__.split(".")[-1]: head
@@ -272,7 +310,7 @@ def doc_name_drift(text: str) -> list[str]:
     and the backticked calls whose argument count their signature rejects.
 
     An instance method cited through its class, as in
-    MPoly.evaluate(values, one), is bound with its self as well.
+    MPoly.graded_component(d), is bound with its self as well.
     """
     found = []
     for match in doc_names(text):
@@ -303,13 +341,16 @@ def test_a_drifted_doc_name_is_found():
     text = (
         "```\nsrc/\n  a `fenced` block\n```\n"
         "`universal.brauer_reduced(n, classes)` and `universal.brauer_reduced`,\n"
-        "`chern.no_such_name`, `MPoly.evaluate(point, one)`, `MPoly.one(ring)`,\n"
+        "`chern.no_such_name`, `MPoly.evaluate(polys, point, one)`,\n"
+        "`MPoly.one(ring)`, `MPoly.graded_component(d)`,\n"
+        "`MPoly.evaluate(point, one)`,\n"
         "`oracle.check_bundles(ring,\n theory, seeds)`, `chern.twist()`,\n"
         "`poly.add_terms(f(a, b), {1: 2})`, `foo.bar(1)` and `redchern verify`"
     )
     assert doc_name_drift(text) == [
         "universal.brauer_reduced(n, classes): 2 arguments do not bind",
         "chern.no_such_name: no such name",
+        "MPoly.evaluate(point, one): 2 arguments do not bind",
         "chern.twist(): 0 arguments do not bind",
     ]
 

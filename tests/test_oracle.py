@@ -33,8 +33,10 @@ CURVES_SPEC = ("two-curves", [("h1", 1), ("h2", 1)], [{"h1": 2}, {"h2": 2}], 8)
 RICH_SPEC = ("rich", [("a", 1), ("b", 2)], [{"a": 5}, {"b": 3}], 10)
 
 
-# the toy-rings suite's catalog and the rings of these tests
-ALL_SPECS = (*verify.TOY_RING_SPECS, RICH_SPEC, CURVES_SPEC, P2_SPEC)
+# the toy-rings suite's catalog at max rank 5 and the rings of these tests
+CATALOG = verify.toy_ring_specs(5)
+TWO_LINES_SPEC = CATALOG[1]
+ALL_SPECS = (*CATALOG, RICH_SPEC, CURVES_SPEC, P2_SPEC)
 
 
 def check_identity(tag, ring, rank, seed, theory=None):
@@ -153,7 +155,7 @@ class TestToyElements:
                 with pytest.raises(ValueError, match="mismatched"):
                     op(y, x)
             with pytest.raises(ValueError, match="mismatched"):
-                x.evaluate([y] * len(x.table), MPoly.one(x.table))
+                list(MPoly.evaluate([x], [y] * len(x.table), MPoly.one(x.table)))
 
     def test_json_uses_mpoly_schema(self):
         ring = ToyRing(*CURVES_SPEC)
@@ -344,7 +346,7 @@ class TestCheckIdentity:
         ],
     )
     def test_corrupted_theory_fails_with_witness(self, tag, corrupt):
-        ring = ToyRing(*verify.TOY_RING_SPECS[1])
+        ring = ToyRing(*TWO_LINES_SPEC)
         for n in range(2, 5):
             bad = corrupt(rank_theory(n))
             assert bad != rank_theory(n)
@@ -356,7 +358,7 @@ class TestCheckIdentity:
             assert all(r.witness is not None and not r.witness.is_zero() for r in failed)
 
     def test_failing_report_line_pinned(self):
-        ring = ToyRing(*verify.TOY_RING_SPECS[1])
+        ring = ToyRing(*TWO_LINES_SPEC)
         bad = corrupt(rank_theory(3), "phi", 0)
         result = check_identity("phi-roundtrip", ring, 3, 0, theory=bad)
         line = json.dumps(result.to_json_obj(), separators=(",", ":"))
@@ -407,25 +409,23 @@ class TestCheckBundle:
 
     def test_products_counted_and_c1_free_monomials_reused(self, monkeypatch):
         # one fixed rank-5 bundle: every base-ring product is counted, and
-        # the c1 = 0 point takes its monomials free of c1 from the c point
-        ring = ProductCountingRing(*verify.TOY_RING_SPECS[1])
-        rank_theory(5)
-        memos = []  # (values, memo, the memo's keys when first passed)
+        # each of the five points is one MPoly.evaluate call; the c1 = 0
+        # point's monomials free of c1 are c2..c5 themselves, which cost no
+        # product, so no table needs to carry them over from the c point
+        ring = ProductCountingRing(*TWO_LINES_SPEC)
+        theory = rank_theory(5)
+        points = []  # each point's length and whether its first value is zero
         honest = MPoly.evaluate
 
-        def spy(self, values, one, monomials=None):
-            if monomials is not None and all(m is not monomials for _, m, _ in memos):
-                memos.append((values, monomials, set(monomials)))
-            return honest(self, values, one, monomials)
+        def spy(polys, values, one):
+            points.append((len(values), values[0].is_zero()))
+            return honest(polys, values, one)
 
         monkeypatch.setattr(MPoly, "evaluate", spy)
-        assert all(r.passed for r in check_bundles(ring, rank_theory(5), [7]))
+        assert all(r.passed for r in check_bundles(ring, theory, [7]))
         assert ring.products == PRODUCTS_AT_RANK_FIVE
-        flat = [(m, keys) for v, m, keys in memos if len(v) == 5 and v[0].is_zero()]
-        assert len(flat) == 1
-        memo, seeded = flat[0]
-        built = set(memo) - seeded
-        assert built and all(e[0] > 0 for e in built)
+        # c, (c, t), the twisted classes, the c1 = 0 point and the f-classes
+        assert points == [(5, False), (6, False), (5, False), (5, True), (4, False)]
 
     def test_a_block_of_seeds_is_evaluated_once(self, monkeypatch):
         # the suite checks each ring and rank in one call over its 20 seeds,
@@ -450,25 +450,21 @@ class TestCheckBundle:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_memo_carried_to_c1_zero_matches_fresh_and_naive(self, data):
+        # one call over the reduced and f-classes at the c1 = 0 point, with
+        # one monomial table for all of them, against the naive route
         ring, degrees, patterns, top = data.draw(random_rings())
         n = data.draw(st.integers(min_value=2, max_value=5))
         bundle = random_bundle(ring, n, data.draw(st.integers(0, 10**6)))
         polys = rank_theory(n).reduced + rank_theory(n).f_classes
-        one = MPoly.one(ring)
-        at_c = {}
-        for p in polys:
-            p.evaluate(bundle, one, at_c)
         flat = [MPoly.zero(ring), *bundle[1:]]
-        at_flat = {e: v for e, v in at_c.items() if not e[0]}
         images = [{}] + [c.terms for c in bundle[1:]]
 
         def reduce(t):
             return naive.ntruncate(t, degrees, patterns, top)
 
-        for p in polys:
-            carried = p.evaluate(flat, one, at_flat)
-            assert carried == p.evaluate(flat, one)
-            assert carried.terms == naive.nevaluate(p, images, len(degrees), reduce)
+        got = MPoly.evaluate(polys, flat, MPoly.one(ring))
+        for p, value in zip(polys, got, strict=True):
+            assert value.terms == naive.nevaluate(p, images, len(degrees), reduce)
 
     def test_mutations_fail_as_with_one_bundle_per_tag(self):
         # Every failing (mutation, rank, seed, tag) with its witness, pinned
@@ -476,7 +472,7 @@ class TestCheckBundle:
         # evaluated the reduced classes itself.  Sharing the bundle and its
         # evaluations across tags, and stacking the suite's 20 seeds into
         # one evaluation, must hide no mutation from any tag and seed.
-        ring = ToyRing(*verify.TOY_RING_SPECS[1])
+        ring = ToyRing(*TWO_LINES_SPEC)
         # each field with the degree of its first entry
         fields = (("phi", 2), ("reduced", 1), ("twisted", 1), ("f_classes", 1))
         records, failing_tags = [], {}
@@ -551,7 +547,7 @@ class TestStackedSeeds:
             for seed, q in zip(seeds, scales)
         ]
         values = [_stack(ring, [MPoly(ring, t[i]) for t in images]) for i in range(n)]
-        got = p.evaluate(values, _stack(ring, [MPoly.one(ring)] * k))
+        (got,) = MPoly.evaluate([p], values, _stack(ring, [MPoly.one(ring)] * k))
 
         def reduce(t):
             return naive.ntruncate(t, degrees, patterns, top)
@@ -582,6 +578,23 @@ class TestProjectiveBundleRing:
         assert ProjectiveBundleRing(ring, random_bundle(ring, 3, seed=0)).rank == 3
         with pytest.raises(ValueError):
             ProjectiveBundleRing(ring, ())
+
+    def test_rejects_classes_that_are_not_over_the_base(self):
+        # classes of another two-generator ring would be read as the base's
+        # monomials, and free-ring classes have no row in its table
+        ring, other = ToyRing(*RICH_SPEC), ToyRing(*CURVES_SPEC)
+        free = VarTable(ring.pairs)
+        foreign = (
+            random_bundle(other, 2, seed=0),
+            (MPoly.variable(free, "a"), MPoly.variable(free, "b")),
+            (MPoly.one(ring), MPoly.one(other)),
+        )
+        for classes in foreign:
+            with pytest.raises(ValueError, match=r"over ToyRing\('rich'\)"):
+                ProjectiveBundleRing(ring, classes)
+        # an equal ring built again is the same base
+        bundle = random_bundle(ToyRing(*RICH_SPEC), 2, seed=0)
+        assert ProjectiveBundleRing(ring, bundle).rank == 2
 
     def test_rank_two_doubles_dimensions(self):
         ring = ToyRing("h3", [("h", 1)], [{"h": 3}], 8)
@@ -646,7 +659,7 @@ def relations_at_projective_points():
     twisted top class is xi^n + c_1 xi^(n-1) + ... + c_n, the relation
     that defines P(E).
     """
-    for spec in verify.TOY_RING_SPECS:
+    for spec in CATALOG:
         ring = ToyRing(*spec)
         for n in range(2, 6):
             for seed in range(5):
@@ -654,7 +667,8 @@ def relations_at_projective_points():
                 ext = ProjectiveBundleRing(ring, bundle)
                 point = [ext.element([c]) for c in bundle]
                 point.append(ext.element([MPoly.zero(ring), MPoly.one(ring)]))
-                yield ext, chern.twist(n)[n - 1].evaluate(point, MPoly.one(ext))
+                (top,) = MPoly.evaluate(chern.twist(n)[n - 1:], point, MPoly.one(ext))
+                yield ext, top
 
 
 def test_evaluate_at_projective_points_gives_the_relation():

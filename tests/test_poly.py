@@ -82,9 +82,8 @@ class TestMultiplyInto:
         assert (diff * total).terms == {(2, 0): 1, (0, 2): -1}
 
     def test_evaluate_drops_a_cancelled_coefficient(self):
-        image = (xp("x1") * xp("x2")).evaluate(
-            [xp("x1") - xp("x2"), xp("x1") + xp("x2")], MPoly.one(X2)
-        )
+        point = [xp("x1") - xp("x2"), xp("x1") + xp("x2")]
+        (image,) = MPoly.evaluate([xp("x1") * xp("x2")], point, MPoly.one(X2))
         # x1^2 - x2^2, with no zero left at x1 x2
         assert image.terms == {(2, 0): 1, (0, 2): -1}
 
@@ -94,23 +93,24 @@ class TestSubstitute:
         half = Fraction(1, 2)
         s = xp("x1") + xp("x2")
         shift = [xp(name) - half * s for name in ("x1", "x2")]
-        assert s.evaluate(shift, MPoly.one(X2)).is_zero()
+        (image,) = MPoly.evaluate([s], shift, MPoly.one(X2))
+        assert image.is_zero()
 
     def test_identity_assignment(self):
         p = xp("c1", C2)
         identity = [xp("c1", C2), xp("c2", C2)]
-        assert p.evaluate(identity, MPoly.one(C2)) == p
+        assert list(MPoly.evaluate([p], identity, MPoly.one(C2))) == [p]
 
     def test_collapse_to_one_variable(self):
         t = VarTable([("t", 1)])
         tt = MPoly.variable(t, "t")
         p = xp("x1") * xp("x2")
-        assert p.evaluate([tt, tt], MPoly.one(t)) == tt**2
+        assert list(MPoly.evaluate([p], [tt, tt], MPoly.one(t))) == [tt**2]
 
     def test_unassigned_variable(self):
         p = xp("x1") + xp("x2")
         with pytest.raises(ValueError):
-            p.evaluate([xp("x1"), None], MPoly.one(X2))
+            list(MPoly.evaluate([p], [xp("x1"), None], MPoly.one(X2)))
 
 
 class TestGradedComponent:
@@ -150,9 +150,9 @@ def test_ring_axioms(p, q, r):
 def test_substitution_is_a_homomorphism(p, q):
     images = [xp("x1") + 2 * xp("x2"), xp("x1") * xp("x2") - 1]
     one = MPoly.one(X2)
-    p_at, q_at = p.evaluate(images, one), q.evaluate(images, one)
-    assert (p * q).evaluate(images, one) == p_at * q_at
-    assert (p + q).evaluate(images, one) == p_at + q_at
+    p_at, q_at, pq_at, sum_at = MPoly.evaluate([p, q, p * q, p + q], images, one)
+    assert pq_at == p_at * q_at
+    assert sum_at == p_at + q_at
 
 
 def test_float_coefficients_rejected():
@@ -253,10 +253,10 @@ def test_integral_sums_and_evaluations_are_stored_as_ints():
     half, three_halves = (MPoly.constant(point, Fraction(k, 2)) for k in (1, 3))
     one = MPoly.one(point)
     c1, c2 = xp("c1", C2), xp("c2", C2)
-    got = (c1 + c2).evaluate([half, half], one)
+    (got,) = MPoly.evaluate([c1 + c2], [half, half], one)
     assert got.terms == {(): 1} and type(got.terms[()]) is int
     thirds = (c1 + c2) * Fraction(1, 3)
-    got = thirds.evaluate([three_halves, three_halves], one)
+    (got,) = MPoly.evaluate([thirds], [three_halves, three_halves], one)
     assert got.terms == {(): 1} and type(got.terms[()]) is int
 
 
@@ -276,7 +276,7 @@ def test_json_canonical_form():
 def test_substitute_agrees_with_naive_evaluation():
     p = 2 * xp("c1", C2) ** 2 - xp("c2", C2) + 3
     values = [xp("x1") + xp("x2"), xp("x1") * xp("x2")]
-    by_subs = p.evaluate(values, MPoly.one(X2))
+    (by_subs,) = MPoly.evaluate([p], values, MPoly.one(X2))
     by_naive = naive.nevaluate(p, [v.terms for v in values], 2)
     assert by_subs.terms == by_naive
 
@@ -311,14 +311,14 @@ class TestEvaluate:
     @settings(max_examples=60, deadline=None)
     @given(mpolys(X2, max_terms=6, max_exp=5), mpolys(Y2, 3, 2), mpolys(Y2, 3, 2))
     def test_at_mpoly_points(self, p, v1, v2):
-        got = p.evaluate([v1, v2], MPoly.one(Y2))
+        (got,) = MPoly.evaluate([p], [v1, v2], MPoly.one(Y2))
         assert got.terms == naive.nevaluate(p, [v1.terms, v2.terms], 2)
 
     @settings(max_examples=60, deadline=None)
     @given(mpolys(C2, max_terms=6, max_exp=5), st.data())
     def test_at_toy_ring_points(self, p, data):
         images = [toy_reduce(data.draw(raw_toy_terms())) for _ in range(2)]
-        got = p.evaluate(toy_point(images), MPoly.one(TOY))
+        (got,) = MPoly.evaluate([p], toy_point(images), MPoly.one(TOY))
         assert got.terms == naive.nevaluate(p, images, 2, toy_reduce)
 
     @settings(max_examples=40, deadline=None)
@@ -328,20 +328,17 @@ class TestEvaluate:
         mpolys(Y2, 3, 2),
     )
     def test_one_shared_table_at_mpoly_points(self, polys, v1, v2):
-        monomials = {}
-        for p in polys:
-            got = p.evaluate([v1, v2], MPoly.one(Y2), monomials)
-            assert got.terms == naive.nevaluate(p, [v1.terms, v2.terms], 2)
+        got = MPoly.evaluate(polys, [v1, v2], MPoly.one(Y2))
+        for p, value in zip(polys, got, strict=True):
+            assert value.terms == naive.nevaluate(p, [v1.terms, v2.terms], 2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(mpolys(C2, max_terms=6, max_exp=4), min_size=2, max_size=4), st.data())
     def test_one_shared_table_at_toy_ring_points(self, polys, data):
         images = [toy_reduce(data.draw(raw_toy_terms())) for _ in range(2)]
-        values = toy_point(images)
-        monomials = {}
-        for p in polys:
-            got = p.evaluate(values, MPoly.one(TOY), monomials)
-            assert got.terms == naive.nevaluate(p, images, 2, toy_reduce)
+        got = MPoly.evaluate(polys, toy_point(images), MPoly.one(TOY))
+        for p, value in zip(polys, got, strict=True):
+            assert value.terms == naive.nevaluate(p, images, 2, toy_reduce)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -358,51 +355,52 @@ class TestEvaluate:
         p = MPoly(C2, terms)
         ints = raw_toy_terms(st.integers(-3, 3).filter(bool))
         images = [toy_reduce(data.draw(s)) for s in (ints, ints | raw_toy_terms())]
-        values = toy_point(images)
-        got = p.evaluate(values, MPoly.one(TOY))
+        (got,) = MPoly.evaluate([p], toy_point(images), MPoly.one(TOY))
         assert got.terms == naive.nevaluate(p, images, 2, toy_reduce)
         v1, v2 = data.draw(mpolys(Y2, 3, 2)), data.draw(mpolys(Y2, 3, 2))
-        got = p.evaluate([v1, v2], MPoly.one(Y2))
+        (got,) = MPoly.evaluate([p], [v1, v2], MPoly.one(Y2))
         assert got.terms == naive.nevaluate(p, [v1.terms, v2.terms], 2)
         q1, q2 = data.draw(coefficients()), data.draw(coefficients())
         values = [MPoly.constant(Q, q1), MPoly.constant(Q, q2)]
-        got = p.evaluate(values, MPoly.one(Q))
+        (got,) = MPoly.evaluate([p], values, MPoly.one(Q))
         assert got.terms == naive.nevaluate(p, [{(): q1}, {(): q2}], 0)
 
     def test_cancellation_leaves_no_stored_zero(self):
         p = MPoly(X2, {(2, 0): Fraction(1, 2), (0, 1): Fraction(-1, 3), (1, 0): 1})
         z = MPoly.variable(Z1, "z")
-        got = p.evaluate([z, Fraction(3, 2) * z * z], MPoly.one(Z1))
+        (got,) = MPoly.evaluate([p], [z, Fraction(3, 2) * z * z], MPoly.one(Z1))
         assert got.terms == {(1,): 1}
-        got = p.evaluate([2 * z, 6 * z * z + 6 * z], MPoly.one(Z1))
+        (got,) = MPoly.evaluate([p], [2 * z, 6 * z * z + 6 * z], MPoly.one(Z1))
         assert got.terms == {}
         h = TOY_A * 2 + TOY_B
-        got = p.evaluate([h, h * h * Fraction(3, 2) + h * 3], MPoly.one(TOY))
+        point = [h, h * h * Fraction(3, 2) + h * 3]
+        (got,) = MPoly.evaluate([p], point, MPoly.one(TOY))
         assert got.terms == {}
         values = [MPoly.constant(Q, 2), MPoly.constant(Q, 12)]
-        assert p.evaluate(values, MPoly.one(Q)).is_zero()
+        (got,) = MPoly.evaluate([p], values, MPoly.one(Q))
+        assert got.is_zero()
 
     def test_numerators_follow_a_replaced_terms_dict(self):
         # the integer numerators are kept per polynomial, never past its terms
         p = MPoly(X2, {(1, 0): Fraction(1, 2)})
         z = MPoly.variable(Z1, "z")
-        assert p.evaluate([z, None], MPoly.one(Z1)) == z * Fraction(1, 2)
+        (got,) = MPoly.evaluate([p], [z, None], MPoly.one(Z1))
+        assert got == z * Fraction(1, 2)
         p.terms = {(0, 1): Fraction(2, 3), (0, 0): Fraction(1, 5)}
-        got = p.evaluate([None, z], MPoly.one(Z1))
+        (got,) = MPoly.evaluate([p], [None, z], MPoly.one(Z1))
         assert got == z * Fraction(2, 3) + Fraction(1, 5)
 
     def test_integral_coefficients_stay_ints(self):
         p = MPoly(C2, {(2, 0): 3, (1, 1): -2, (0, 1): 1, (0, 0): 5})
         a, b = TOY_A, TOY_B
         values = [a * 2 + b, b * 3 - a * a]
-        got = p.evaluate(values, MPoly.one(TOY))
+        got, halved = MPoly.evaluate([p, p * Fraction(1, 2)], values, MPoly.one(TOY))
         assert got.terms and all(type(c) is int for c in got.terms.values())
-        halved = (p * Fraction(1, 2)).evaluate(values, MPoly.one(TOY))
         assert halved * 2 == got
         assert any(isinstance(c, Fraction) for c in halved.terms.values())
         # a sum that the common denominator divides comes back as an int
         q = MPoly(C2, {(2, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
-        got = q.evaluate([a * 2, b * 3], MPoly.one(TOY))
+        (got,) = MPoly.evaluate([q], [a * 2, b * 3], MPoly.one(TOY))
         assert got.terms == {(2, 0): 2, (0, 1): 1}
         assert all(type(c) is int for c in got.terms.values())
 
@@ -410,44 +408,83 @@ class TestEvaluate:
         p = MPoly(X2, {(41, 0): 1, (20, 22): Fraction(-3, 2), (0, 45): 2, (3, 3): 5})
         v1 = 1 + MPoly.variable(Z1, "z")
         v2 = MPoly.variable(Z1, "z") - 2
-        got = p.evaluate([v1, v2], MPoly.one(Z1))
+        (got,) = MPoly.evaluate([p], [v1, v2], MPoly.one(Z1))
         assert got.terms == naive.nevaluate(p, [v1.terms, v2.terms], 1)
         a, b = TOY_A, TOY_B
-        got = p.evaluate([a + b, b], MPoly.one(TOY))
+        (got,) = MPoly.evaluate([p], [a + b, b], MPoly.one(TOY))
         assert got.terms == naive.nevaluate(p, [(a + b).terms, b.terms], 2, toy_reduce)
 
     @pytest.mark.parametrize("shared", (False, True))
     def test_missing_variable_raises(self, shared):
-        # x2 occurs only in the second term, past a monomial already built
+        # x2 occurs only in the second term, past a monomial already built;
+        # shared, a value taken before p's has built x1 in the same table
         p = MPoly(X2, {(2, 0): 1, (1, 1): 3})
-        monomials = {} if shared else None
+        polys = [MPoly(X2, {(1, 0): 1}), p] if shared else [p]
         z = MPoly.variable(Z1, "z")
+        values = MPoly.evaluate(polys, [z, None], MPoly.one(Z1))
         if shared:
-            MPoly(X2, {(1, 0): 1}).evaluate([z, None], MPoly.one(Z1), monomials)
+            assert next(values) == z
         with pytest.raises(ValueError, match="variable 'x2' has no value"):
-            p.evaluate([z, None], MPoly.one(Z1), monomials)
+            next(values)
         # a point without a slot for x2 names the table, not the variable
         with pytest.raises(ValueError, match=r"length 1 for VarTable\(x1:1, x2:1\)"):
-            p.evaluate([z], MPoly.one(Z1), monomials)
+            MPoly.evaluate(polys, [z], MPoly.one(Z1))
 
     def test_a_point_is_one_value_per_variable_in_table_order(self):
         z = MPoly.variable(Z1, "z")
         p = MPoly(X2, {(2, 0): 1, (0, 0): 3})
         # values[i] is the value of variable i; x2 occurs in no term
-        assert p.evaluate([z, None], MPoly.one(Z1)) == z * z + 3
-        assert MPoly.variable(X2, "x2").evaluate([z, 2 * z], MPoly.one(Z1)) == 2 * z
+        assert list(MPoly.evaluate([p], [z, None], MPoly.one(Z1))) == [z * z + 3]
+        x2 = MPoly.variable(X2, "x2")
+        assert list(MPoly.evaluate([x2], [z, 2 * z], MPoly.one(Z1))) == [2 * z]
         with pytest.raises(ValueError, match="point of length 3 for"):
-            p.evaluate([z, z, z], MPoly.one(Z1))
+            MPoly.evaluate([p], [z, z, z], MPoly.one(Z1))
         with pytest.raises(TypeError, match="mapping"):
-            p.evaluate({"x1": z, "x2": z}, MPoly.one(Z1))
+            MPoly.evaluate([p], {"x1": z, "x2": z}, MPoly.one(Z1))
+
+    def test_a_slot_filled_between_values_is_read(self):
+        # the slice solve's pattern: x2 gets its value from the first value
+        # taken, before the second, which needs it, is taken
+        z = MPoly.variable(Z1, "z")
+        point = [z, None]
+        polys = [xp("x1") * 2, xp("x1") ** 2 * xp("x2")]
+        values = MPoly.evaluate(polys, point, MPoly.one(Z1))
+        point[1] = next(values) + 1
+        assert next(values) == z * z * (2 * z + 1)
+        assert list(values) == []
+
+    def test_tables_lengths_and_mappings_raise_at_the_call(self):
+        z = MPoly.variable(Z1, "z")
+        one = MPoly.one(Z1)
+        with pytest.raises(ValueError, match="mismatched variable tables"):
+            MPoly.evaluate([xp("x1"), xp("c1", C2)], [z, z], one)
+        with pytest.raises(ValueError, match="point of length 1 for"):
+            MPoly.evaluate([xp("x1"), xp("x2")], [z], one)
+        with pytest.raises(TypeError, match="mapping"):
+            MPoly.evaluate([xp("x1")], {0: z, 1: z}, one)
+
+    def test_only_a_reached_none_raises(self):
+        z = MPoly.variable(Z1, "z")
+        one = MPoly.one(Z1)
+        unreached = MPoly.evaluate([xp("x1"), xp("x1") ** 2], [z, None], one)
+        assert list(unreached) == [z, z * z]
+        reached = MPoly.evaluate([xp("x1"), xp("x2"), xp("x1")], [z, None], one)
+        assert next(reached) == z
+        with pytest.raises(ValueError, match="variable 'x2' has no value"):
+            next(reached)
+
+    def test_no_polys_give_nothing(self):
+        z = MPoly.variable(Z1, "z")
+        assert list(MPoly.evaluate([], [z, None], MPoly.one(Z1))) == []
+        assert list(MPoly.evaluate((), [], MPoly.one(Z1))) == []
 
     def test_monomials_deeper_than_the_recursion_limit(self):
         p = MPoly(X2, {(1500, 0): 1, (2, 1): 1})
         z = MPoly.variable(Z1, "z")
-        got = p.evaluate([z, 2 * z], MPoly.one(Z1))
+        (got,) = MPoly.evaluate([p], [z, 2 * z], MPoly.one(Z1))
         assert got == MPoly(Z1, {(1500,): 1, (3,): 2})
         a = TOY_A
-        assert p.evaluate([a, a * 2], MPoly.one(TOY)) == a**3 * 2
+        assert list(MPoly.evaluate([p], [a, a * 2], MPoly.one(TOY))) == [a**3 * 2]
 
 
 class TestRendering:

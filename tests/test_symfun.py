@@ -263,9 +263,8 @@ class TestExpressInElementary:
             )
         )
         q = truncate(MPoly(cvt, terms), 8)
-        expanded = q.evaluate(
-            [elementary_symmetric(i, n) for i in range(1, n + 1)], MPoly.one(x_vars(n))
-        )
+        sigmas = [elementary_symmetric(i, n) for i in range(1, n + 1)]
+        (expanded,) = MPoly.evaluate([q], sigmas, MPoly.one(x_vars(n)))
         assert express_in_elementary(expanded) == q
 
 

@@ -71,11 +71,10 @@ class TestSInElementary:
     def test_rank_two_against_naive_subsets(self):
         forms = [naive.nlinear(2, m) for m in ((2, 0), (0, 2), (1, 1))]
         s1, s2 = s_in_elementary(2)
-        for r, s_c in ((1, s1), (2, s2)):
-            expanded = s_c.evaluate(
-                [elementary_symmetric(i, 2) for i in (1, 2)], MPoly.one(x_vars(2))
-            )
-            assert expanded.terms == naive.nsigma_of_forms(forms, r, 2)
+        sigmas = [elementary_symmetric(i, 2) for i in (1, 2)]
+        expanded = MPoly.evaluate([s1, s2], sigmas, MPoly.one(x_vars(2)))
+        for r, value in enumerate(expanded, start=1):
+            assert value.terms == naive.nsigma_of_forms(forms, r, 2)
 
     def test_lead_is_root_count(self):
         for n in (2, 3, 4):
@@ -94,8 +93,9 @@ class TestSInElementary:
         chain = MPoly(x_vars(n), expand_linear_chain(y_roots(n).compositions, n, n))
         sigmas = [elementary_symmetric(i, n) for i in range(1, n + 1)]
         one = MPoly.one(x_vars(n))
-        for r, s_c in enumerate(s_in_elementary(n), start=1):
-            assert s_c.evaluate(sigmas, one) == chain.graded_component(r)
+        expanded = MPoly.evaluate(s_in_elementary(n), sigmas, one)
+        for r, value in enumerate(expanded, start=1):
+            assert value == chain.graded_component(r)
 
 
 class TestSolvePsi:
@@ -142,9 +142,8 @@ class TestSolvePsi:
         for n in (2, 3, 4):
             ups = solve_psi(n)
             s_list = s_in_elementary(n)
-            for r in range(1, n + 1):
-                back = ups.psi[r - 1].evaluate(s_list, MPoly.one(c_vars(n)))
-                assert back == MPoly.variable(c_vars(n), f"c{r}")
+            back = MPoly.evaluate(ups.psi, s_list, MPoly.one(c_vars(n)))
+            assert list(back) == [MPoly.variable(c_vars(n), c) for c in c_vars(n).names]
 
     def test_leads_positive_and_triangular(self):
         for n in (2, 3, 4):
@@ -195,9 +194,8 @@ class TestSolvePsi:
         assert all(c > 0 for c in ups.lead)
         assert ups.lead[0] == 126
         s_list = s_in_elementary(5)
-        for r in range(1, 6):
-            back = ups.psi[r - 1].evaluate(s_list, MPoly.one(c_vars(5)))
-            assert back == MPoly.variable(c_vars(5), f"c{r}")
+        back = MPoly.evaluate(ups.psi, s_list, MPoly.one(c_vars(5)))
+        assert list(back) == [MPoly.variable(c_vars(5), c) for c in c_vars(5).names]
         product = MPoly(
             x_vars(5), expand_linear_chain(y_roots(5).compositions, 5, 5)
         )
@@ -268,10 +266,11 @@ class TestComputePhi:
 
     def test_no_constant_term(self):
         for n in (2, 3, 4):
-            for phi in compute_phi(n).phi:
-                assert phi.coefficient((0,) * (n - 1)) == 0
-                zero = [MPoly.zero(u_vars(n))] * (n - 1)
-                assert phi.evaluate(zero, MPoly.one(u_vars(n))).is_zero()
+            phis = compute_phi(n).phi
+            assert all(phi.coefficient((0,) * (n - 1)) == 0 for phi in phis)
+            zero = [MPoly.zero(u_vars(n))] * (n - 1)
+            at_zero = MPoly.evaluate(phis, zero, MPoly.one(u_vars(n)))
+            assert all(value.is_zero() for value in at_zero)
 
     def test_main_round_trip(self):
         for n in (2, 3, 4):
@@ -320,11 +319,10 @@ class TestBrauerReduced:
         bundle = oracle.random_bundle(ring, 3, seed=5)
         one = MPoly.one(ring)
         f_classes = sym_power_det_inverse_chern(3)
-        toy_f = [f_classes[k].evaluate(bundle, one) for k in (1, 2)]
+        toy_f = list(MPoly.evaluate(f_classes[1:], bundle, one))
         recovered = brauer_reduced(toy_f)
-        for i in (2, 3):
-            expected = shifted_root_sigma(3)[i - 1].evaluate(bundle, one)
-            assert recovered[i - 2] == expected
+        expected = MPoly.evaluate(shifted_root_sigma(3)[1:], bundle, one)
+        assert recovered == list(expected)
 
 
 class TestGeneration:
@@ -343,10 +341,8 @@ class TestGeneration:
                 for lam in rng.sample(pool, min(3, len(pool))):
                     p = p + monomial_symmetric(lam, n) * rng.randint(-3, 3)
                 q_c = express_in_elementary(p)
-                q_s = q_c.evaluate(ups.psi, MPoly.one(s_vars(n)))
-                back_c = q_s.evaluate(s_list, MPoly.one(c_vars(n)))
-                expanded = back_c.evaluate(
-                    [elementary_symmetric(i, n) for i in range(1, n + 1)],
-                    MPoly.one(x_vars(n)),
-                )
+                (q_s,) = MPoly.evaluate([q_c], ups.psi, MPoly.one(s_vars(n)))
+                (back_c,) = MPoly.evaluate([q_s], s_list, MPoly.one(c_vars(n)))
+                sigmas = [elementary_symmetric(i, n) for i in range(1, n + 1)]
+                (expanded,) = MPoly.evaluate([back_c], sigmas, MPoly.one(x_vars(n)))
                 assert expanded == p

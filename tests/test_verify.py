@@ -2,6 +2,7 @@
 
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,48 @@ def test_toy_rings_draws_each_bundle_once(monkeypatch):
     assert all(r.passed for r in results)
     assert len(draws) == 240
     assert len(set(draws)) == 240
+
+
+def bump_phi(n, j):
+    """rank_theory(n) with u_j/7 added to phi_j."""
+    theory = oracle.rank_theory(n)
+    phi = list(theory.phi)
+    phi[j - 2] = phi[j - 2] + MPoly.variable(phi[0].table, f"u{j}") * Fraction(1, 7)
+    return replace(theory, phi=tuple(phi))
+
+
+@pytest.mark.parametrize("j", (8, 12))
+def test_toy_rings_see_every_degree_up_to_the_max_rank(j):
+    # at rank 12 only nilpotent-line, Q[h]/(h^13), is nonzero in degrees 8
+    # and 12, so it alone sees the bump, on every seed's phi round trip;
+    # the line of the rank-5 catalog, h^6 = 0, misses it
+    bad = bump_phi(12, j)
+    seeds = range(verify.TOY_SEED_COUNT)
+
+    def failures(max_rank):
+        rings = [oracle.ToyRing(*spec) for spec in verify.toy_ring_specs(max_rank)]
+        results = [r for ring in rings for r in oracle.check_bundles(ring, bad, seeds)]
+        assert len(results) == 300
+        return {(r.ring, r.identity, r.seed) for r in results if not r.passed}
+
+    assert failures(12) == {("nilpotent-line", "phi-roundtrip", s) for s in seeds}
+    assert failures(5) == set()
+
+
+def test_a_rank_n_toy_check_is_the_same_at_every_max_rank_from_n():
+    # a reproduce command reruns a toy check at --max-rank n, where
+    # nilpotent-line is cut at h^(n+1); its report, witnesses included,
+    # is the one of the larger run
+    n = 4
+    bad = corrupt(oracle.rank_theory(n), "reduced", n - 1)
+
+    def report(max_rank):
+        ring = oracle.ToyRing(*verify.toy_ring_specs(max_rank)[0])
+        results = oracle.check_bundles(ring, bad, range(verify.TOY_SEED_COUNT))
+        return [json.dumps(r.to_json_obj()) for r in results]
+
+    assert report(n) == report(9)
+    assert any('"fail"' in line for line in report(n))
 
 
 @pytest.fixture
@@ -404,44 +447,42 @@ def test_c1_zero_cannot_see_corruption_in_the_c1_ideal(monkeypatch):
     assert failing_ranks(results, "formula-agreement") == {2, 3, 4}
 
 
-def memos_by_point(monkeypatch, run):
-    """The monomial memos that MPoly.evaluate receives while run() runs,
-    keyed by the identity of the point (the values sequence)."""
+def evaluate_calls(monkeypatch, run):
+    """The number of polynomials of each MPoly.evaluate call while run() runs."""
     honest = MPoly.evaluate
-    seen = {}
+    calls = []
 
-    def spy(self, values, one, monomials=None):
-        # the point is kept alive, so no later point reuses its id
-        seen.setdefault(id(values), (values, []))[1].append(monomials)
-        return honest(self, values, one, monomials)
+    def spy(polys, values, one):
+        calls.append(len(polys))
+        return honest(polys, values, one)
 
     with monkeypatch.context() as patch:
         patch.setattr(MPoly, "evaluate", spy)
         run()
-    return [memos for _, memos in seen.values()]
+    return calls
 
 
 def test_each_point_shares_one_monomial_memo(monkeypatch):
+    # each point is one MPoly.evaluate call over all the polynomials taken
+    # there, so one monomial table serves them all: the twist suite makes
+    # two calls per rank, c1-zero one, brauer_reduced one, and each ring
+    # and rank of the toy suite five
     for n in range(2, 7):
-        chern.shifted_root_sigma(n)
-        chern.twist(n)
-        chern.sym_power_det_inverse_chern(n)
-        universal.compute_phi(n)
+        oracle.rank_theory(n)
 
     def phi_at_sym_powers():
         for n in range(2, 7):
             universal.brauer_reduced(chern.sym_power_det_inverse_chern(n)[1:])
 
+    toy_calls = [c for n in range(2, 5) for c in (2 * n, n, n, n, n - 1)] * 3
     runs = {
         "twist": (lambda: verify.suite_twist(6), [n for n in range(2, 7) for _ in "lr"]),
         "c1-zero": (lambda: verify.suite_c1_zero(6), list(range(2, 7))),
         "phi": (phi_at_sym_powers, list(range(1, 6))),
+        "toy-rings": (lambda: verify.suite_toy_rings(4, 0), toy_calls),
     }
     for name, (run, sizes) in runs.items():
-        memos = memos_by_point(monkeypatch, run)
-        assert sorted(map(len, memos)) == sorted(sizes), name
-        for calls in memos:
-            assert calls[0] is not None and all(m is calls[0] for m in calls), name
+        assert evaluate_calls(monkeypatch, run) == sizes, name
 
 
 def test_c1_zero_multiplies_each_monomial_once_per_rank(monkeypatch):
