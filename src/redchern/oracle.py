@@ -39,11 +39,10 @@ class xi has degree 1 (no topological doubling).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product, repeat
 from operator import add, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from redchern import chern, universal
 from redchern.poly import MPoly, VarTable, exact_quotient
@@ -178,8 +177,7 @@ def random_bundle(ring: ToyRing, n: int, seed) -> tuple[MPoly, ...]:
 # ---- the symbolic theory consumed by toy-ring checks ----
 
 
-@dataclass(frozen=True)
-class RankTheory:
+class RankTheory(NamedTuple):
     """All universal polynomials of one rank, ready for specialization."""
 
     rank: int
@@ -205,8 +203,7 @@ def rank_theory(n: int) -> RankTheory:
 IDENTITY_TAGS = ("twist", "c1-zero", "phi-roundtrip", "c1F-zero", "projective-bundle")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One verification outcome, serializable as a JSON report line."""
 
     identity: str

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 from redchern.poly import MPoly, VarTable, c_vars, format_rational
 
@@ -71,8 +71,7 @@ def partitions_of(d: int, max_parts: int) -> list[tuple[int, ...]]:
     return list(gen(d, d if d else 1, max_parts))
 
 
-@dataclass(frozen=True)
-class SymPolyInBasis:
+class SymPolyInBasis(NamedTuple):
     """Coordinates of a symmetric polynomial in the m-basis, keyed by partition."""
 
     coeffs: dict

@@ -25,11 +25,10 @@ of the forms of the shifted roots x_i - c_1/n, one back by c_1/n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from redchern import symfun
 from redchern.chern import ensure_rank, twisted_classes
@@ -46,8 +45,7 @@ def s_in_elementary(n: int) -> list[MPoly]:
     return symfun.elementary_from_power_sums(symfun.forms_series(n, 0))
 
 
-@dataclass(frozen=True)
-class UniversalPolys:
+class UniversalPolys(NamedTuple):
     """The solved system at one rank.
 
     s[r-1] is s_r in c1..cn, the system that was solved; phi[i-2] expresses

@@ -74,6 +74,67 @@ def test_help_names_the_rank_cap(runner, command):
     assert f"Permit ranks above {RANK_CAP}." in result.output
 
 
+# each command's options as --help renders them, with their help text
+OPTION_HELP = {
+    "formula": (
+        "-n RANK, --rank RANK Bundle rank n.",
+        "-r INDEX, --index INDEX Class index r.",
+        "--format {text,latex,json} [default: text]",
+        "--out OUT Output path (default stdout).",
+        f"--allow-large-rank Permit ranks above {RANK_CAP}.",
+    ),
+    "universal": (
+        "-n RANK, --rank RANK Bundle rank n.",
+        "--format {text,latex,json} [default: text]",
+        "--out OUT Output path (default stdout).",
+        f"--allow-large-rank Permit ranks above {RANK_CAP}.",
+    ),
+    "verify": (
+        "--suite {" + ",".join([*verify.SUITE_NAMES, "all"]) + "} [default: all]",
+        "--max-rank MAX_RANK [default: 4]",
+        "--seed SEED [default: 0]",
+        "--out OUT Report path (default stdout).",
+        f"--allow-large-rank Permit ranks above {RANK_CAP}.",
+    ),
+    "table": (
+        "--max-rank MAX_RANK [default: 4]",
+        "--out OUT Output path (default stdout).",
+        f"--allow-large-rank Permit ranks above {RANK_CAP}.",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_HELP))
+def test_help_lists_each_option_with_its_help_text(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    text = " ".join(result.stdout.split())
+    assert text.startswith(f"usage: redchern {command} ")
+    for line in OPTION_HELP[command]:
+        assert line in text
+    assert "--help Show this message and exit." in text
+    first_line = main.commands[command].__doc__.split("\n")[0]
+    assert first_line in " ".join(runner.invoke(main, ["--help"]).stdout.split())
+
+
+@pytest.mark.parametrize(
+    "args",
+    (
+        ["verify", "--max", "3"],  # an abbreviation of --max-rank
+        ["verify", "-h"],  # --help is the one help option
+        ["formula", "-n", "2", "-r", "1", "--allow-large-rank=1"],
+        ["formula", "-n", "2", "-r", "1", "extra"],
+        [],
+    ),
+)
+def test_argv_outside_the_options_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    # the error comes with the usage of the command it was given to
+    assert " ".join(["redchern", *args[:1]]) + ": error:" in result.stderr
+
+
 class TestUniversal:
     def test_rank_two_json(self, runner):
         result = runner.invoke(main, ["universal", "-n", "2", "--format", "json"])
@@ -376,16 +437,50 @@ print(json.dumps({"filled": filled, "rings": len(rings)}))
 """
 
 
+# Run in a fresh interpreter: prints the modules that importing the CLI adds.
+IMPORT_BUDGET_PROBE = """
+import json, sys
+before = set(sys.modules)
+import redchern.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def _run(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """A fresh interpreter's run of args, with the package on its path."""
+    src = str(Path(redchern.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, check=check)
+
+
+def test_importing_the_cli_loads_no_click_inspect_or_dataclasses():
+    # every CLI process pays for these imports; click, and inspect, which
+    # dataclasses imports too, were most of the CLI's start-up time
+    added = set(json.loads(_run("-c", IMPORT_BUDGET_PROBE).stdout))
+    assert "redchern.cli" in added
+    assert added.isdisjoint({"click", "inspect", "dataclasses"})
+
+
 def test_importing_the_cli_computes_nothing():
     # the CLI's start-up time is import time: no per-rank artifact is
     # cached and no toy ring or multiplication table is built before a command
-    src = str(Path(redchern.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert json.loads(out.stdout) == {"filled": [], "rings": 0}
+    assert json.loads(_run("-c", IMPORT_PROBE).stdout) == {"filled": [], "rings": 0}
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    (
+        (["verify", "--suite", "twist", "--max-rank", "3"], 0),
+        (["formula", "-n", "7", "-r", "1"], 2),
+    ),
+)
+def test_module_entry_matches_the_in_process_entry(capsysbinary, args, code):
+    # `python -m redchern.cli` is what the benchmark runs, and
+    # main.main(args=..., prog_name=...) is the call perfbench/tracer.py makes
+    proc = _run("-m", "redchern.cli", *args, check=False)
+    with pytest.raises(SystemExit) as exit_info:
+        main.main(args=args, prog_name="redchern")
+    captured = capsysbinary.readouterr()
+    assert proc.returncode == exit_info.value.code == code
+    assert proc.stdout == captured.out
+    assert proc.stderr.splitlines()[-1] == captured.err.splitlines()[-1]

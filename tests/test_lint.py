@@ -61,24 +61,14 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def _is_command(node) -> bool:
-    """Whether a definition carries a click decorator such as @main.command()."""
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
-            return True
-    return False
-
-
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """The module-level functions and classes, and the non-dunder methods of
     those classes, that no module references.
 
     sources maps module file names to their text.  A reference is a name
     read or an attribute looked up anywhere in the package; an import alone
-    is none.  Names in a module's __all__ and click commands in cli.py are
-    exempt: the package exports them.  Dunder methods are exempt: Python
-    calls them.
+    is none.  Names in a module's __all__ are exempt: the package exports
+    them.  Dunder methods are exempt: Python calls them.
     """
     trees = {name: ast.parse(source) for name, source in sources.items()}
     referenced = set()
@@ -96,8 +86,6 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     for name, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if name == "cli.py" and _is_command(node):
                 continue
             if node.name not in referenced:
                 found.append(f"{name}: {node.name} (line {node.lineno})")
@@ -125,16 +113,14 @@ def test_an_unreferenced_definition_is_found():
         ),
         "b.py": "from a import Orphan, Used\nimport a\nx = Used()\ny = a.orphan\n",
         "cli.py": (
-            "@click.group()\n"
-            "def main(): pass\n"
-            "@main.command('run')\n"
             "def run_cmd(): pass\n"
             "def stray(): pass\n"
+            "COMMANDS = {'run': run_cmd}\n"
         ),
     }
     assert unreferenced_definitions(sources) == [
         "a.py: Orphan (line 7)",
-        "cli.py: stray (line 5)",
+        "cli.py: stray (line 2)",
     ]
 
 

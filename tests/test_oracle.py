@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul, sub
@@ -51,7 +50,7 @@ def corrupt(theory, field, k):
     p = polys[k]
     exps = p.sorted_terms()[0][0] if p.terms else (0,) * len(p.table)
     polys[k] = p + MPoly(p.table, {exps: 1})
-    return replace(theory, **{field: tuple(polys)})
+    return theory._replace(**{field: tuple(polys)})
 
 
 class TestMakeToyRing:

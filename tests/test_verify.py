@@ -2,7 +2,6 @@
 
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -106,7 +105,7 @@ def bump_phi(n, j):
     theory = oracle.rank_theory(n)
     phi = list(theory.phi)
     phi[j - 2] = phi[j - 2] + MPoly.variable(phi[0].table, f"u{j}") * Fraction(1, 7)
-    return replace(theory, phi=tuple(phi))
+    return theory._replace(phi=tuple(phi))
 
 
 @pytest.mark.parametrize("j", (8, 12))
