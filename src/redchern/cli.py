@@ -93,22 +93,16 @@ def universal_cmd(rank, fmt, out, allow_large_rank):
     _emit(text, out)
 
 
-# identities reported under a suite of another name
-_SUITE_OF_IDENTITY = {"c1F-zero": "phi-roundtrip", "triangularity-e-to-m": "triangularity"}
-
-
 def reproduce_command(result) -> str:
     """The verify invocation whose report contains this check.
 
-    A toy check at (rank n, seed s) is in the toy-rings block that starts
-    at seed s and covers ranks 2..n; a symbolic check is in its suite at
-    max rank n, whatever the seed.
+    The check is in verify.suite_of(result) at max rank n, its rank; only
+    the toy-rings suite reads the seed, and its check at seed s is in the
+    block that starts at s.
     """
-    if result.ring == verify.SYMBOLIC:
-        suite = _SUITE_OF_IDENTITY.get(result.identity, result.identity)
-        args = ["--suite", suite, "--max-rank", str(result.rank)]
-    else:
-        args = ["--suite", "toy-rings", "--max-rank", str(result.rank)]
+    suite = verify.suite_of(result)
+    args = ["--suite", suite, "--max-rank", str(result.rank)]
+    if suite == "toy-rings":
         args += ["--seed", str(result.seed)]
     if result.rank > RANK_CAP:
         args.append("--allow-large-rank")

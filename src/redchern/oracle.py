@@ -165,8 +165,7 @@ class ToyRing(VarTable):
 
 def random_bundle(ring: ToyRing, n: int, seed) -> tuple[MPoly, ...]:
     """The classes c_1..c_n of a seeded random rank-n bundle, c_i drawn in degree i."""
-    if n < 2:
-        raise ValueError("rank must be >= 2")
+    chern.ensure_rank(n)
     if seed < 0:
         # random.Random reads a seed by its absolute value
         raise ValueError(f"seed {seed} is negative")

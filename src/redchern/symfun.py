@@ -2,8 +2,9 @@
 
 Symmetric polynomials live in partition coordinates and never in root
 variables.  The unitriangular e-to-m table (int counts of 0-1 matrices)
-maps e-coordinates to m-coordinates, and elementary_to_monomial is the one
-route to them.  The elementary symmetric functions of a family of root
+maps e-coordinates to m-coordinates in any number of variables, and
+elementary_to_monomial, which takes a partition only, is the one route
+to them.  The elementary symmetric functions of a family of root
 values come from the family's exponential power-sum series in p_1, p_2,
 ..., read off in closed form: each p_a is rewritten in c1..cn by Newton's
 identities, and Newton's identities again give e_r of the family.  No
@@ -125,15 +126,13 @@ def _e_to_m_table(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return table
 
 
-def elementary_to_monomial(lam, n: int) -> SymPolyInBasis:
-    """m-basis coordinates of e_lambda in n variables: the 0-1 matrix counts."""
-    lam = _check_partition(lam)
-    if len(lam) > n:
-        raise ValueError(f"partition {lam} has more than {n} parts")
-    if lam and lam[0] > n:
-        raise ValueError(f"part {lam[0]} exceeds the variable count {n}")
-    coeffs = {mu: c for mu, c in _e_to_m_table(lam).items() if len(mu) <= n}
-    return SymPolyInBasis(coeffs)
+def elementary_to_monomial(lam) -> SymPolyInBasis:
+    """m-basis coordinates of e_lambda: the 0-1 matrix counts.
+
+    In n variables, the partitions with more than n parts read as 0.  The
+    row is the cached table entry itself, shared by every caller.
+    """
+    return SymPolyInBasis(_e_to_m_table(_check_partition(lam)))
 
 
 def _power_sum_vars(n: int) -> VarTable:

@@ -39,24 +39,24 @@ class InternalInconsistencyError(RuntimeError):
     """A structural fact the triangular solve relies on failed to hold."""
 
 
-def s_in_elementary(n: int) -> list[MPoly]:
-    """s_1..s_n in c1..cn, from the forms' power-sum series."""
+@lru_cache(maxsize=None)
+def s_in_elementary(n: int) -> tuple[MPoly, ...]:
+    """s_1..s_n in c1..cn, from the forms' power-sum series, once per process."""
     ensure_rank(n)
-    return symfun.elementary_from_power_sums(symfun.forms_series(n, 0))
+    return tuple(symfun.elementary_from_power_sums(symfun.forms_series(n, 0)))
 
 
 class UniversalPolys(NamedTuple):
     """The solved system at one rank.
 
-    s[r-1] is s_r in c1..cn, the system that was solved; phi[i-2] expresses
-    c_i on the slice c_1 = 0 in u_j = s_j, and equals psi_i with s_1 = 0;
+    The system solved is s_in_elementary(rank); phi[i-2] expresses c_i on
+    the slice c_1 = 0 in u_j = s_j, and equals psi_i with s_1 = 0;
     psi[i-1] expresses c_i in s_1..s_n; lead[r-1] is the (positive)
     coefficient of c_r in s_r.
     """
 
     rank: int
     count: int
-    s: tuple[MPoly, ...]
     psi: tuple[MPoly, ...]
     phi: tuple[MPoly, ...]
     lead: tuple[int, ...]
@@ -114,9 +114,7 @@ def solve_psi(n: int) -> UniversalPolys:
             raise InternalInconsistencyError(
                 f"psi_{r} at rank {n} fails the round trip through s(c)"
             )
-    return UniversalPolys(
-        rank=n, count=count, s=tuple(s_list), psi=psi, phi=phi, lead=tuple(leads)
-    )
+    return UniversalPolys(rank=n, count=count, psi=psi, phi=phi, lead=tuple(leads))
 
 
 @lru_cache(maxsize=None)

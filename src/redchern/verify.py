@@ -39,19 +39,22 @@ def _result(identity, rank, ok, witness=None) -> CheckResult:
     )
 
 
-def _diff_witness(lhs: MPoly, rhs: MPoly):
-    diff = lhs - rhs
-    return None if diff.is_zero() else diff
+def _compare(identity, rank, lhs, rhs) -> list[CheckResult]:
+    """One check of lhs_i = rhs_i per pair; a failure's witness is lhs_i - rhs_i."""
+    results = []
+    for got, want in zip(lhs, rhs):
+        diff = got - want
+        ok = diff.is_zero()
+        results.append(_result(identity, rank, ok, None if ok else diff))
+    return results
 
 
 def suite_formula_agreement(max_rank: int, seed: int = 0) -> list[CheckResult]:
     """Closed binomial formula against the root definition, exactly."""
     results = []
     for n in range(2, max_rank + 1):
-        pairs = zip(chern.reduced_chern_formula(n), chern.shifted_root_sigma(n))
-        for formula, rc in pairs:
-            witness = _diff_witness(formula, rc)
-            results.append(_result("formula-agreement", n, witness is None, witness))
+        lhs, rhs = chern.reduced_chern_formula(n), chern.shifted_root_sigma(n)
+        results += _compare("formula-agreement", n, lhs, rhs)
     return results
 
 
@@ -68,9 +71,7 @@ def suite_twist(max_rank: int, seed: int = 0) -> list[CheckResult]:
         at_self = [MPoly.variable(table, name) for name in table.names[:n]]
         reduced = chern.shifted_root_sigma(n)
         lhs = MPoly.evaluate(reduced, twisted, one)
-        for got, rhs in zip(lhs, MPoly.evaluate(reduced, at_self, one)):
-            witness = _diff_witness(got, rhs)
-            results.append(_result("twist", n, witness is None, witness))
+        results += _compare("twist", n, lhs, MPoly.evaluate(reduced, at_self, one))
     return results
 
 
@@ -83,9 +84,7 @@ def suite_c1_zero(max_rank: int, seed: int = 0) -> list[CheckResult]:
         point = [MPoly.variable(table, name) for name in table.names]
         point[0] = MPoly.zero(table)
         lhs = MPoly.evaluate(chern.shifted_root_sigma(n), point, MPoly.one(table))
-        for got, rhs in zip(lhs, point):
-            witness = _diff_witness(got, rhs)
-            results.append(_result("c1-zero", n, witness is None, witness))
+        results += _compare("c1-zero", n, lhs, point)
     return results
 
 
@@ -94,30 +93,28 @@ def suite_phi_roundtrip(max_rank: int, seed: int = 0) -> list[CheckResult]:
     results = []
     for n in range(2, max_rank + 1):
         f_classes = chern.sym_power_det_inverse_chern(n)
-        witness = _diff_witness(f_classes[0], 0)
-        results.append(_result("c1F-zero", n, witness is None, witness))
+        results += _compare("c1F-zero", n, f_classes[:1], [0])
         recovered = universal.brauer_reduced(f_classes[1:])
-        for got, rc in zip(recovered, chern.shifted_root_sigma(n)[1:]):
-            witness = _diff_witness(got, rc)
-            results.append(_result("phi-roundtrip", n, witness is None, witness))
+        reduced = chern.shifted_root_sigma(n)[1:]
+        results += _compare("phi-roundtrip", n, recovered, reduced)
     return results
 
 
 def _s_in_monomials(n: int) -> list[dict]:
     """m-coordinates of the library's s_1..s_n, keyed by partition.
 
-    Each monomial c1^a1 ... cn^an of s_r in the solved system, c_i
-    standing for e_i of the roots, is the e_mu of the partition mu with
-    a_i parts i, and elementary_to_monomial maps it to the m-basis in n
-    variables; a weight r <= n has no partition with more than n parts, so
-    none is dropped.
+    Each monomial c1^a1 ... cn^an of s_r in universal.s_in_elementary(n),
+    c_i standing for e_i of the roots, is the e_mu of the partition mu
+    with a_i parts i, and elementary_to_monomial maps it to the m-basis;
+    a weight r <= n has no partition with more than n parts, so every
+    coordinate it gives holds in n variables.
     """
     out = []
-    for s_r in universal.compute_phi(n).s:
+    for s_r in universal.s_in_elementary(n):
         m_coords = {}
         for exps, coeff in s_r.terms.items():
             mu = tuple(i for i in range(n, 0, -1) for _ in range(exps[i - 1]))
-            for lam, count in symfun.elementary_to_monomial(mu, n).coeffs.items():
+            for lam, count in symfun.elementary_to_monomial(mu).coeffs.items():
                 m_coords[lam] = m_coords.get(lam, 0) + coeff * count
         out.append(m_coords)
     return out
@@ -143,10 +140,10 @@ def suite_triangularity(max_rank: int, seed: int = 0) -> list[CheckResult]:
     """
     results = []
     for n in range(2, max_rank + 1):
-        ups = universal.compute_phi(n)
-        ok = all(c > 0 for c in ups.lead)
+        ok = all(c > 0 for c in universal.compute_phi(n).lead)
+        s_list = universal.s_in_elementary(n)
         ok = ok and all(
-            s_r == s_r.graded_component(r) for r, s_r in enumerate(ups.s, start=1)
+            s_r == s_r.graded_component(r) for r, s_r in enumerate(s_list, start=1)
         )
         results.append(_result("triangularity", n, ok))
         ok_em = True
@@ -154,7 +151,7 @@ def suite_triangularity(max_rank: int, seed: int = 0) -> list[CheckResult]:
             for lam in symfun.partitions_of(d, n):
                 if lam and lam[0] > n:
                     continue
-                coords = symfun.elementary_to_monomial(lam, n)
+                coords = symfun.elementary_to_monomial(lam)
                 conj = symfun.conjugate(lam)
                 if coords.coefficient(conj) != 1:
                     ok_em = False
@@ -177,6 +174,17 @@ def suite_toy_rings(max_rank: int, seed: int = 0) -> list[CheckResult]:
         for n in range(2, max_rank + 1):
             results.extend(oracle.check_bundles(ring, oracle.rank_theory(n), seeds))
     return results
+
+
+# identities reported under a suite of another name
+_SUITE_OF_IDENTITY = {"c1F-zero": "phi-roundtrip", "triangularity-e-to-m": "triangularity"}
+
+
+def suite_of(result: CheckResult) -> str:
+    """The suite whose report holds this check: toy-rings for a toy check."""
+    if result.ring != SYMBOLIC:
+        return "toy-rings"
+    return _SUITE_OF_IDENTITY.get(result.identity, result.identity)
 
 
 _SUITES = {

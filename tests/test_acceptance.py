@@ -112,7 +112,7 @@ def _pipeline_checks(n, expected_count):
         assert all(c >= 0 for c in coords.coeffs.values())
         unit = c_vars(n).unit(i - 1)
         assert s_list[i - 1].coefficient(unit) == ups.lead[i - 1]
-        assert ups.s[i - 1] == s_list[i - 1].graded_component(i)
+        assert s_list[i - 1] == s_list[i - 1].graded_component(i)
     back = MPoly.evaluate(ups.psi, s_list, MPoly.one(c_vars(n)))
     assert list(back) == [MPoly.variable(c_vars(n), f"c{r}") for r in range(1, n + 1)]
 

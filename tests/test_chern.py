@@ -14,7 +14,7 @@ from redchern.chern import (
     twisted_classes,
 )
 from redchern.poly import MPoly, c_vars
-from redchern.universal import compute_phi
+from redchern.universal import s_in_elementary
 
 from . import naive
 from .naive import (
@@ -193,7 +193,7 @@ class TestSymPower:
         # s_1..s_n are classes of Sym^n E, of rank N = C(2n-1, n), and f those
         # of Sym^n E (x) det^-1, so s twisted by -c_1 is f.  The library
         # builds each from its own series, and both are in c1..cn.
-        f = twisted_classes(compute_phi(n).s, comb(2 * n - 1, n), -cvar(n, 1))
+        f = twisted_classes(s_in_elementary(n), comb(2 * n - 1, n), -cvar(n, 1))
         assert f == sym_power_det_inverse_chern(n)
 
     def test_bounds(self):

@@ -281,6 +281,20 @@ class TestVerify:
             "eabe41a503739d8d471bf9f8707712e14897efda113683ad05b4a91c882c6e87"
         )
 
+    def test_all_suites_rank_nine_report_bytes_pinned(self, runner):
+        # stdout of `redchern verify --suite all --max-rank 9
+        # --allow-large-rank`, recorded when elementary_to_monomial still
+        # dropped the partitions with more than n parts; triangularity reads
+        # rows of weight up to 10 here
+        result = runner.invoke(
+            main, ["verify", "--suite", "all", "--max-rank", "9", "--allow-large-rank"]
+        )
+        assert result.exit_code == 0
+        assert result.stderr.splitlines()[-1] == "2636/2636 checks passed"
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "0c8e1cf253b583731ab4e12aa3b7a6172e2e68ae925f5befa12c730d1187edb1"
+        )
+
     def test_positivity_rank_seven_report_bytes_pinned(self, runner):
         # stdout of `redchern verify --suite positivity --max-rank 7
         # --allow-large-rank`, recorded when the suite still expanded the

@@ -2,11 +2,14 @@
 module-level function and class and every non-dunder method of a class is
 referenced by some module of it, no module takes another module's private
 name, and every package name that README.md cites exists and takes the
-arguments it is cited with."""
+arguments it is cited with.  The package imports nothing outside the
+standard library, and the tests nothing outside it, the package and the
+`test` extra of pyproject.toml."""
 
 import ast
 import inspect
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -17,6 +20,8 @@ from redchern import chern, cli, oracle, poly, symfun, universal, verify
 
 MODULES = sorted(Path(redchern.__file__).parent.glob("*.py"))
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -59,6 +64,56 @@ def test_an_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def outside_imports(source: str, allowed: set[str]) -> list[str]:
+    """The top-level modules a module imports from outside the standard
+    library and allowed, with their lines; a relative import is its own
+    package's."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for top in (name.split(".")[0] for name in names):
+            if top not in sys.stdlib_module_names and top not in allowed:
+                found.append(f"{top} (line {node.lineno})")
+    return found
+
+
+def test_an_outside_import_is_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from redchern import poly\n"
+        "from . import naive\n"
+        "from .naive import x_vars\n"
+        "def f():\n"
+        "    from scipy.linalg import solve\n"
+    )
+    assert outside_imports(source, {"redchern"}) == ["numpy (line 2)", "scipy (line 7)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_the_package_imports_only_the_standard_library(path):
+    assert outside_imports(path.read_text(encoding="utf-8"), {"redchern"}) == []
+
+
+def extra_modules() -> set[str]:
+    """The distributions of pyproject.toml's `test` extra, as the module names
+    they install (each is its distribution's name)."""
+    text = PYPROJECT.read_text(encoding="utf-8")
+    extra = re.search(r"^test = \[(.*?)\]", text, flags=re.M | re.S)[1]
+    return {name.lower().replace("-", "_") for name in re.findall(r'"([\w.-]+)', extra)}
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda path: path.name)
+def test_the_tests_import_only_what_the_test_extra_installs(path):
+    allowed = {"redchern", *extra_modules()}
+    assert outside_imports(path.read_text(encoding="utf-8"), allowed) == []
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
@@ -331,13 +386,15 @@ def test_a_drifted_doc_name_is_found():
         "`MPoly.one(ring)`, `MPoly.graded_component(d)`,\n"
         "`MPoly.evaluate(point, one)`,\n"
         "`oracle.check_bundles(ring,\n theory, seeds)`, `chern.twist()`,\n"
-        "`poly.add_terms(f(a, b), {1: 2})`, `foo.bar(1)` and `redchern verify`"
+        "`poly.add_terms(f(a, b), {1: 2})`, `foo.bar(1)` and `redchern verify`,\n"
+        "`symfun.elementary_to_monomial(lam, n)`"
     )
     assert doc_name_drift(text) == [
         "universal.brauer_reduced(n, classes): 2 arguments do not bind",
         "chern.no_such_name: no such name",
         "MPoly.evaluate(point, one): 2 arguments do not bind",
         "chern.twist(): 0 arguments do not bind",
+        "symfun.elementary_to_monomial(lam, n): 2 arguments do not bind",
     ]
 
 

@@ -171,7 +171,7 @@ def test_float_coefficients_rejected():
         lambda: MPoly(X2, {tuple(json.loads("[2.7, 0]")): 1}),
         lambda: MPoly(X2, {(True, 0): 1}),
         lambda: VarTable([("x", 1.9)]),
-        lambda: elementary_to_monomial((2.5, 1), 3),
+        lambda: elementary_to_monomial((2.5, 1)),
     ),
     ids=(
         "float-exponent",

@@ -107,14 +107,14 @@ class TestSolvePsi:
         assert ups.psi[1] == Fraction(1, 4) * s2 - Fraction(1, 18) * s1**2
         assert ups.lead == (Fraction(3), Fraction(4))
         c1, c2 = (MPoly.variable(c_vars(2), v) for v in ("c1", "c2"))
-        assert ups.s == (3 * c1, 4 * c2 + 2 * c1**2)
+        assert s_in_elementary(2) == (3 * c1, 4 * c2 + 2 * c1**2)
 
     def test_rank_three_pinned(self):
         # coefficients confirmed by subset-sum expansion of the ten forms
         ups = solve_psi(3)
         assert ups.lead == (Fraction(10), Fraction(15), Fraction(27))
         c1, c2, c3 = (MPoly.variable(c_vars(3), v) for v in ("c1", "c2", "c3"))
-        assert ups.s == (
+        assert s_in_elementary(3) == (
             10 * c1,
             15 * c2 + 40 * c1**2,
             27 * c3 + 111 * c2 * c1 + 82 * c1**3,
@@ -150,7 +150,7 @@ class TestSolvePsi:
             ups = solve_psi(n)
             assert all(c > 0 for c in ups.lead)
             assert ups.lead[0] == ups.count
-            for r, s_r in enumerate(ups.s, start=1):
+            for r, s_r in enumerate(s_in_elementary(n), start=1):
                 assert s_r == s_r.graded_component(r)
                 assert s_r.coefficient(c_vars(n).unit(r - 1)) == ups.lead[r - 1]
 
@@ -232,7 +232,7 @@ class TestLargeRank:
         # per-rank artifact keeps a Fraction with denominator 1
         ups = compute_phi(n)
         artifacts = {
-            "s": ups.s,
+            "s": s_in_elementary(n),
             "phi": ups.phi,
             "psi": ups.psi,
             "shifted_root_sigma": shifted_root_sigma(n),
