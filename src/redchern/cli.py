@@ -120,12 +120,12 @@ def verify_cmd(suite, max_rank, seed, out, allow_large_rank):
         raise UsageError(f"argument --seed: {seed} is not in the range x>=0")
     _check_rank(max_rank, allow_large_rank)
     results = verify.run_suite(suite, max_rank=max_rank, seed=seed)
-    lines = "\n".join(json.dumps(r.to_json_obj(), separators=(",", ":")) for r in results)
-    _emit(lines, out)
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    _emit("\n".join(encode(r.to_json_obj()) for r in results), out)
     failures = [r for r in results if not r.passed]
     for r in failures:
         failed = {"check": r.to_json_obj(), "reproduce": reproduce_command(r)}
-        print(json.dumps(failed, separators=(",", ":")), file=sys.stderr)
+        print(encode(failed), file=sys.stderr)
     print(f"{len(results) - len(failures)}/{len(results)} checks passed", file=sys.stderr)
     if failures:
         sys.exit(1)

@@ -11,26 +11,26 @@ the table into one dict, so no dead monomial is ever formed.  Its zero
 and one are MPoly.zero(ring) and MPoly.one(ring), as in every ring.  A bundle
 over a toy ring is its class tuple c_1..c_n, c_i drawn in degree i, and
 its projective bundle P(E) is a ring of the same kind: its monomials are
-the base's each followed by a power of xi below the rank, and a product
-is convolved through the base ring, reduced by the relation and
-accumulated the same way, so MPoly.evaluate takes P(E) points as it
-takes toy-ring points.  The symbolic identities proved in the
-c-variables are universal, so specializing them to random bundles over
-random toy rings can only fail if the symbolic side is wrong; that is
-what check_bundles tests, evaluating both sides of each identity
-independently in the ring with MPoly.evaluate, which multiplies term
-dicts through the ring's multiply_into and wraps only the values it
-returns.  It draws each seed's bundle once and stacks the
-bundles of all its seeds into one element of R (x) Q^k, whose
-coefficients are SeedVectors with one slot per seed, so each polynomial
-is evaluated once per ring and rank for every seed; each identity is
-then compared slot by slot, and only a failing slot is taken apart to
-find its witness.  Each point takes one MPoly.evaluate call for all the
-polynomials evaluated there, so a monomial such as c1^2 is built once
-for all of them.  Random classes have integer coefficients, and they
-stay ints for as long as the polynomials evaluated at them have
-integral coefficients or the sums divide exactly.  The projective-bundle
-tag is checked seed by seed.
+the base's each followed by a power of xi below the rank.  One kernel
+multiplies lists of base term dicts, one per power of xi, through the
+base's table and reduces by the relation; multiply_into splits and joins
+around it, so MPoly.evaluate takes P(E) points as it takes toy-ring
+points.  The symbolic identities proved in the c-variables are
+universal, so specializing them to random bundles over random toy rings
+can only fail if the symbolic side is wrong; that is what check_bundles
+tests, evaluating both sides of each identity independently in the ring
+with MPoly.evaluate, which multiplies term dicts through the ring's
+multiply_into and wraps only the values it returns.  The toy-rings suite
+draws each seed's bundle and twist line once per ring, at its max rank,
+and check_bundles stacks the bundles of all its seeds into one element
+of R (x) Q^k, whose coefficients are SeedVectors with one slot per seed,
+so each polynomial is evaluated once per ring and rank for every seed;
+each identity is then compared slot by slot, and only a failing slot is
+taken apart to find its witness.  Random classes have integer
+coefficients, and they stay ints for as long as the polynomials
+evaluated at them have integral coefficients or the sums divide
+exactly.  The projective-bundle tag multiplies in each seed's own P(E)
+with the kernel, and only a witness becomes an MPoly.
 
 Gradings are algebraic throughout: deg c_i = i and the projective-bundle
 class xi has degree 1 (no topological doubling).
@@ -173,6 +173,12 @@ def random_bundle(ring: ToyRing, n: int, seed) -> tuple[MPoly, ...]:
     return tuple(ring.random_element(i, rng) for i in range(1, n + 1))
 
 
+def random_draw(ring: ToyRing, n: int, seed) -> tuple:
+    """The seed's rank-n bundle, which starts each lower-rank one, and its line."""
+    line = ring.random_element(1, random.Random((seed + 1) << 4))
+    return random_bundle(ring, n, seed), line
+
+
 # ---- the symbolic theory consumed by toy-ring checks ----
 
 
@@ -297,56 +303,58 @@ def _first_failures(pairs: Iterable[tuple], k: int) -> list:
 
 
 def _projective_witness(ring: ToyRing, classes: tuple, seed: int):
-    """None if the projective extension of the bundle behaves, else a witness."""
+    """None if P(E) reduces its relation to zero and a sample u, v, w multiplies
+    associatively and commutatively with u 1 = u, else a witness."""
     ext = ProjectiveBundleRing(ring, classes)
-    for coeff in ext.coefficients(ext.relation_residue()):
-        if not coeff.is_zero():
-            return coeff.min_degree_component()
+    residue = ext.relation_residue()
+    if residue.terms:
+        coeff = next(a for a in ext.coefficients(residue) if a.terms)
+        return coeff.min_degree_component()
     rng = random.Random((seed + 3) << 4)
-    zero = MPoly.zero(ring)
     sample = []
     for _ in range(3):
         base = ring.random_element(rng.randint(0, 2), rng)
         # base xi^k written down directly, reduced at most once
-        sample.append(ext.element([zero] * rng.randint(0, ext.rank) + [base]))
+        sample.append(ext._product([{}] * rng.randint(0, ext.rank) + [base.terms]))
     u, v, w = sample
-    uv = u * v
-    return None if uv * w == u * (v * w) and uv == v * u else MPoly.one(ring)
+    mul, one = ext._product, [MPoly.one(ring).terms]
+    uv = mul(u, v)
+    ok = mul(u, one) == u and uv == mul(v, u) and mul(uv, w) == mul(u, mul(v, w))
+    return None if ok else MPoly.one(ring)
 
 
 def check_bundles(
-    ring: ToyRing, theory: RankTheory, seeds: Iterable[int]
+    ring: ToyRing, theory: RankTheory, seeds: Iterable[int], draws=None
 ) -> tuple[CheckResult, ...]:
     """Specialize every universal identity of one rank to seeded random bundles.
 
     Returns one result per seed and tag, seed by seed in the order given
     and tags in IDENTITY_TAGS order, so k seeds give the results of k
-    one-seed calls in turn.  The rank is theory.rank, and each seed's
-    bundle, its class tuple, is drawn once; its twist line and its
-    projective sample draw from their own seeds.  The k class tuples are
-    stacked into one point (c_1, ..., c_n) over R (x) Q^k with SeedVector
-    coefficients; the twist point appends the line t, the c1 = 0 point is
-    (0, c_2, ..., c_n), and phi's point is the f-classes from f_2 on.  Both
-    sides of each identity are evaluated once for all seeds, independently,
-    in the ring, in five MPoly.evaluate calls, one per point: the reduced
-    classes and f-classes at c, the twisted classes, the reduced classes
-    at those and at the c1 = 0 point, and phi.  Each
-    identity is compared slot by slot, and a failing seed reports the
-    first differing graded component of its own slot as witness.  The
-    projective-bundle tag is checked on each seed's own bundle.  Passing a
-    corrupted theory is how the suite's mutation sensitivity is exercised.
+    one-seed calls in turn.  The rank is theory.rank; draws holds each
+    seed's random_draw at rank n or above, drawn here when it is None.
+    The k bundles, each draw's first n classes, are stacked into one point
+    (c_1, ..., c_n) over R (x) Q^k with SeedVector coefficients; the twist
+    point appends the line t, the c1 = 0 point is (0, c_2, ..., c_n), and
+    phi's point is the f-classes from f_2 on.  Both sides of each identity
+    are evaluated once for all seeds, independently, in the ring, in five
+    MPoly.evaluate calls, one per point: the reduced classes and f-classes
+    at c, the twisted classes, the reduced classes at those and at the
+    c1 = 0 point, and phi.  Each identity is compared slot by slot, and a
+    failing seed reports the first differing graded component of its own
+    slot as witness.  The projective-bundle tag is checked on each seed's
+    own bundle, with its own sample seed.  Passing a corrupted theory is
+    how the suite's mutation sensitivity is exercised.
     """
-    n = theory.rank
-    seeds = tuple(seeds)
+    n, seeds = theory.rank, tuple(seeds)
     k = len(seeds)
-    bundles = [random_bundle(ring, n, seed) for seed in seeds]
-    values = [_stack(ring, [classes[i] for classes in bundles]) for i in range(n)]
+    if draws is None:
+        draws = [random_draw(ring, n, seed) for seed in seeds]
+    values = [_stack(ring, [classes[i] for classes, _ in draws]) for i in range(n)]
     one = _stack(ring, [MPoly.one(ring)] * k)
     at_c = list(MPoly.evaluate(theory.reduced + theory.f_classes, values, one))
     reduced, f_values = at_c[:n], at_c[n:]
 
-    lines = [ring.random_element(1, random.Random((seed + 1) << 4)) for seed in seeds]
-    tv = [*values, _stack(ring, lines)]
+    tv = [*values, _stack(ring, [line for _, line in draws])]
     twisted = list(MPoly.evaluate(theory.twisted, tv, one))
     at_twisted = MPoly.evaluate(theory.reduced, twisted, one)
     twist = _first_failures(zip(at_twisted, reduced), k)
@@ -360,13 +368,13 @@ def check_bundles(
     c1f_zero = _first_failures([(f_values[0], MPoly.zero(ring))], k)
 
     results = []
-    for s, (seed, classes) in enumerate(zip(seeds, bundles)):
+    for s, (seed, (classes, _)) in enumerate(zip(seeds, draws)):
         witnesses = (
             twist[s],
             c1_zero[s],
             phi_roundtrip[s],
             c1f_zero[s],
-            _projective_witness(ring, classes, seed),
+            _projective_witness(ring, classes[:n], seed),
         )
         results.extend(
             CheckResult(tag, ring.id, n, seed, "pass" if w is None else "fail", w)
@@ -399,6 +407,7 @@ class ProjectiveBundleRing(VarTable):
         self.base = base
         self.classes = tuple(classes)
         self.rank = len(self.classes)
+        self._relation = [(i, c.terms) for i, c in enumerate(classes, 1) if c.terms]
 
     def __eq__(self, other) -> bool:
         return other is self
@@ -419,35 +428,46 @@ class ProjectiveBundleRing(VarTable):
             parts[e[-1]][e[:-1]] = c
         return parts
 
-    def _reduce(self, raw: list) -> list:
-        """The coefficients of sum raw[k] xi^k below xi^n; raw is modified.
+    def _product(self, a: Sequence, b: Sequence | None = None) -> list:
+        """The base term dicts of (sum a_i xi^i)(sum b_j xi^j) below xi^n.
 
-        From the top power down, xi^k for k >= n is rewritten by
-        xi^n = -(c_1 xi^{n-1} + ... + c_n), accumulating into raw[k-n..k-1].
+        a and b hold base term dicts, as many as they need; without b the
+        product is a alone.  The factors are convolved through the base's
+        table, and from the top power down each term c m xi^k, k >= n, is
+        rewritten by xi^n = -(c_1 xi^{n-1} + ... + c_n) through the row of m.
         """
-        n = self.rank
-        multiply_into = self.base.multiply_into
+        n, table = self.rank, self.base._products
+        if b is None:
+            raw = [dict(t) for t in a] + [{} for _ in range(n - len(a))]
+        else:
+            raw = [{} for _ in range(max(n, len(a) + len(b) - 1))]
+            rhs = [(j, t) for j, t in enumerate(b) if t]
+            for i, s in enumerate(a):
+                for ea, ca in s.items():
+                    row = table[ea]
+                    for j, t in rhs:
+                        out = raw[i + j]
+                        for eb, cb in t.items():
+                            e = row.get(eb)
+                            if e is not None:
+                                out[e] = out.get(e, 0) + ca * cb
         for k in range(len(raw) - 1, n - 1, -1):
-            head = {e: -c for e, c in raw[k].items() if c}
-            if head:
-                for i, c_i in enumerate(self.classes, 1):
-                    multiply_into(raw[k - i], c_i.terms, head)
-        return raw[:n]
+            for m, c in raw[k].items():
+                if c:
+                    row = table[m]
+                    for i, t in self._relation:
+                        out = raw[k - i]
+                        for ec, v in t.items():
+                            e = row.get(ec)
+                            if e is not None:
+                                out[e] = out.get(e, 0) - c * v
+        return [t if 0 not in t.values() else {e: c for e, c in t.items() if c}
+                for t in raw[:n]]
 
     def multiply_into(self, out: dict, a: Mapping, b: Mapping) -> dict:
-        """Add the product of the normal-form term dicts a and b into out.
-
-        Both are split by their power of xi, convolved through the base
-        ring, and reduced by the relation; returns out.
-        """
-        multiply_into = self.base.multiply_into
-        raw = [{} for _ in range(2 * self.rank - 1)]
-        rhs = [(j, t) for j, t in enumerate(self._split(b)) if t]
-        for i, s in enumerate(self._split(a)):
-            if s:
-                for j, t in rhs:
-                    multiply_into(raw[i + j], s, t)
-        for j, t in enumerate(self._reduce(raw)):
+        """Add the product of the normal-form term dicts a and b, split by
+        their powers of xi and multiplied by _product, into out; returns out."""
+        for j, t in enumerate(self._product(self._split(a), self._split(b))):
             for e, c in t.items():
                 key = e + (j,)
                 out[key] = out.get(key, 0) + c
@@ -455,10 +475,8 @@ class ProjectiveBundleRing(VarTable):
 
     def element(self, coefficients: Sequence[MPoly]) -> MPoly:
         """sum coefficients[k] xi^k, reduced."""
-        raw = self._reduce([dict(a.terms) for a in coefficients])
-        return MPoly._wrap(
-            self, {e + (j,): c for j, t in enumerate(raw) for e, c in t.items() if c}
-        )
+        raw = enumerate(self._product([a.terms for a in coefficients]))
+        return MPoly._wrap(self, {e + (j,): c for j, t in raw for e, c in t.items()})
 
     def coefficients(self, x: MPoly) -> tuple[MPoly, ...]:
         """The base elements a_0..a_{n-1} of x = sum a_j xi^j."""

@@ -165,14 +165,15 @@ def suite_triangularity(max_rank: int, seed: int = 0) -> list[CheckResult]:
 def suite_toy_rings(max_rank: int, seed: int = 0) -> list[CheckResult]:
     """Specialize every universal identity over the toy-ring catalog.
 
-    Each ring and rank is one check_bundles call over the block's seeds.
+    One check_bundles call per ring and rank, on seeds drawn once per ring.
     """
     results = []
     seeds = range(seed, seed + TOY_SEED_COUNT)
     for spec in toy_ring_specs(max_rank):
         ring = oracle.ToyRing(*spec)
+        draws = [oracle.random_draw(ring, max_rank, s) for s in seeds]
         for n in range(2, max_rank + 1):
-            results.extend(oracle.check_bundles(ring, oracle.rank_theory(n), seeds))
+            results.extend(oracle.check_bundles(ring, oracle.rank_theory(n), seeds, draws))
     return results
 
 

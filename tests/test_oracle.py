@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul, sub
@@ -300,6 +301,34 @@ class TestRandomBundle:
         with pytest.raises(ValueError):
             random_bundle(ToyRing(*RICH_SPEC), 3, seed=-5)
 
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec[0])
+    def test_a_bundle_is_the_start_of_every_higher_rank_bundle(self, spec):
+        # so the toy-rings suite draws each seed once, at its max rank
+        ring = ToyRing(*spec)
+        for s in range(20):
+            top = random_bundle(ring, 5, s)
+            for n in range(2, 6):
+                assert random_bundle(ring, n, s) == top[:n]
+
+    def test_a_block_builds_one_generator_per_bundle_line_and_sample(
+        self, monkeypatch
+    ):
+        # 3 rings x 20 seeds draw a bundle and a line once, and each of the
+        # 3 x 4 x 20 projective checks draws its own sample
+        built = []
+
+        class Counting(random.Random):
+            def __init__(self, seed):
+                built.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(random, "Random", Counting)
+        assert all(r.passed for r in verify.suite_toy_rings(5, 0))
+        assert len(built) == 360
+        assert sorted(set(built)) == sorted(
+            {s for seed in range(20) for s in (seed, (seed + 1) << 4, (seed + 3) << 4)}
+        )
+
 
 class TestCheckIdentity:
     @pytest.mark.parametrize("tag", IDENTITY_TAGS)
@@ -380,10 +409,10 @@ class TestCheckIdentity:
         }
 
 
-# base-ring products of check_bundles on two-lines at rank 5: seed 7
-# alone, and the toy-rings suite's block of seeds 0..19
-PRODUCTS_AT_RANK_FIVE = 69
-PRODUCTS_OF_A_BLOCK_AT_RANK_FIVE = 764
+# base-ring products of check_bundles on two-lines at rank 5, seed 7 alone
+# or the toy-rings suite's block of seeds 0..19: P(E) multiplies through
+# the base's table, so every one is made by the stacked evaluations
+PRODUCTS_AT_RANK_FIVE = 49
 
 
 class ProductCountingRing(ToyRing):
@@ -428,14 +457,14 @@ class TestCheckBundle:
 
     def test_a_block_of_seeds_is_evaluated_once(self, monkeypatch):
         # the suite checks each ring and rank in one call over its 20 seeds,
-        # which share every evaluation; only the projective-bundle tag
-        # multiplies seed by seed
+        # which share every evaluation, so the block makes the products of
+        # one seed; the projective-bundle tag makes no base-ring product
         blocks = {}  # (ring, rank) -> (seeds, products) of its last call
         honest = oracle.check_bundles
 
-        def spy(ring, theory, seeds):
+        def spy(ring, theory, seeds, draws):
             before = ring.products
-            results = honest(ring, theory, seeds)
+            results = honest(ring, theory, seeds, draws)
             blocks[ring.id, theory.rank] = (list(seeds), ring.products - before)
             return results
 
@@ -444,7 +473,7 @@ class TestCheckBundle:
         assert all(r.passed for r in verify.suite_toy_rings(5, 0))
         assert len(blocks) == 12
         assert all(seeds == list(range(20)) for seeds, _ in blocks.values())
-        assert blocks["two-lines", 5][1] == PRODUCTS_OF_A_BLOCK_AT_RANK_FIVE
+        assert blocks["two-lines", 5][1] == PRODUCTS_AT_RANK_FIVE
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -641,6 +670,34 @@ class TestProjectiveBundleRing:
         expected = naive.nprojective_mul(*vectors, classes, reduce)
         assert [c.terms for c in ext.coefficients(a * b)] == expected
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_kernel_matches_naive_convolution_and_reduction(self, data):
+        # the projective-bundle tag multiplies coefficient lists with
+        # _product directly; without a second factor it reduces one list
+        ring, degrees, patterns, top = data.draw(random_rings(multivariable=True))
+        n = data.draw(st.integers(min_value=2, max_value=6))
+        bundle = random_bundle(ring, n, data.draw(st.integers(0, 10**6)))
+        ext = ProjectiveBundleRing(ring, bundle)
+
+        def reduce(t):
+            return naive.ntruncate(t, degrees, patterns, top)
+
+        def draw_list(size):
+            return [reduce(data.draw(raw_terms(len(degrees)))) for _ in range(size)]
+
+        def padded(x):
+            return [*x, *([{}] * (n - len(x)))]
+
+        # factors of up to n entries, and an element of up to n + 1 to reduce
+        a, b = (draw_list(data.draw(st.integers(1, n))) for _ in range(2))
+        c = draw_list(data.draw(st.integers(1, n + 1)))
+        classes = [t.terms for t in bundle]
+        one = {(0,) * len(degrees): 1}
+        expected = naive.nprojective_mul(padded(a), padded(b), classes, reduce)
+        assert ext._product(a, b) == expected
+        assert ext._product(c) == naive.nprojective_mul(padded(c), [one], classes, reduce)
+
     def test_multiplication_respects_the_relation(self):
         ring = ToyRing(*CURVES_SPEC)
         bundle = random_bundle(ring, 2, seed=11)
@@ -711,13 +768,13 @@ def projective_results():
 
 def flip_the_relation(monkeypatch):
     """Make every projective extension reduce by xi^n = +(c_1 xi^(n-1) + ... + c_n)."""
-    honest = ProjectiveBundleRing._reduce
+    honest = ProjectiveBundleRing._product
 
-    def flipped(self, raw):
+    def flipped(self, a, b=None):
         negated = tuple(-c for c in self.classes)
-        return honest(ProjectiveBundleRing(self.base, negated), raw)
+        return honest(ProjectiveBundleRing(self.base, negated), a, b)
 
-    monkeypatch.setattr(ProjectiveBundleRing, "_reduce", flipped)
+    monkeypatch.setattr(ProjectiveBundleRing, "_product", flipped)
 
 
 def test_projective_bundle_catches_a_sign_flipped_relation(monkeypatch):
@@ -735,18 +792,42 @@ def test_projective_bundle_catches_a_sign_flipped_relation(monkeypatch):
     assert all(r.passed for r in projective_results())
 
 
+def mutate_the_product(monkeypatch, mutation):
+    """Make every product of two factors in P(E) return mutation(self, a, product).
+
+    An element written down, which _product reduces alone, is left as it
+    is, so the relation residue stays zero.
+    """
+    honest = ProjectiveBundleRing._product
+
+    def mutated(self, a, b=None):
+        result = honest(self, a, b)
+        return result if b is None else mutation(self, a, result)
+
+    monkeypatch.setattr(ProjectiveBundleRing, "_product", mutated)
+
+
 def test_projective_bundle_catches_a_noncommutative_product(monkeypatch):
     # a product with a stray left factor keeps the relation residue zero,
     # which never multiplies, but breaks commutativity of the sample
-    honest = ProjectiveBundleRing.multiply_into
+    def stray(self, a, product):
+        return [naive.nadd(x, y) for x, y in zip(product, a)]
 
-    def stray(self, out, a, b):
-        honest(self, out, a, b)
-        for e, c in a.items():
-            out[e] = out.get(e, 0) + c
-        return out
-
-    monkeypatch.setattr(ProjectiveBundleRing, "multiply_into", stray)
+    mutate_the_product(monkeypatch, stray)
     failed = [r for r in projective_results() if not r.passed]
     assert len(failed) == 233
+    assert all(r.witness == MPoly.one(r.witness.table) for r in failed)
+
+
+def test_projective_bundle_catches_a_product_scaled_by_xi(monkeypatch):
+    # every product times xi stays associative and commutative, and the
+    # relation residue stays zero, so only the unit law u 1 = u sees it
+    honest = ProjectiveBundleRing._product
+
+    def scaled(self, a, product):
+        return honest(self, product, [{}, MPoly.one(self.base).terms])
+
+    mutate_the_product(monkeypatch, scaled)
+    failed = [r for r in projective_results() if not r.passed]
+    assert len(failed) == 212
     assert all(r.witness == MPoly.one(r.witness.table) for r in failed)

@@ -83,8 +83,8 @@ def test_run_all_expands_no_chain():
 
 
 def test_toy_rings_draws_each_bundle_once(monkeypatch):
-    # one draw per (ring, rank, seed): 3 rings x ranks 2..5 x 20 seeds, each
-    # checked against every identity tag
+    # one draw per (ring, seed), at the max rank: 3 rings x 20 seeds, each
+    # bundle checked at ranks 2..5 against every identity tag
     draws = []
     honest = oracle.random_bundle
 
@@ -96,8 +96,9 @@ def test_toy_rings_draws_each_bundle_once(monkeypatch):
     results = verify.suite_toy_rings(5, 0)
     assert len(results) == 240 * len(oracle.IDENTITY_TAGS)
     assert all(r.passed for r in results)
-    assert len(draws) == 240
-    assert len(set(draws)) == 240
+    assert len(draws) == 60
+    assert len(set(draws)) == 60
+    assert {n for _, n, _ in draws} == {5}
 
 
 def bump_phi(n, j):
