@@ -10,9 +10,9 @@ Subpackage map:
                tuples, no root variables
     universal  s_1..s_n in c1..cn, phi by the slice solve, psi by
                two twists, the pushforward recipe
-    oracle     toy graded rings and their projective-bundle extensions as
-               VarTable presentations, identity specialization with one
-               evaluation per ring and rank over stacked seeds
+    oracle     toy graded rings as VarTable presentations, P(E) products
+               as one kernel on coefficient lists, identity specialization
+               with one evaluation per ring and rank over stacked seeds
     verify     named verification suites
     cli        command-line entry points
 """

@@ -9,13 +9,11 @@ product, builds one multiplication table from each pair of them to their
 product where that survives; a product multiplies and accumulates over
 the table into one dict, so no dead monomial is ever formed.  Its zero
 and one are MPoly.zero(ring) and MPoly.one(ring), as in every ring.  A bundle
-over a toy ring is its class tuple c_1..c_n, c_i drawn in degree i, and
-its projective bundle P(E) is a ring of the same kind: its monomials are
-the base's each followed by a power of xi below the rank.  One kernel
-multiplies lists of base term dicts, one per power of xi, through the
-base's table and reduces by the relation; multiply_into splits and joins
-around it, so MPoly.evaluate takes P(E) points as it takes toy-ring
-points.  The symbolic identities proved in the c-variables are
+over a toy ring is its class tuple c_1..c_n, c_i drawn in degree i.  Its
+projective bundle P(E) has no ring presentation: an element is a list of
+base term dicts, one per power of xi below the rank, and one kernel
+multiplies two such lists through the base's table and reduces by the
+relation.  The symbolic identities proved in the c-variables are
 universal, so specializing them to random bundles over random toy rings
 can only fail if the symbolic side is wrong; that is what check_bundles
 tests, evaluating both sides of each identity independently in the ring
@@ -306,10 +304,9 @@ def _projective_witness(ring: ToyRing, classes: tuple, seed: int):
     """None if P(E) reduces its relation to zero and a sample u, v, w multiplies
     associatively and commutatively with u 1 = u, else a witness."""
     ext = ProjectiveBundleRing(ring, classes)
-    residue = ext.relation_residue()
-    if residue.terms:
-        coeff = next(a for a in ext.coefficients(residue) if a.terms)
-        return coeff.min_degree_component()
+    residue = next((t for t in ext.relation_residue() if t), None)
+    if residue is not None:
+        return MPoly._wrap(ring, residue).min_degree_component()
     rng = random.Random((seed + 3) << 4)
     sample = []
     for _ in range(3):
@@ -386,16 +383,15 @@ def check_bundles(
 # ---- projective-bundle extension ----
 
 
-class ProjectiveBundleRing(VarTable):
-    """The base ring with a degree-1 class xi adjoined, equal only to itself.
+class ProjectiveBundleRing:
+    """P(E): the base ring with a degree-1 class xi adjoined, on coefficient lists.
 
     The bundle is its classes c_1..c_n in the base ring, and its rank n is
-    their count.  Its monomials are the base's surviving ones each followed
-    by a power of xi below n, so an element stands for sum a_j xi^j; the
-    defining relation
+    their count.  An element sum a_j xi^j, j < n, is the list of its base
+    term dicts a_0..a_{n-1}; the defining relation
         xi^n + c_1 xi^{n-1} + ... + c_n = 0
     rewrites every higher power of xi back into that basis, so the
-    extension is by construction a free module of rank n over the base.
+    extension is a free module of rank n over the base.
     """
 
     def __init__(self, base: ToyRing, classes: Sequence[MPoly]):
@@ -403,30 +399,10 @@ class ProjectiveBundleRing(VarTable):
             raise ValueError("a bundle needs at least one class")
         if not all(base == c.table for c in classes):
             raise ValueError(f"the classes of a bundle over {base!r} must be over it")
-        super().__init__(base.pairs + (("xi", 1),))
         self.base = base
         self.classes = tuple(classes)
         self.rank = len(self.classes)
         self._relation = [(i, c.terms) for i, c in enumerate(classes, 1) if c.terms]
-
-    def __eq__(self, other) -> bool:
-        return other is self
-
-    __hash__ = object.__hash__
-
-    @cached_property
-    def _live(self) -> frozenset:
-        """Each surviving base monomial followed by a power of xi below n."""
-        return frozenset(e + (j,) for e in self.base._live for j in range(self.rank))
-
-    check_monomials = ToyRing.check_monomials
-
-    def _split(self, terms: Mapping) -> list:
-        """The base term dicts a_0..a_{n-1} of sum a_j xi^j."""
-        parts = [{} for _ in range(self.rank)]
-        for e, c in terms.items():
-            parts[e[-1]][e[:-1]] = c
-        return parts
 
     def _product(self, a: Sequence, b: Sequence | None = None) -> list:
         """The base term dicts of (sum a_i xi^i)(sum b_j xi^j) below xi^n.
@@ -464,24 +440,14 @@ class ProjectiveBundleRing(VarTable):
         return [t if 0 not in t.values() else {e: c for e, c in t.items() if c}
                 for t in raw[:n]]
 
-    def multiply_into(self, out: dict, a: Mapping, b: Mapping) -> dict:
-        """Add the product of the normal-form term dicts a and b, split by
-        their powers of xi and multiplied by _product, into out; returns out."""
-        for j, t in enumerate(self._product(self._split(a), self._split(b))):
-            for e, c in t.items():
-                key = e + (j,)
-                out[key] = out.get(key, 0) + c
-        return out
+    def relation_residue(self) -> list:
+        """xi^n + c_1 xi^{n-1} + ... + c_n, written down and reduced by _product.
 
-    def element(self, coefficients: Sequence[MPoly]) -> MPoly:
-        """sum coefficients[k] xi^k, reduced."""
-        raw = enumerate(self._product([a.terms for a in coefficients]))
-        return MPoly._wrap(self, {e + (j,): c for j, t in raw for e, c in t.items()})
-
-    def coefficients(self, x: MPoly) -> tuple[MPoly, ...]:
-        """The base elements a_0..a_{n-1} of x = sum a_j xi^j."""
-        return tuple(MPoly._wrap(self.base, t) for t in self._split(x.terms))
-
-    def relation_residue(self) -> MPoly:
-        """xi^n + c_1 xi^{n-1} + ... + c_n, reduced; zero by construction."""
-        return self.element([*reversed(self.classes), MPoly.one(self.base)])
+        Only the head xi^n is rewritten, so the n base term dicts returned
+        are all empty exactly when the reduction replaces xi^n by
+        -(c_1 xi^{n-1} + ... + c_n) with the bundle's own classes; a flipped
+        sign or a wrong class leaves the difference.
+        """
+        return self._product(
+            [*(c.terms for c in reversed(self.classes)), MPoly.one(self.base).terms]
+        )

@@ -137,13 +137,16 @@ def suite_positivity(max_rank: int, seed: int = 0) -> list[CheckResult]:
 def suite_triangularity(max_rank: int, seed: int = 0) -> list[CheckResult]:
     """Leading structure of the s-system, and of the e-to-m change of basis
     in weights 1..n + 1, which covers every row the positivity suite reads.
+
+    Each s_r must be homogeneous of weight r with a positive lead, its
+    coefficient of c_r; both are read from s itself, so no solve runs.
     """
     results = []
     for n in range(2, max_rank + 1):
-        ok = all(c > 0 for c in universal.compute_phi(n).lead)
-        s_list = universal.s_in_elementary(n)
-        ok = ok and all(
-            s_r == s_r.graded_component(r) for r, s_r in enumerate(s_list, start=1)
+        ok = all(
+            s_r.coefficient(s_r.table.unit(r - 1)) > 0
+            and s_r == s_r.graded_component(r)
+            for r, s_r in enumerate(universal.s_in_elementary(n), start=1)
         )
         results.append(_result("triangularity", n, ok))
         ok_em = True

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redchern import chern, oracle, verify
+from redchern import oracle, verify
 from redchern.oracle import (
     IDENTITY_TAGS,
     ProjectiveBundleRing,
@@ -136,26 +136,19 @@ class TestToyElements:
         assert x.min_degree_component() == MPoly.one(ring) * 3
 
     def test_rings_do_not_mix(self):
-        # a toy ring on h is no free ring on h, and two extensions of one
-        # base are different rings; elements of different rings never mix
+        # a toy ring on h is no free ring on h; their elements never mix
         free = VarTable([("h", 1)])
         ring = ToyRing("line", [("h", 1)], [{"h": 3}], 4)
         assert free != ring and ring != free
         assert not (free == ring or ring == free)
-        exts = [ProjectiveBundleRing(ring, random_bundle(ring, 2, s)) for s in (1, 2)]
-        assert exts[0] != exts[1] and exts[0] == exts[0]
-        pairs = (
-            (MPoly.variable(free, "h"), MPoly(ring, {(1,): 1})),
-            tuple(e.element([MPoly.zero(ring), MPoly.one(ring)]) for e in exts),
-        )
-        for x, y in pairs:
-            for op in (add, sub, mul):
-                with pytest.raises(ValueError, match="mismatched"):
-                    op(x, y)
-                with pytest.raises(ValueError, match="mismatched"):
-                    op(y, x)
+        x, y = MPoly.variable(free, "h"), MPoly(ring, {(1,): 1})
+        for op in (add, sub, mul):
             with pytest.raises(ValueError, match="mismatched"):
-                list(MPoly.evaluate([x], [y] * len(x.table), MPoly.one(x.table)))
+                op(x, y)
+            with pytest.raises(ValueError, match="mismatched"):
+                op(y, x)
+        with pytest.raises(ValueError, match="mismatched"):
+            list(MPoly.evaluate([x], [y] * len(x.table), MPoly.one(x.table)))
 
     def test_json_uses_mpoly_schema(self):
         ring = ToyRing(*CURVES_SPEC)
@@ -591,15 +584,13 @@ class TestProjectiveBundleRing:
     def test_trivial_bundle_over_rationals(self):
         ring = ToyRing("point", [], top_degree=6)
         for n in (2, 3, 4):
-            bundle = tuple(MPoly.zero(ring) for _ in range(n))
-            ext = ProjectiveBundleRing(ring, bundle)
+            ext = ProjectiveBundleRing(ring, (MPoly.zero(ring),) * n)
             # the extension is then plainly the truncated polynomial ring on xi
-            xi = ext.element([MPoly.zero(ring), MPoly.one(ring)])
+            power = ext._product([{(): 1}])
             for k in range(n):
-                expected = [{(): 1} if i == k else {} for i in range(n)]
-                assert [a.terms for a in ext.coefficients(xi**k)] == expected
-            assert (xi**n).is_zero()
-            assert not (xi ** (n - 1)).is_zero()
+                assert power == [{(): 1} if i == k else {} for i in range(n)]
+                power = ext._product(power, [{}, {(): 1}])
+            assert power == [{}] * n
 
     def test_rank_is_the_class_count(self):
         ring = ToyRing(*RICH_SPEC)
@@ -624,51 +615,40 @@ class TestProjectiveBundleRing:
         bundle = random_bundle(ToyRing(*RICH_SPEC), 2, seed=0)
         assert ProjectiveBundleRing(ring, bundle).rank == 2
 
+    def test_building_an_extension_builds_no_var_table(self, monkeypatch):
+        # P(E) is a kernel on coefficient lists over its base's table, so
+        # the toy suite builds one VarTable per ring, none per extension
+        built = []
+        honest = VarTable.__init__
+
+        def counting(self, pairs):
+            built.append(type(self))
+            honest(self, pairs)
+
+        monkeypatch.setattr(VarTable, "__init__", counting)
+        assert all(r.passed for r in verify.suite_toy_rings(5, 0))
+        assert built.count(ToyRing) == 3
+        assert ProjectiveBundleRing not in built
+        ring = ToyRing(*CURVES_SPEC)
+        ext = ProjectiveBundleRing(ring, random_bundle(ring, 2, 0))
+        assert not isinstance(ext, VarTable)
+
     def test_rank_two_doubles_dimensions(self):
         ring = ToyRing("h3", [("h", 1)], [{"h": 3}], 8)
-        bundle = random_bundle(ring, 2, seed=4)
-        ext = ProjectiveBundleRing(ring, bundle)
+        ext = ProjectiveBundleRing(ring, random_bundle(ring, 2, seed=4))
         # b xi^i over base monomials b and i < 2 stay distinct unit vectors,
         # so the degree-d piece has the dimension of the base's d and d - 1
-        xi = ext.element([MPoly.zero(ring), MPoly.one(ring)])
         for i in range(2):
+            xi_i = [{}] * i + [{(0,): 1}]
             for e in (e for d in range(9) for e in ring.graded_basis(d)):
-                image = ext.element([MPoly(ring, {e: 1})]) * xi**i
                 expected = [{e: 1} if j == i else {} for j in range(2)]
-                assert [a.terms for a in ext.coefficients(image)] == expected
+                assert ext._product([{e: 1}], xi_i) == expected
 
     def test_relation_residue_reduces_to_zero(self):
         ring = ToyRing(*RICH_SPEC)
         for seed in range(5):
-            bundle = random_bundle(ring, 3, seed=seed)
-            ext = ProjectiveBundleRing(ring, bundle)
-            assert ext.relation_residue().is_zero()
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_product_matches_naive_convolution_and_reduction(self, data):
-        ring, degrees, patterns, top = data.draw(random_rings(multivariable=True))
-        n = data.draw(st.integers(min_value=2, max_value=6))
-        bundle = random_bundle(ring, n, data.draw(st.integers(0, 10**6)))
-        ext = ProjectiveBundleRing(ring, bundle)
-
-        def reduce(t):
-            return naive.ntruncate(t, degrees, patterns, top)
-
-        vectors = [
-            [reduce(data.draw(raw_terms(len(degrees)))) for _ in range(n)]
-            for _ in range(2)
-        ]
-        if data.draw(st.booleans()):
-            # positive constant terms everywhere: the constant term of each
-            # xi^k, k >= n, is then a sum of positive products, so every
-            # head of the reduction is nonzero, xi^(2n-2) down to xi^n
-            for t in vectors[0] + vectors[1]:
-                t[(0,) * len(degrees)] = data.draw(st.integers(1, 3))
-        a, b = (ext.element([MPoly(ring, t) for t in v]) for v in vectors)
-        classes = [c.terms for c in bundle]
-        expected = naive.nprojective_mul(*vectors, classes, reduce)
-        assert [c.terms for c in ext.coefficients(a * b)] == expected
+            ext = ProjectiveBundleRing(ring, random_bundle(ring, 3, seed=seed))
+            assert ext.relation_residue() == [{}] * 3
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -687,77 +667,32 @@ class TestProjectiveBundleRing:
             return [reduce(data.draw(raw_terms(len(degrees)))) for _ in range(size)]
 
         def padded(x):
-            return [*x, *([{}] * (n - len(x)))]
+            return [*x, *({} for _ in range(n - len(x)))]
 
         # factors of up to n entries, and an element of up to n + 1 to reduce
         a, b = (draw_list(data.draw(st.integers(1, n))) for _ in range(2))
         c = draw_list(data.draw(st.integers(1, n + 1)))
+        one = (0,) * len(degrees)
+        if data.draw(st.booleans()):
+            # full factors with positive constant terms everywhere: the
+            # constant term of each xi^k, k >= n, is then a sum of positive
+            # products, so every head of the reduction is nonzero, xi^(2n-2)
+            # down to xi^n
+            a, b = padded(a), padded(b)
+            for t in a + b:
+                t[one] = data.draw(st.integers(1, 3))
         classes = [t.terms for t in bundle]
-        one = {(0,) * len(degrees): 1}
         expected = naive.nprojective_mul(padded(a), padded(b), classes, reduce)
         assert ext._product(a, b) == expected
-        assert ext._product(c) == naive.nprojective_mul(padded(c), [one], classes, reduce)
+        reduced = naive.nprojective_mul(padded(c), [{one: 1}], classes, reduce)
+        assert ext._product(c) == reduced
 
     def test_multiplication_respects_the_relation(self):
         ring = ToyRing(*CURVES_SPEC)
-        bundle = random_bundle(ring, 2, seed=11)
-        ext = ProjectiveBundleRing(ring, bundle)
-        xi = ext.element([MPoly.zero(ring), MPoly.one(ring)])
-        c1 = ext.element([bundle[0]])
-        c2 = ext.element([bundle[1]])
-        assert xi * xi == -(c1 * xi) - c2
-
-
-def relations_at_projective_points():
-    """Each P(E) with c_n(E (x) L) at t = xi over it.
-
-    The catalog, ranks 2..5, seeds 0..4.  With c_i -> c_i and t -> xi the
-    twisted top class is xi^n + c_1 xi^(n-1) + ... + c_n, the relation
-    that defines P(E).
-    """
-    for spec in CATALOG:
-        ring = ToyRing(*spec)
-        for n in range(2, 6):
-            for seed in range(5):
-                bundle = random_bundle(ring, n, seed)
-                ext = ProjectiveBundleRing(ring, bundle)
-                point = [ext.element([c]) for c in bundle]
-                point.append(ext.element([MPoly.zero(ring), MPoly.one(ring)]))
-                (top,) = MPoly.evaluate(chern.twist(n)[n - 1:], point, MPoly.one(ext))
-                yield ext, top
-
-
-def test_evaluate_at_projective_points_gives_the_relation():
-    pairs = list(relations_at_projective_points())
-    assert len(pairs) == 60
-    assert all(type(v) is MPoly and v.table is ext and v.is_zero() for ext, v in pairs)
-
-
-def test_evaluate_at_projective_points_sees_a_sign_flipped_relation(monkeypatch):
-    flip_the_relation(monkeypatch)
-    assert not any(v.is_zero() for _, v in relations_at_projective_points())
-
-
-def test_the_toy_suite_builds_no_projective_monomial_set(monkeypatch):
-    # the extensions' elements are computed, never checked against _live
-    builds = []
-    honest = ProjectiveBundleRing._live.func
-
-    def counting(self):
-        builds.append(self.rank)
-        return honest(self)
-
-    live = cached_property(counting)
-    live.__set_name__(ProjectiveBundleRing, "_live")
-    monkeypatch.setattr(ProjectiveBundleRing, "_live", live)
-    assert all(r.passed for r in verify.suite_toy_rings(5, 0))
-    assert builds == []
-    # the count is live: a checked element builds the set once
-    ring = ToyRing(*CURVES_SPEC)
-    ext = ProjectiveBundleRing(ring, random_bundle(ring, 2, 0))
-    xi = ext.element([MPoly.zero(ring), MPoly.one(ring)])
-    assert MPoly(ext, {(0, 0, 1): 1}) == xi == MPoly(ext, {(0, 0, 1): 1})
-    assert builds == [2]
+        c1, c2 = random_bundle(ring, 2, seed=11)
+        ext = ProjectiveBundleRing(ring, (c1, c2))
+        xi = [{}, MPoly.one(ring).terms]
+        assert ext._product(xi, xi) == [(-c2).terms, (-c1).terms]
 
 
 def projective_results():
@@ -784,10 +719,17 @@ def test_projective_bundle_catches_a_sign_flipped_relation(monkeypatch):
     results = projective_results()
     assert len(results) == 240
     assert not any(r.passed for r in results)
-    # the residue's witness is a class of positive degree, never the unit
+    # the residue's witness is a class of positive degree, never the unit,
+    # and its report lines are pinned
     assert all(r.witness != MPoly.one(r.witness.table) for r in results)
+    lines = "".join(
+        json.dumps(r.to_json_obj(), separators=(",", ":")) + "\n" for r in results
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "f922a3041386f5472d59299c4973550d26b266c12f87554af8d359f6b7b6c29a"
+    )
     monkeypatch.setattr(
-        ProjectiveBundleRing, "relation_residue", lambda self: MPoly.zero(self)
+        ProjectiveBundleRing, "relation_residue", lambda self: [{}] * self.rank
     )
     assert all(r.passed for r in projective_results())
 

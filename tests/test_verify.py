@@ -267,6 +267,28 @@ def test_triangularity_catches_a_term_of_the_wrong_weight(monkeypatch, fresh_phi
     assert [r.identity for r in results if not r.passed] == ["triangularity"]
 
 
+def test_triangularity_runs_no_solve(fresh_phi):
+    # the leads are read from s, so the suite makes no compute_phi miss
+    assert all(r.passed for r in verify.run_suite("triangularity", max_rank=4))
+    assert universal.compute_phi.cache_info().misses == 0
+
+
+def test_triangularity_reports_an_s2_without_its_lead(monkeypatch, fresh_phi):
+    # s_2 less its c_2 term has lead 0, which the solve would refuse to
+    # divide by; the suite reports it as a failure instead
+    def drop_c2(s):
+        unit = s[1].table.unit(1)
+        lead = MPoly(s[1].table, {unit: s[1].coefficient(unit)})
+        return (s[0], s[1] - lead) + s[2:]
+
+    corrupt_s(monkeypatch, drop_c2)
+    results = verify.suite_triangularity(max_rank=4)
+    failed = [(r.identity, r.rank) for r in results if not r.passed]
+    assert failed == [("triangularity", n) for n in (2, 3, 4)]
+    with pytest.raises(universal.InternalInconsistencyError):
+        universal.compute_phi(4)
+
+
 def test_positivity_builds_one_e_to_m_table_per_partition():
     # the table does not depend on the variable count, so ranks 2..6 share
     # one build for each partition met on the way
