@@ -652,6 +652,33 @@ class TestProjectiveBundleRing:
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
+    def test_product_matches_naive_convolution_and_reduction(self, data):
+        # full factors of n entries each, as the projective-bundle tag
+        # multiplies its two coefficient lists
+        ring, degrees, patterns, top = data.draw(random_rings(multivariable=True))
+        n = data.draw(st.integers(min_value=2, max_value=6))
+        bundle = random_bundle(ring, n, data.draw(st.integers(0, 10**6)))
+        ext = ProjectiveBundleRing(ring, bundle)
+
+        def reduce(t):
+            return naive.ntruncate(t, degrees, patterns, top)
+
+        vectors = [
+            [reduce(data.draw(raw_terms(len(degrees)))) for _ in range(n)]
+            for _ in range(2)
+        ]
+        if data.draw(st.booleans()):
+            # positive constant terms everywhere: the constant term of each
+            # xi^k, k >= n, is then a sum of positive products, so every
+            # head of the reduction is nonzero, xi^(2n-2) down to xi^n
+            for t in vectors[0] + vectors[1]:
+                t[(0,) * len(degrees)] = data.draw(st.integers(1, 3))
+        classes = [c.terms for c in bundle]
+        expected = naive.nprojective_mul(*vectors, classes, reduce)
+        assert ext._product(*vectors) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
     def test_kernel_matches_naive_convolution_and_reduction(self, data):
         # the projective-bundle tag multiplies coefficient lists with
         # _product directly; without a second factor it reduces one list
@@ -672,20 +699,11 @@ class TestProjectiveBundleRing:
         # factors of up to n entries, and an element of up to n + 1 to reduce
         a, b = (draw_list(data.draw(st.integers(1, n))) for _ in range(2))
         c = draw_list(data.draw(st.integers(1, n + 1)))
-        one = (0,) * len(degrees)
-        if data.draw(st.booleans()):
-            # full factors with positive constant terms everywhere: the
-            # constant term of each xi^k, k >= n, is then a sum of positive
-            # products, so every head of the reduction is nonzero, xi^(2n-2)
-            # down to xi^n
-            a, b = padded(a), padded(b)
-            for t in a + b:
-                t[one] = data.draw(st.integers(1, 3))
         classes = [t.terms for t in bundle]
+        one = {(0,) * len(degrees): 1}
         expected = naive.nprojective_mul(padded(a), padded(b), classes, reduce)
         assert ext._product(a, b) == expected
-        reduced = naive.nprojective_mul(padded(c), [{one: 1}], classes, reduce)
-        assert ext._product(c) == reduced
+        assert ext._product(c) == naive.nprojective_mul(padded(c), [one], classes, reduce)
 
     def test_multiplication_respects_the_relation(self):
         ring = ToyRing(*CURVES_SPEC)
