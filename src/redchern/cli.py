@@ -1,7 +1,8 @@
 """Command-line surface: formula and universal-polynomial emission, suite
 execution and regression tables.
 
-Exit codes: 0 success, 1 identity failure, 2 usage error, 3 I/O failure.
+Exit codes: 0 success, 1 identity failure or a solve that fails its own
+check (reported as `error: ...` on stderr), 2 usage error, 3 I/O failure.
 Relative --out paths resolve under $REDCHERN_OUT_DIR when it is set.
 
 main is an argparse parser behind click's calling convention: main() runs
@@ -192,6 +193,9 @@ def main(args=None, prog_name: str | None = None):
         main.commands[name](**vars(namespace))
     except UsageError as exc:
         commands.choices[name].error(str(exc))
+    except universal.InternalInconsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)
     sys.exit(0)
 
 

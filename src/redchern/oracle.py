@@ -172,8 +172,12 @@ def random_bundle(ring: ToyRing, n: int, seed) -> tuple[MPoly, ...]:
 
 
 def random_draw(ring: ToyRing, n: int, seed) -> tuple:
-    """The seed's rank-n bundle, which starts each lower-rank one, and its line."""
-    line = ring.random_element(1, random.Random((seed + 1) << 4))
+    """The seed's rank-n bundle, which starts each lower-rank one, and its line.
+
+    The bundle reads Random(seed); the line and the projective sample read
+    streams of their own, seeded by strings, which no other seed shares.
+    """
+    line = ring.random_element(1, random.Random(f"{seed}:line"))
     return random_bundle(ring, n, seed), line
 
 
@@ -307,7 +311,7 @@ def _projective_witness(ring: ToyRing, classes: tuple, seed: int):
     residue = next((t for t in ext.relation_residue() if t), None)
     if residue is not None:
         return MPoly._wrap(ring, residue).min_degree_component()
-    rng = random.Random((seed + 3) << 4)
+    rng = random.Random(f"{seed}:sample")
     sample = []
     for _ in range(3):
         base = ring.random_element(rng.randint(0, 2), rng)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul, sub
@@ -308,19 +309,34 @@ class TestRandomBundle:
     ):
         # 3 rings x 20 seeds draw a bundle and a line once, and each of the
         # 3 x 4 x 20 projective checks draws its own sample
-        built = []
+        seeds = generator_seeds(monkeypatch, lambda: verify.suite_toy_rings(5, 0))
+        assert Counter(seeds) == {
+            s: k for seed in range(20)
+            for s, k in ((seed, 3), (f"{seed}:line", 3), (f"{seed}:sample", 12))
+        }
 
-        class Counting(random.Random):
-            def __init__(self, seed):
-                built.append(seed)
-                super().__init__(seed)
+    def test_the_streams_of_bundles_lines_and_samples_are_disjoint(self, monkeypatch):
+        # seeds 0..99 each draw a bundle, a line and a projective sample, and
+        # no two of the 300 generators start alike
+        ring, theory = ToyRing(*TWO_LINES_SPEC), rank_theory(2)
+        seeds = generator_seeds(monkeypatch, lambda: check_bundles(ring, theory, range(100)))
+        starts = {tuple(random.Random(s).random() for _ in range(4)) for s in seeds}
+        assert len(seeds) == len(starts) == 300
 
-        monkeypatch.setattr(random, "Random", Counting)
-        assert all(r.passed for r in verify.suite_toy_rings(5, 0))
-        assert len(built) == 360
-        assert sorted(set(built)) == sorted(
-            {s for seed in range(20) for s in (seed, (seed + 1) << 4, (seed + 3) << 4)}
-        )
+
+def generator_seeds(monkeypatch, run) -> list:
+    """The seed of every random.Random that run() builds, in order."""
+    seeds = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(random, "Random", Recording)
+        run()
+    return seeds
 
 
 class TestCheckIdentity:
@@ -490,9 +506,11 @@ class TestCheckBundle:
     def test_mutations_fail_as_with_one_bundle_per_tag(self):
         # Every failing (mutation, rank, seed, tag) with its witness, pinned
         # from the per-tag route in which each tag drew its own bundle and
-        # evaluated the reduced classes itself.  Sharing the bundle and its
-        # evaluations across tags, and stacking the suite's 20 seeds into
-        # one evaluation, must hide no mutation from any tag and seed.
+        # evaluated the reduced classes itself, and re-pinned from one-seed
+        # calls when each seed's line got a stream of its own.  Sharing the
+        # bundle and its evaluations across tags, and stacking the suite's
+        # 20 seeds into one evaluation, must hide no mutation from any tag
+        # and seed.
         ring = ToyRing(*TWO_LINES_SPEC)
         # each field with the degree of its first entry
         fields = (("phi", 2), ("reduced", 1), ("twisted", 1), ("f_classes", 1))
@@ -512,10 +530,10 @@ class TestCheckBundle:
             "twisted": {"twist"},
             "f_classes": {"c1F-zero", "phi-roundtrip"},
         }
-        assert len(records) == 879
+        assert len(records) == 878
         blob = json.dumps(records, separators=(",", ":"), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == (
-            "428aed094154c5dc8d844bdf3a153f4ba13c7b5f6b9ed5c860c8b643407cf9a0"
+            "452873bcbac6a829076e81abd6c6a594b236bfa63700075881528a787d848cf6"
         )
 
 
@@ -712,82 +730,3 @@ class TestProjectiveBundleRing:
         xi = [{}, MPoly.one(ring).terms]
         assert ext._product(xi, xi) == [(-c2).terms, (-c1).terms]
 
-
-def projective_results():
-    """The projective-bundle results of the toy-rings suite at rank 5."""
-    results = verify.suite_toy_rings(5, 0)
-    return [r for r in results if r.identity == "projective-bundle"]
-
-
-def flip_the_relation(monkeypatch):
-    """Make every projective extension reduce by xi^n = +(c_1 xi^(n-1) + ... + c_n)."""
-    honest = ProjectiveBundleRing._product
-
-    def flipped(self, a, b=None):
-        negated = tuple(-c for c in self.classes)
-        return honest(ProjectiveBundleRing(self.base, negated), a, b)
-
-    monkeypatch.setattr(ProjectiveBundleRing, "_product", flipped)
-
-
-def test_projective_bundle_catches_a_sign_flipped_relation(monkeypatch):
-    # the flipped relation still gives an associative, commutative ring, so
-    # only the relation residue sees it
-    flip_the_relation(monkeypatch)
-    results = projective_results()
-    assert len(results) == 240
-    assert not any(r.passed for r in results)
-    # the residue's witness is a class of positive degree, never the unit,
-    # and its report lines are pinned
-    assert all(r.witness != MPoly.one(r.witness.table) for r in results)
-    lines = "".join(
-        json.dumps(r.to_json_obj(), separators=(",", ":")) + "\n" for r in results
-    )
-    assert hashlib.sha256(lines.encode()).hexdigest() == (
-        "f922a3041386f5472d59299c4973550d26b266c12f87554af8d359f6b7b6c29a"
-    )
-    monkeypatch.setattr(
-        ProjectiveBundleRing, "relation_residue", lambda self: [{}] * self.rank
-    )
-    assert all(r.passed for r in projective_results())
-
-
-def mutate_the_product(monkeypatch, mutation):
-    """Make every product of two factors in P(E) return mutation(self, a, product).
-
-    An element written down, which _product reduces alone, is left as it
-    is, so the relation residue stays zero.
-    """
-    honest = ProjectiveBundleRing._product
-
-    def mutated(self, a, b=None):
-        result = honest(self, a, b)
-        return result if b is None else mutation(self, a, result)
-
-    monkeypatch.setattr(ProjectiveBundleRing, "_product", mutated)
-
-
-def test_projective_bundle_catches_a_noncommutative_product(monkeypatch):
-    # a product with a stray left factor keeps the relation residue zero,
-    # which never multiplies, but breaks commutativity of the sample
-    def stray(self, a, product):
-        return [naive.nadd(x, y) for x, y in zip(product, a)]
-
-    mutate_the_product(monkeypatch, stray)
-    failed = [r for r in projective_results() if not r.passed]
-    assert len(failed) == 233
-    assert all(r.witness == MPoly.one(r.witness.table) for r in failed)
-
-
-def test_projective_bundle_catches_a_product_scaled_by_xi(monkeypatch):
-    # every product times xi stays associative and commutative, and the
-    # relation residue stays zero, so only the unit law u 1 = u sees it
-    honest = ProjectiveBundleRing._product
-
-    def scaled(self, a, product):
-        return honest(self, product, [{}, MPoly.one(self.base).terms])
-
-    mutate_the_product(monkeypatch, scaled)
-    failed = [r for r in projective_results() if not r.passed]
-    assert len(failed) == 212
-    assert all(r.witness == MPoly.one(r.witness.table) for r in failed)
